@@ -200,7 +200,7 @@ def _cmd_run_loop(args) -> int:
     if args.trace:
         Path(args.trace).write_text(loop_mod.trace_to_json(trace, image_ref=out_ref))
     print(json.dumps(loop_mod.trace_to_report(trace), sort_keys=True))
-    return 0 if trace.stop_reason != loop_mod.STOP_PROVIDER_ERROR else 1
+    return 0 if trace.error is None else 1  # stops on a fault carry their error
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,6 +15,7 @@ from .media_io import ImageBuffer
 from .providers import (
     INSTRUCTION_DRIVEN,
     InpaintTool,
+    NoEligibleToolError,
     PerceptionProvider,
     ProviderError,
     ReasoningProvider,
@@ -27,6 +28,8 @@ from .textmetrics import Diagnosis
 STOP_CONVERGED = "converged"
 STOP_MAX_ITERATIONS = "max_iterations"
 STOP_PROVIDER_ERROR = "provider_error"
+STOP_NO_ELIGIBLE_TOOL = "no_eligible_tool"  # no tool in the registry fits a diagnosis
+STOP_INTERNAL_ERROR = "internal_error"  # an unexpected exception escaped run_loop
 
 
 @dataclass(frozen=True)
@@ -111,10 +114,28 @@ def run_loop(
                 return LoopTrace(tuple(records), STOP_CONVERGED, current)
             regions = propose_masks(smap, cfg.tau_s, cfg.dilation_radius, cfg.min_area)
             diagnoses = providers.reasoning.diagnose(current, prompt, regions)
-            actions: list[Action] = []
             # regions come back in peak-saliency order already
-            for region, diagnosis in zip(regions, diagnoses):
-                tool = select_tool(providers.tools, diagnosis, cfg.tool_policy)
+            try:
+                # every tool is chosen before the first edit, so a stop here
+                # leaves the image as the records describe it
+                tools = [
+                    select_tool(providers.tools, d, cfg.tool_policy)
+                    for d in diagnoses[: len(regions)]
+                ]
+            except NoEligibleToolError as exc:
+                records.append(
+                    IterationRecord(
+                        t=t,
+                        max_saliency=peak,
+                        regions=tuple(regions),
+                        diagnoses=tuple(diagnoses),
+                        actions=(),
+                        image_after=current,
+                    )
+                )
+                return LoopTrace(tuple(records), STOP_NO_ELIGIBLE_TOOL, current, error=str(exc))
+            actions: list[Action] = []
+            for region, diagnosis, tool in zip(regions, diagnoses, tools):
                 instruction = None
                 if tool.descriptor.kind == INSTRUCTION_DRIVEN:
                     instruction = "fix %s: %s" % (diagnosis.category.value, diagnosis.description)
@@ -143,7 +164,9 @@ def run_loop(
 
 def run_batch(items: Sequence[LoopInput], cfg: LoopConfig, parallelism: int = 1) -> list[LoopTrace]:
     """Order-preserving batch of independent loop runs; one failing item
-    never aborts the others."""
+    never aborts the others. An exception that escapes run_loop (never a
+    ProviderError, which run_loop turns into a stop) becomes an
+    internal_error stop named after its type."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
 
@@ -151,7 +174,9 @@ def run_batch(items: Sequence[LoopInput], cfg: LoopConfig, parallelism: int = 1)
         try:
             return run_loop(item.image, item.prompt, item.providers, cfg)
         except Exception as exc:  # isolate unexpected per-item failures
-            return LoopTrace((), STOP_PROVIDER_ERROR, item.image, error=str(exc))
+            return LoopTrace(
+                (), STOP_INTERNAL_ERROR, item.image, error="%s: %s" % (type(exc).__name__, exc)
+            )
 
     if parallelism == 1:
         return [one(item) for item in items]

@@ -48,11 +48,11 @@ class MetricReport:
 TSV_HEADER = "image\tauc_judd\tnss\tcc\tsim\tkld"
 
 
-def cc(pred: SaliencyMap, truth: SaliencyMap) -> float:
-    """Pearson correlation of the two pixel populations."""
-    _check_same_dims(pred, truth)
-    p = pred.to_array().astype(np.float64).ravel()
-    g = truth.to_array().astype(np.float64).ravel()
+def _as64(smap: SaliencyMap) -> np.ndarray:
+    return smap.to_array().astype(np.float64)
+
+
+def _cc(p: np.ndarray, g: np.ndarray) -> float:
     pc = p - p.mean()
     gc = g - g.mean()
     denom = np.sqrt((pc**2).sum() * (gc**2).sum())
@@ -61,31 +61,17 @@ def cc(pred: SaliencyMap, truth: SaliencyMap) -> float:
     return float((pc * gc).sum() / denom)
 
 
-def sim(pred: SaliencyMap, truth: SaliencyMap) -> float:
-    """Histogram intersection of the sum-normalized maps."""
-    _check_same_dims(pred, truth)
-    p = pred.to_array().astype(np.float64).ravel()
-    g = truth.to_array().astype(np.float64).ravel()
+def _sim(p: np.ndarray, g: np.ndarray) -> float:
     if p.sum() <= 0.0 or g.sum() <= 0.0:
         raise ValueError("sim undefined for a zero-sum map")
     return float(np.minimum(p / p.sum(), g / g.sum()).sum())
 
 
-def kld(pred: SaliencyMap, truth: SaliencyMap, epsilon: float = 1e-7) -> float:
-    """KL(truth || pred) over sum-normalized maps; shared with the hybrid
-    training loss so evaluation and training agree exactly."""
-    _check_same_dims(pred, truth)
-    return _kld_term(
-        pred.to_array().astype(np.float64), truth.to_array().astype(np.float64), epsilon
-    )
-
-
-def nss(pred: SaliencyMap, fix: FixationSet) -> float:
-    """Mean z-scored saliency at fixation points (population std)."""
+def _nss(p: np.ndarray, fix: FixationSet) -> float:
     if len(fix) == 0:
         raise ValueError("nss needs at least one fixation")
-    fix.validate_bounds(pred.width, pred.height)
-    p = pred.to_array().astype(np.float64)
+    height, width = p.shape
+    fix.validate_bounds(width, height)
     sigma = p.std()  # population std
     if sigma == 0.0:
         raise ValueError("nss undefined for a constant map")
@@ -94,45 +80,78 @@ def nss(pred: SaliencyMap, fix: FixationSet) -> float:
     return float(np.mean(vals))
 
 
+def cc(pred: SaliencyMap, truth: SaliencyMap) -> float:
+    """Pearson correlation of the two pixel populations."""
+    _check_same_dims(pred, truth)
+    return _cc(_as64(pred), _as64(truth))
+
+
+def sim(pred: SaliencyMap, truth: SaliencyMap) -> float:
+    """Histogram intersection of the sum-normalized maps."""
+    _check_same_dims(pred, truth)
+    return _sim(_as64(pred), _as64(truth))
+
+
+def kld(pred: SaliencyMap, truth: SaliencyMap, epsilon: float = 1e-7) -> float:
+    """KL(truth || pred) over sum-normalized maps; shared with the hybrid
+    training loss so evaluation and training agree exactly."""
+    _check_same_dims(pred, truth)
+    return _kld_term(_as64(pred), _as64(truth), epsilon)
+
+
+def nss(pred: SaliencyMap, fix: FixationSet) -> float:
+    """Mean z-scored saliency at fixation points (population std)."""
+    return _nss(_as64(pred), fix)
+
+
 def auc_judd(pred: SaliencyMap, fix: FixationSet) -> float:
     """ROC area with fixated pixels as positives, all other pixels as
-    negatives. Thresholds sweep every distinct saliency value plus the
-    extremes; trapezoidal integration then gives ties exactly half credit
-    (Mann-Whitney convention), so a constant map scores 0.5."""
+    negatives; ties get half credit (Mann-Whitney convention), so a
+    constant map scores 0.5. Duplicate fixations count once.
+
+    One sort of the map, O(N log N): pixels of equal value form a tie
+    group, and each positive in a group beats every negative of the groups
+    below and ties the negatives of its own. The count is an integer and
+    the result a single correctly-rounded division, bit-equal to the
+    pairwise Mann-Whitney statistic."""
     if len(fix) == 0:
         raise ValueError("auc_judd needs at least one fixation")
     fix.validate_bounds(pred.width, pred.height)
-    p = pred.to_array().astype(np.float64)
-    pos_mask = np.zeros(p.shape, dtype=bool)
-    for x, y in fix.points:
-        pos_mask[y, x] = True
-    pos = p[pos_mask]
-    neg = p[~pos_mask]
-    if neg.size == 0:
+    # float32 orders exactly as its float64 widening would; -0.0 == 0.0
+    values = pred.to_array().ravel()
+    is_pos = np.zeros(values.size, dtype=bool)
+    is_pos[[y * pred.width + x for x, y in fix.points]] = True
+    npos = int(is_pos.sum())
+    nneg = values.size - npos
+    if nneg == 0:
         raise ValueError("auc_judd needs at least one non-fixated pixel")
 
-    # integer trapezoid so ties get exactly half credit and the result is
-    # a single correctly-rounded division (bit-equal to the pairwise
-    # Mann-Whitney statistic)
-    thresholds = np.concatenate(([np.inf], np.unique(p)[::-1]))
-    tp = [int((pos >= t).sum()) for t in thresholds]
-    fp = [int((neg >= t).sum()) for t in thresholds]
-    num = sum(
-        (tp[i] + tp[i + 1]) * (fp[i + 1] - fp[i]) for i in range(len(thresholds) - 1)
-    )
-    return num / (2 * pos.size * neg.size)
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
+    pos_in = np.add.reduceat(is_pos[order].astype(np.int64), starts)
+    neg_in = np.diff(np.append(starts, values.size)) - pos_in
+    neg_below = np.cumsum(neg_in) - neg_in
+    num = int((pos_in * (2 * neg_below + neg_in)).sum())
+    return num / (2 * npos * nneg)
 
 
 def evaluate_all(
     pred: SaliencyMap, truth: SaliencyMap, fix: FixationSet, epsilon: float = 1e-7
 ) -> MetricReport:
-    """Bundle of the five metrics for one image."""
+    """Bundle of the five metrics for one image; each map is widened to
+    float64 once and shared by NSS, CC, SIM and KLD."""
+    auc = auc_judd(pred, fix)
+    p = _as64(pred)
+    score = _nss(p, fix)
+    _check_same_dims(pred, truth)
+    g = _as64(truth)
     return MetricReport(
-        auc_judd=auc_judd(pred, fix),
-        nss=nss(pred, fix),
-        cc=cc(pred, truth),
-        sim=sim(pred, truth),
-        kld=kld(pred, truth, epsilon),
+        auc_judd=auc,
+        nss=score,
+        cc=_cc(p, g),
+        sim=_sim(p, g),
+        kld=_kld_term(p, g, epsilon),
     )
 
 

@@ -194,6 +194,10 @@ def make_mock_providers(scene: SyntheticScene, seed: int = 0):
 # Tool selection
 
 
+class NoEligibleToolError(ValueError):
+    """No tool in the registry satisfies the policy for a diagnosis."""
+
+
 def select_tool(
     registry: Sequence[InpaintTool], diagnosis: Diagnosis, policy: ToolPolicy
 ) -> InpaintTool:
@@ -201,7 +205,7 @@ def select_tool(
     instruction-driven for text anomalies (the instruction carries the
     semantics), mask-guided otherwise. Ties keep registry order."""
     if not registry:
-        raise ValueError("empty tool registry")
+        raise NoEligibleToolError("empty tool registry")
     if policy.prefer == "auto":
         want = (
             INSTRUCTION_DRIVEN
@@ -216,7 +220,7 @@ def select_tool(
         if t.descriptor.kind == want and t.descriptor.cost_hint <= policy.max_cost
     ]
     if not candidates:
-        raise ValueError("no tool satisfies policy (kind=%s, max_cost=%g)" % (want, policy.max_cost))
+        raise NoEligibleToolError("no tool satisfies policy (kind=%s, max_cost=%g)" % (want, policy.max_cost))
     return min(candidates, key=lambda t: t.descriptor.cost_hint)
 
 

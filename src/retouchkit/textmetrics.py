@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from .dataset import DistortionCategory, RegionAnnotation
 
@@ -40,12 +40,6 @@ class ReasoningReport:
             self.rouge_l,
             self.meteor_lite,
         )
-
-
-class EmbeddingProvider(Protocol):
-    """Hook for embedding-based similarity backends (none bundled)."""
-
-    def embed(self, text: str) -> Sequence[float]: ...
 
 
 def tokenize(text: str) -> list[str]:

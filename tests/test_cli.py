@@ -127,6 +127,31 @@ def test_run_loop_determinism(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_run_loop_no_eligible_tool_writes_trace(tmp_path, capsys):
+    # --mock registers one mask-guided tool; this bump is diagnosed as a
+    # text anomaly, which wants an instruction-driven one
+    img = tmp_path / "in.pnm"
+    fsal = tmp_path / "field.fsal"
+    trace_path = tmp_path / "trace.json"
+    out_img = tmp_path / "out.pnm"
+    write_gray_image(img, size=64)
+    field = np.zeros((64, 64), dtype=np.float32)
+    field[10:15, 16:21] = 0.9
+    fsal.write_bytes(write_float_grid(FloatGrid.from_array(field)))
+    rc = main(
+        [
+            "run-loop", "--image", str(img), "--mock", "--mock-field", str(fsal),
+            "--trace", str(trace_path), "-o", str(out_img),
+        ]
+    )
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["iterations"] == 1
+    trace = json.loads(trace_path.read_text())
+    assert trace["stop_reason"] == "no_eligible_tool"
+    assert trace["records"][0]["diagnoses"][0]["category"] == "text_anomaly"
+    assert out_img.read_bytes() == img.read_bytes()
+
+
 def test_evaluate_reasoning(tmp_path, capsys):
     pred = tmp_path / "pred.jsonl"
     truth = tmp_path / "truth.jsonl"

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from retouchkit.dataset import DistortionCategory
 from retouchkit.loop import (
     STOP_CONVERGED,
+    STOP_INTERNAL_ERROR,
     STOP_MAX_ITERATIONS,
+    STOP_NO_ELIGIBLE_TOOL,
     STOP_PROVIDER_ERROR,
     LoopConfig,
     LoopInput,
@@ -23,6 +26,7 @@ from retouchkit.providers import (
     ProviderError,
     SyntheticScene,
 )
+from retouchkit.textmetrics import Diagnosis
 
 
 def bump_scene(height=0.8, decay=0.5, size=8, at=(3, 3)):
@@ -170,16 +174,72 @@ def test_batch_isolates_failures():
         def perceive(self, image, prompt):
             raise RuntimeError("boom")
 
-    good = make_items(1)
-    scene = bump_scene(0.8)
-    bad = LoopInput(
-        scene.image,
-        "p",
-        LoopProviders(Broken(), MockReasoningProvider(), [MockInpaintTool(scene)]),
-    )
-    traces = run_batch([bad] + good, cfg, parallelism=2)
-    assert traces[0].stop_reason == STOP_PROVIDER_ERROR
-    assert traces[1].stop_reason == STOP_CONVERGED
+    class Down:
+        def perceive(self, image, prompt):
+            raise ProviderError("backend down")
+
+    def failing(perception):
+        scene = bump_scene(0.8)
+        provs = LoopProviders(perception, MockReasoningProvider(), [MockInpaintTool(scene)])
+        return LoopInput(scene.image, "p", provs)
+
+    traces = run_batch([failing(Broken()), failing(Down())] + make_items(1), cfg, parallelism=2)
+    assert traces[0].stop_reason == STOP_INTERNAL_ERROR
+    assert traces[0].error == "RuntimeError: boom"
+    assert traces[1].stop_reason == STOP_PROVIDER_ERROR
+    assert traces[1].error == "backend down"
+    assert traces[2].stop_reason == STOP_CONVERGED
+
+
+# --- no eligible tool ----------------------------------------------------
+
+def text_anomaly_scene():
+    # the seeded mock reasoner diagnoses this bump as a text anomaly, which
+    # the "auto" policy sends to an instruction-driven tool
+    image = ImageBuffer.from_array(np.full((64, 64), 100, dtype=np.uint8))
+    field = np.zeros((64, 64), dtype=np.float32)
+    field[10:15, 16:21] = 0.9
+    return SyntheticScene(image=image, distortion_field=field, decay=0.5)
+
+
+def test_no_eligible_tool_stops_with_the_diagnosing_iteration():
+    scene = text_anomaly_scene()
+    trace = run_loop(scene.image, "p", providers_for(scene), LoopConfig())
+    assert trace.stop_reason == STOP_NO_ELIGIBLE_TOOL
+    assert "no tool satisfies policy" in trace.error
+    [rec] = trace.records
+    assert [d.category for d in rec.diagnoses] == [DistortionCategory.TEXT_ANOMALY]
+    assert rec.actions == ()
+    assert trace.final_image == scene.image
+    assert trace_to_report(trace)["iterations"] == 1
+
+
+def test_no_eligible_tool_edits_nothing_in_that_iteration():
+    # the first region has a tool, the second does not: no edit is made,
+    # so the final image is still the one the records describe
+    class Reasoner:
+        def diagnose(self, image, prompt, regions):
+            cats = [DistortionCategory.FACE_DISTORTION, DistortionCategory.TEXT_ANOMALY]
+            return [
+                Diagnosis(region_id="r%d" % i, category=c, description="d", severity=0.5)
+                for i, c in enumerate(cats)
+            ]
+
+    scene = bump_scene(0.9, size=16)
+    scene.distortion_field[10:12, 10:12] = 0.8
+    provs = LoopProviders(MockPerceptionProvider(scene), Reasoner(), [MockInpaintTool(scene)])
+    cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
+    trace = run_loop(scene.image, "p", provs, cfg)
+    assert trace.stop_reason == STOP_NO_ELIGIBLE_TOOL
+    assert len(trace.records[0].regions) == 2
+    assert trace.final_image == scene.image
+
+
+def test_empty_registry_is_a_typed_stop():
+    scene = bump_scene(0.9)
+    provs = LoopProviders(MockPerceptionProvider(scene), MockReasoningProvider(), [])
+    trace = run_loop(scene.image, "p", provs, LoopConfig(min_area=1))
+    assert trace.stop_reason == STOP_NO_ELIGIBLE_TOOL
 
 
 # --- reports -------------------------------------------------------------

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from retouchkit.metrics import (
     FixationSet,
+    MetricReport,
     aggregate_reports,
     auc_judd,
     cc,
@@ -229,7 +231,57 @@ def test_auc_monotone_transform_invariance():
         assert a == b
 
 
+@st.composite
+def tied_maps(draw):
+    """(map, fixations): 1-4 value levels so ties dominate, 0.0 and -0.0
+    side by side, repeated fixations, and often every pixel fixated but
+    one."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    n = h * w
+    levels = draw(st.integers(1, 4))
+    codes = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+    negzero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    values = [
+        -0.0 if c == 0 and z else c / max(levels - 1, 1) for c, z in zip(codes, negzero)
+    ]
+    if draw(st.booleans()):
+        skip = draw(st.integers(0, n - 1))
+        flat = [i for i in range(n) if i != skip]
+    else:
+        flat = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    flat += draw(st.lists(st.sampled_from(flat), max_size=3))  # repeats
+    arr = np.array(values, dtype=np.float32).reshape(h, w)
+    return arr, flat
+
+
+@given(tied_maps())
+@settings(max_examples=300, deadline=None)
+def test_auc_equals_pairwise_count_with_heavy_ties(case):
+    arr, flat = case
+    w = arr.shape[1]
+    fix = FixationSet((i % w, i // w) for i in flat)
+    values = [float(v) for v in arr.flat]
+    fixated = set(flat)
+    pos = [v for i, v in enumerate(values) if i in fixated]
+    neg = [v for i, v in enumerate(values) if i not in fixated]
+    if not neg:
+        with pytest.raises(ValueError):
+            auc_judd(smap(arr), fix)
+        return
+    assert auc_judd(smap(arr), fix) == mann_whitney(pos, neg)
+
+
 # --- evaluate_all / aggregation -----------------------------------------
+
+def test_evaluate_all_equals_the_single_metrics():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        p = smap(rng.random((7, 9)))
+        g = smap(rng.random((7, 9)))
+        fix = FixationSet([(int(rng.integers(9)), int(rng.integers(7))) for _ in range(3)])
+        want = MetricReport(auc_judd(p, fix), nss(p, fix), cc(p, g), sim(p, g), kld(p, g, 1e-6))
+        assert evaluate_all(p, g, fix, epsilon=1e-6) == want
+
 
 def test_evaluate_all_self_bundle():
     rng = np.random.default_rng(7)

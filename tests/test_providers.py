@@ -18,6 +18,7 @@ from retouchkit.providers import (
     MockInpaintTool,
     MockPerceptionProvider,
     MockReasoningProvider,
+    NoEligibleToolError,
     SchemaError,
     SyntheticScene,
     ToolDescriptor,
@@ -128,7 +129,7 @@ def test_select_auto_text_anomaly_instruction():
 
 def test_select_max_cost_unsatisfiable():
     tools = [_FakeTool("m", MASK_GUIDED, 3.0)]
-    with pytest.raises(ValueError):
+    with pytest.raises(NoEligibleToolError):
         select_tool(tools, _diag(), ToolPolicy(prefer=MASK_GUIDED, max_cost=1.0))
 
 

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import retouchkit
 from retouchkit.saliency import (
     HybridLossConfig,
     SaliencyMap,
@@ -277,3 +282,43 @@ def test_propose_masks_disjoint_union_property():
                 for y, x in comp:
                     small[y, x] = True
         assert np.array_equal(union, dilated & ~small)
+
+
+# --- scipy stays out of the evaluation path --------------------------------
+
+_EVAL_WITHOUT_SCIPY = """
+import sys
+import numpy as np
+import retouchkit.cli, retouchkit.dataset, retouchkit.metrics, retouchkit.textmetrics
+from retouchkit.dataset import parse_dataset, ground_truth_map
+from retouchkit.metrics import evaluate_all
+from retouchkit.saliency import SaliencyMap, propose_masks
+
+(rec,) = parse_dataset(open(sys.argv[1], "rb").readline())
+truth, fix = ground_truth_map(rec)
+evaluate_all(truth, truth, fix)
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+
+field = np.zeros((16, 16), np.float32)
+field[2:5, 2:5] = 0.9
+field[10:12, 9:13] = 0.7
+regions = propose_masks(SaliencyMap.from_array(field), 0.5, 1, 4)
+print([(r.bbox, r.area) for r in regions])
+"""
+
+
+def test_evaluation_imports_no_scipy():
+    # scipy.ndimage is loaded only by region proposals (and blurred ground
+    # truth); importing it costs ~18 MB of RSS in every evaluation process
+    src = str(Path(retouchkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    data = Path(__file__).parent / "data" / "synthetic50.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c", _EVAL_WITHOUT_SCIPY, str(data)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[((1, 1, 5, 5), 25), ((8, 9, 13, 12), 24)]"
