@@ -10,6 +10,7 @@ Machine output goes to stdout, diagnostics to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -36,19 +37,7 @@ def _cmd_dataset_stats(args) -> int:
         return 1
     stats = ds.compute_stats(records)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "image_count": stats.image_count,
-                    "region_count": stats.region_count,
-                    "regions_per_image": stats.regions_per_image,
-                    "mean_description_words": stats.mean_description_words,
-                    "category_histogram": stats.category_histogram,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        print(json.dumps(dataclasses.asdict(stats), sort_keys=True, indent=2))
     else:
         print("image_count:             %d" % stats.image_count)
         print("region_count:            %d" % stats.region_count)
@@ -168,17 +157,11 @@ def _http_providers_from_env(args) -> loop_mod.LoopProviders:
             raise ValueError("environment variable %s is not set" % var)
         return value
 
-    return loop_mod.LoopProviders(
-        perception=providers.HttpPerceptionProvider(url("perception"), cfg),
-        reasoning=providers.HttpReasoningProvider(url("reasoning"), cfg),
-        tools=[
-            providers.HttpInpaintTool(
-                url("inpaint"),
-                providers.ToolDescriptor(name="http-inpaint", kind=providers.MASK_GUIDED),
-                cfg,
-            )
-        ],
+    perception, reasoning, tool = (
+        providers.http_provider(url(role), role, cfg)
+        for role in ("perception", "reasoning", "inpaint")
     )
+    return loop_mod.LoopProviders(perception=perception, reasoning=reasoning, tools=[tool])
 
 
 def _cmd_run_loop(args) -> int:

@@ -1,7 +1,7 @@
 """The closed perception-reasoning-action controller: iterate
 perceive -> (if salient) diagnose -> act -> re-perceive until the map max
-drops below the threshold or the iteration cap is hit, producing a full
-audit trace.
+drops below the threshold, the iteration cap is hit or another typed stop
+applies, producing a full audit trace.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .textmetrics import Diagnosis
 STOP_CONVERGED = "converged"
 STOP_MAX_ITERATIONS = "max_iterations"
 STOP_PROVIDER_ERROR = "provider_error"
+STOP_NO_ACTIONABLE_REGIONS = "no_actionable_regions"  # peak >= tau, but no region reaches min_area
 STOP_NO_ELIGIBLE_TOOL = "no_eligible_tool"  # no tool in the registry fits a diagnosis
 STOP_INTERNAL_ERROR = "internal_error"  # an unexpected exception escaped run_loop
 
@@ -39,7 +40,6 @@ class LoopConfig:
     dilation_radius: int = 1
     min_area: int = 4
     tool_policy: ToolPolicy = field(default_factory=ToolPolicy)
-    epsilon: float = 1e-7
 
     def __post_init__(self):
         if not 0.0 <= self.tau_s <= 1.0:
@@ -62,7 +62,6 @@ class IterationRecord:
     regions: tuple[RegionProposal, ...]
     diagnoses: tuple[Diagnosis, ...]
     actions: tuple[Action, ...]
-    image_after: ImageBuffer
 
 
 @dataclass(frozen=True)
@@ -93,73 +92,49 @@ class LoopInput:
 def run_loop(
     image: ImageBuffer, prompt: str, providers: LoopProviders, cfg: LoopConfig
 ) -> LoopTrace:
-    """Run the retouching state machine to convergence or the iteration cap."""
+    """Run the retouching state machine until a stop. Every iteration whose
+    perception returned leaves one record, so the records always describe
+    the final image, also when a fault cuts an iteration short."""
     records: list[IterationRecord] = []
     current = image
-    try:
-        for t in range(1, cfg.max_iterations + 1):
+    stop, error = STOP_MAX_ITERATIONS, None
+    for t in range(1, cfg.max_iterations + 1):
+        peak = None
+        regions: list[RegionProposal] = []
+        diagnoses: list[Diagnosis] = []
+        actions: list[Action] = []
+        try:
             smap = providers.perception.perceive(current, prompt)
             peak = float(smap.to_array().max())
             if peak < cfg.tau_s:
-                records.append(
-                    IterationRecord(
-                        t=t,
-                        max_saliency=peak,
-                        regions=(),
-                        diagnoses=(),
-                        actions=(),
-                        image_after=current,
-                    )
-                )
-                return LoopTrace(tuple(records), STOP_CONVERGED, current)
-            regions = propose_masks(smap, cfg.tau_s, cfg.dilation_radius, cfg.min_area)
-            diagnoses = providers.reasoning.diagnose(current, prompt, regions)
-            # regions come back in peak-saliency order already
-            try:
-                # every tool is chosen before the first edit, so a stop here
-                # leaves the image as the records describe it
+                stop = STOP_CONVERGED
+            elif not (regions := propose_masks(smap, cfg.tau_s, cfg.dilation_radius, cfg.min_area)):
+                stop = STOP_NO_ACTIONABLE_REGIONS
+            else:
+                diagnoses = providers.reasoning.diagnose(current, prompt, regions)
+                # regions come back in peak-saliency order already; every tool
+                # is chosen before the first edit
                 tools = [
                     select_tool(providers.tools, d, cfg.tool_policy)
                     for d in diagnoses[: len(regions)]
                 ]
-            except NoEligibleToolError as exc:
-                records.append(
-                    IterationRecord(
-                        t=t,
-                        max_saliency=peak,
-                        regions=tuple(regions),
-                        diagnoses=tuple(diagnoses),
-                        actions=(),
-                        image_after=current,
-                    )
-                )
-                return LoopTrace(tuple(records), STOP_NO_ELIGIBLE_TOOL, current, error=str(exc))
-            actions: list[Action] = []
-            for region, diagnosis, tool in zip(regions, diagnoses, tools):
-                instruction = None
-                if tool.descriptor.kind == INSTRUCTION_DRIVEN:
-                    instruction = "fix %s: %s" % (diagnosis.category.value, diagnosis.description)
-                current = tool.inpaint(current, mask=region.mask, instruction=instruction)
-                actions.append(
-                    Action(
-                        region_id=diagnosis.region_id,
-                        tool=tool.descriptor.name,
-                        instruction=instruction,
-                    )
-                )
+                for region, diagnosis, tool in zip(regions, diagnoses, tools):
+                    instruction = None
+                    if tool.descriptor.kind == INSTRUCTION_DRIVEN:
+                        instruction = "fix %s: %s" % (diagnosis.category.value, diagnosis.description)
+                    current = tool.inpaint(current, mask=region.mask, instruction=instruction)
+                    actions.append(Action(diagnosis.region_id, tool.descriptor.name, instruction))
+        except NoEligibleToolError as exc:
+            stop, error = STOP_NO_ELIGIBLE_TOOL, str(exc)
+        except ProviderError as exc:
+            stop, error = STOP_PROVIDER_ERROR, str(exc)
+        if peak is not None:
             records.append(
-                IterationRecord(
-                    t=t,
-                    max_saliency=peak,
-                    regions=tuple(regions),
-                    diagnoses=tuple(diagnoses),
-                    actions=tuple(actions),
-                    image_after=current,
-                )
+                IterationRecord(t, peak, tuple(regions), tuple(diagnoses), tuple(actions))
             )
-        return LoopTrace(tuple(records), STOP_MAX_ITERATIONS, current)
-    except ProviderError as exc:
-        return LoopTrace(tuple(records), STOP_PROVIDER_ERROR, current, error=str(exc))
+        if stop != STOP_MAX_ITERATIONS:
+            break
+    return LoopTrace(tuple(records), stop, current, error)
 
 
 def run_batch(items: Sequence[LoopInput], cfg: LoopConfig, parallelism: int = 1) -> list[LoopTrace]:

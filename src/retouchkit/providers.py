@@ -32,10 +32,6 @@ class TransportError(ProviderError):
     pass
 
 
-class TimeoutError_(TransportError):
-    pass
-
-
 class HttpStatusError(ProviderError):
     def __init__(self, status: int, body: str = ""):
         self.status = status
@@ -172,11 +168,11 @@ class MockInpaintTool:
             mask = np.ones((image.height, image.width), dtype=bool)
         mask = np.asarray(mask, dtype=bool)
         self.scene.distortion_field[mask] *= self.scene.decay
-        arr = image.to_array().astype(np.float64)
+        arr = image.to_array().copy()
         if mask.any():
-            mean = arr[mask].mean(axis=0)
-            arr[mask] = mean
-        out = ImageBuffer.from_array(np.round(arr).astype(np.uint8))
+            # the mean of uint8 values sums in float64, where integer sums are exact
+            arr[mask] = np.round(arr[mask].mean(axis=0))
+        out = ImageBuffer.from_array(arr)
         self.scene.image = out
         return out
 
@@ -277,9 +273,6 @@ class _HttpClient:
                     resp = self._session.post(
                         self.endpoint + path, json=payload, timeout=self.cfg.timeout_s
                     )
-                except requests.Timeout as exc:
-                    last = TimeoutError_("request timed out: %s" % exc)
-                    continue
                 except requests.RequestException as exc:
                     last = TransportError("transport failure: %s" % exc)
                     continue

@@ -1,4 +1,7 @@
+import base64
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +153,63 @@ def test_run_loop_no_eligible_tool_writes_trace(tmp_path, capsys):
     assert trace["stop_reason"] == "no_eligible_tool"
     assert trace["records"][0]["diagnoses"][0]["category"] == "text_anomaly"
     assert out_img.read_bytes() == img.read_bytes()
+
+
+class ZeroMapBackend:
+    """Loopback perception backend answering every POST with an all-zero
+    8x8 FSAL1 map."""
+
+    def __init__(self):
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                grid = FloatGrid.from_array(np.zeros((8, 8), np.float32))
+                body = json.dumps(
+                    {"saliency_b64": base64.b64encode(write_float_grid(grid)).decode()}
+                ).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=self.server.serve_forever, daemon=True).start()
+        self.url = "http://127.0.0.1:%d" % self.server.server_address[1]
+
+    def close(self):
+        self.server.shutdown()
+        self.server.server_close()
+
+
+@pytest.fixture
+def backend_env(monkeypatch):
+    backend = ZeroMapBackend()
+    for role in ("PERCEPTION", "REASONING", "INPAINT"):
+        monkeypatch.setenv("RETOUCH_BACKEND_%s_URL" % role, backend.url)
+    yield monkeypatch
+    backend.close()
+
+
+def test_run_loop_http_backends_from_env(tmp_path, capsys, backend_env):
+    img = tmp_path / "in.pnm"
+    trace_path = tmp_path / "trace.json"
+    write_gray_image(img)
+    rc = main(["run-loop", "--image", str(img), "--trace", str(trace_path)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["converged"] is True
+    assert json.loads(trace_path.read_text())["stop_reason"] == "converged"
+
+
+def test_run_loop_unset_backend_variable(tmp_path, capsys, backend_env):
+    img = tmp_path / "in.pnm"
+    write_gray_image(img)
+    backend_env.delenv("RETOUCH_BACKEND_REASONING_URL")
+    rc = main(["run-loop", "--image", str(img)])
+    assert rc == 1
+    assert "RETOUCH_BACKEND_REASONING_URL" in capsys.readouterr().err
 
 
 def test_evaluate_reasoning(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from retouchkit.loop import (
     STOP_CONVERGED,
     STOP_INTERNAL_ERROR,
     STOP_MAX_ITERATIONS,
+    STOP_NO_ACTIONABLE_REGIONS,
     STOP_NO_ELIGIBLE_TOOL,
     STOP_PROVIDER_ERROR,
     LoopConfig,
@@ -20,11 +22,13 @@ from retouchkit.loop import (
 )
 from retouchkit.media_io import ImageBuffer
 from retouchkit.providers import (
+    INSTRUCTION_DRIVEN,
     MockInpaintTool,
     MockPerceptionProvider,
     MockReasoningProvider,
     ProviderError,
     SyntheticScene,
+    ToolDescriptor,
 )
 from retouchkit.textmetrics import Diagnosis
 
@@ -130,6 +134,127 @@ def test_provider_error_trace():
     assert trace.stop_reason == STOP_PROVIDER_ERROR
     assert trace.error == "backend down"
     assert trace.final_image == scene.image
+
+
+def test_stall_stops_no_actionable_regions():
+    # the peak clears tau, but its one-pixel component never reaches min_area
+    image = ImageBuffer.from_array(np.full((16, 16), 100, dtype=np.uint8))
+    field = np.zeros((16, 16), dtype=np.float32)
+    field[8, 8] = 0.9
+    scene = SyntheticScene(image, field)
+    trace = run_on(scene, LoopConfig(max_iterations=5, dilation_radius=0, min_area=4))
+    assert trace.stop_reason == STOP_NO_ACTIONABLE_REGIONS
+    assert trace.error is None
+    [rec] = trace.records
+    assert rec.max_saliency == pytest.approx(0.9)
+    assert rec.regions == rec.diagnoses == rec.actions == ()
+    assert trace.final_image == image
+
+
+class FaultAt:
+    """Counts perceive, diagnose and inpaint calls over the providers it
+    wraps and raises ProviderError on call k (0-based; never if k is None).
+    Keeps the image after every inpaint call."""
+
+    def __init__(self, provs, k=None):
+        self.k, self.calls, self.images = k, 0, []
+        fault = self
+
+        class Perception:
+            def perceive(self, image, prompt):
+                fault.tick()
+                return provs.perception.perceive(image, prompt)
+
+        class Reasoning:
+            def diagnose(self, image, prompt, regions):
+                fault.tick()
+                return provs.reasoning.diagnose(image, prompt, regions)
+
+        class Tool:
+            def __init__(self, tool):
+                self.tool, self.descriptor = tool, tool.descriptor
+
+            def inpaint(self, image, mask=None, instruction=None):
+                fault.tick()
+                out = self.tool.inpaint(image, mask=mask, instruction=instruction)
+                fault.images.append(out)
+                return out
+
+        self.providers = LoopProviders(Perception(), Reasoning(), [Tool(t) for t in provs.tools])
+
+    def tick(self):
+        if self.calls == self.k:
+            raise ProviderError("fault at call %d" % self.k)
+        self.calls += 1
+
+
+def test_inpaint_failure_keeps_the_applied_edit():
+    image = ImageBuffer.from_array(np.arange(256, dtype=np.uint8).reshape(16, 16))
+    field = np.zeros((16, 16), dtype=np.float32)
+    field[3:5, 3:5] = 0.9
+    field[10:12, 10:12] = 0.8
+    scene = SyntheticScene(image, field)
+    # call 0 perceives, 1 diagnoses, 2 and 3 inpaint: the second inpaint fails
+    faulty = FaultAt(providers_for(scene), k=3)
+    cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
+    trace = run_loop(image, "p", faulty.providers, cfg)
+    assert trace.stop_reason == STOP_PROVIDER_ERROR
+    assert trace.error == "fault at call 3"
+    [rec] = trace.records
+    assert len(rec.regions) == len(rec.diagnoses) == 2
+    [action] = rec.actions
+    assert trace.final_image != image
+    # replaying the recorded action on the input gives the final image
+    region = rec.regions[[d.region_id for d in rec.diagnoses].index(action.region_id)]
+    replay = SyntheticScene(image, np.zeros((16, 16), np.float32))
+    assert MockInpaintTool(replay).inpaint(image, mask=region.mask) == trace.final_image
+
+
+def sweep_scene():
+    # three bumps: 3 regions, then 2, then convergence; reasoner seed 16
+    # sends one region of each iteration to the instruction-driven tool
+    image = ImageBuffer.from_array(np.arange(256, dtype=np.uint8).reshape(16, 16))
+    field = np.zeros((16, 16), dtype=np.float32)
+    field[2:4, 2:4] = 0.9
+    field[10:12, 10:12] = 0.8
+    field[3:5, 11:13] = 0.95
+    scene = SyntheticScene(image, field, decay=0.6)
+    text_tool = ToolDescriptor(name="instruct", kind=INSTRUCTION_DRIVEN)
+    return LoopProviders(
+        MockPerceptionProvider(scene),
+        MockReasoningProvider(seed=16),
+        [MockInpaintTool(scene), MockInpaintTool(scene, text_tool)],
+    ), image
+
+
+def test_fault_sweep_keeps_every_applied_edit():
+    cfg = LoopConfig(tau_s=0.5, max_iterations=5, dilation_radius=0, min_area=1)
+    provs, image = sweep_scene()
+    clean = FaultAt(provs)
+    clean_trace = run_loop(image, "p", clean.providers, cfg)
+    assert clean_trace.stop_reason == STOP_CONVERGED
+    clean_records = json.loads(trace_to_json(clean_trace))["records"]
+    tools = [[a["tool"] for a in r["actions"]] for r in clean_records]
+    assert tools == [["mock-inpaint", "instruct", "mock-inpaint"], ["mock-inpaint", "instruct"], []]
+    images = [image] + clean.images  # images[m]: the image after m inpaint calls
+    for k in range(clean.calls):
+        provs, image = sweep_scene()
+        faulty = FaultAt(provs, k)
+        trace = run_loop(image, "p", faulty.providers, cfg)
+        assert trace.stop_reason == STOP_PROVIDER_ERROR, k
+        assert trace.error == "fault at call %d" % k
+        records = json.loads(trace_to_json(trace))["records"]
+        if records:
+            *done, last = records
+            assert done == clean_records[: len(done)], k
+            want = clean_records[len(done)]
+            assert {key: last[key] for key in ("t", "max_saliency", "regions")} == {
+                key: want[key] for key in ("t", "max_saliency", "regions")
+            }, k
+            assert last["diagnoses"] in ([], want["diagnoses"]), k
+            assert last["actions"] == want["actions"][: len(last["actions"])], k
+        assert trace.final_image == images[len(faulty.images)], k
+        assert sum(len(r["actions"]) for r in records) == len(faulty.images), k
 
 
 # --- batch ---------------------------------------------------------------
