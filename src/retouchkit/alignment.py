@@ -119,16 +119,13 @@ def _surrogate_terms(
     old: CategoricalPolicy,
     group: GrpoGroup,
     cfg: GrpoConfig,
-    advantages: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if len(theta) != len(old):
         raise ValueError("policies over different action sets")
     for a in group.actions:
         if not 0 <= a < len(theta):
             raise ValueError("action index %d out of range" % a)
-    adv = np.asarray(
-        group_advantages(group.rewards) if advantages is None else advantages
-    )
+    adv = np.asarray(group_advantages(group.rewards))
     ratios = np.asarray([theta.probs[a] / old.probs[a] for a in group.actions])
     clipped = np.clip(ratios, 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip)
     terms = np.minimum(ratios * adv, clipped * adv)

@@ -19,14 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, dataset as ds, loop as loop_mod, metrics, providers, textmetrics
-from .media_io import (
-    FloatGrid,
-    ImageBuffer,
-    read_float_grid,
-    read_pnm,
-    write_float_grid,
-    write_pnm,
-)
+from .media_io import ImageBuffer, read_float_grid, read_pnm, write_pnm
 from .saliency import SaliencyMap, propose_masks
 
 
@@ -68,39 +61,35 @@ def _cmd_evaluate_saliency(args) -> int:
     return 0
 
 
-def _load_truth_regions(path: str) -> list[ds.RegionAnnotation]:
-    regions = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not raw.strip():
-            continue
-        obj = json.loads(raw)
-        regions.append(
-            ds.RegionAnnotation(
-                center=(int(obj.get("x", 0)), int(obj.get("y", 0))),
-                category=ds.DistortionCategory(obj["category"]),
-                description=str(obj["description"]),
-                annotator=str(obj.get("annotator", "truth")),
-                region_id=str(obj["region_id"]),
-            )
-        )
-    return regions
+def _load_jsonl(path: str, parse) -> list:
+    try:
+        return ds.read_jsonl(Path(path).read_bytes(), parse)
+    except ds.DatasetError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
+
+
+def _prediction(obj: dict) -> textmetrics.Diagnosis:
+    return textmetrics.Diagnosis(
+        region_id=str(obj["region_id"]),
+        category=ds.DistortionCategory(obj["category"]),
+        description=str(obj["description"]),
+        severity=float(obj.get("severity", 0.0)),
+    )
+
+
+def _truth_region(obj: dict) -> ds.RegionAnnotation:
+    return ds.RegionAnnotation(
+        center=(int(obj.get("x", 0)), int(obj.get("y", 0))),
+        category=ds.DistortionCategory(obj["category"]),
+        description=str(obj["description"]),
+        annotator=str(obj.get("annotator", "truth")),
+        region_id=str(obj["region_id"]),
+    )
 
 
 def _cmd_evaluate_reasoning(args) -> int:
-    preds = []
-    for raw in Path(args.pred).read_text().splitlines():
-        if not raw.strip():
-            continue
-        obj = json.loads(raw)
-        preds.append(
-            textmetrics.Diagnosis(
-                region_id=str(obj["region_id"]),
-                category=ds.DistortionCategory(obj["category"]),
-                description=str(obj["description"]),
-                severity=float(obj.get("severity", 0.0)),
-            )
-        )
-    truths = _load_truth_regions(args.truth)
+    preds = _load_jsonl(args.pred, _prediction)
+    truths = _load_jsonl(args.truth, _truth_region)
     report = textmetrics.evaluate_reasoning(preds, truths)
     print(report.as_tsv())
     return 0
@@ -143,8 +132,11 @@ def _mock_providers_from_args(args, image: ImageBuffer) -> loop_mod.LoopProvider
     else:
         field = np.zeros((image.height, image.width), dtype=np.float32)
     scene = providers.SyntheticScene(image=image, distortion_field=field, decay=args.mock_decay)
-    perception, reasoning, tools = providers.make_mock_providers(scene, seed=args.seed)
-    return loop_mod.LoopProviders(perception=perception, reasoning=reasoning, tools=tools)
+    return loop_mod.LoopProviders(
+        perception=providers.MockPerceptionProvider(scene),
+        reasoning=providers.MockReasoningProvider(args.seed),
+        tools=[providers.MockInpaintTool(scene)],
+    )
 
 
 def _http_providers_from_env(args) -> loop_mod.LoopProviders:

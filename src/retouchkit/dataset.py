@@ -13,12 +13,14 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .metrics import FixationSet
 from .saliency import SaliencyMap
+
+T = TypeVar("T")
 
 
 class DistortionCategory(Enum):
@@ -120,42 +122,11 @@ class DatasetStats:
     category_histogram: dict[str, float] = field(default_factory=dict)
 
 
-def _parse_record(obj: dict, line: int) -> AnnotationRecord:
-    try:
-        regions = []
-        for reg in obj.get("regions", []):
-            try:
-                category = DistortionCategory(reg["category"])
-            except ValueError:
-                raise DatasetError("unknown category code %r" % reg.get("category"), line)
-            regions.append(
-                RegionAnnotation(
-                    center=(int(reg["x"]), int(reg["y"])),
-                    category=category,
-                    description=str(reg["description"]),
-                    annotator=str(reg["annotator"]),
-                    region_id=str(reg["id"]) if "id" in reg else None,
-                )
-            )
-        return AnnotationRecord(
-            image_id=str(obj["image_id"]),
-            image_ref=str(obj["image"]),
-            prompt=str(obj["prompt"]),
-            width=int(obj["width"]),
-            height=int(obj["height"]),
-            regions=tuple(regions),
-        )
-    except DatasetError:
-        raise
-    except KeyError as exc:
-        raise DatasetError("missing field %s" % exc, line)
-    except (TypeError, ValueError) as exc:
-        raise DatasetError(str(exc), line)
-
-
-def parse_dataset(data: bytes) -> list[AnnotationRecord]:
-    """Parse a JSON-lines dataset; errors carry the offending line number."""
-    records = []
+def read_jsonl(data: bytes, parse: Callable[[dict], T]) -> list[T]:
+    """Build one item per non-blank line of a JSON-lines byte string with
+    `parse`, which receives the line's object. Any failure, in the JSON or
+    in `parse`, becomes a DatasetError carrying the 1-based line number."""
+    items = []
     for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
         if not raw.strip():
             continue
@@ -165,8 +136,44 @@ def parse_dataset(data: bytes) -> list[AnnotationRecord]:
             raise DatasetError("malformed JSON: %s" % exc, lineno)
         if not isinstance(obj, dict):
             raise DatasetError("record is not a JSON object", lineno)
-        records.append(_parse_record(obj, lineno))
-    return records
+        try:
+            items.append(parse(obj))
+        except KeyError as exc:
+            raise DatasetError("missing field %s" % exc, lineno)
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(str(exc), lineno)
+    return items
+
+
+def _parse_record(obj: dict) -> AnnotationRecord:
+    regions = []
+    for reg in obj.get("regions", []):
+        try:
+            category = DistortionCategory(reg["category"])
+        except ValueError:
+            raise ValueError("unknown category code %r" % reg.get("category"))
+        regions.append(
+            RegionAnnotation(
+                center=(int(reg["x"]), int(reg["y"])),
+                category=category,
+                description=str(reg["description"]),
+                annotator=str(reg["annotator"]),
+                region_id=str(reg["id"]) if "id" in reg else None,
+            )
+        )
+    return AnnotationRecord(
+        image_id=str(obj["image_id"]),
+        image_ref=str(obj["image"]),
+        prompt=str(obj["prompt"]),
+        width=int(obj["width"]),
+        height=int(obj["height"]),
+        regions=tuple(regions),
+    )
+
+
+def parse_dataset(data: bytes) -> list[AnnotationRecord]:
+    """Parse a JSON-lines dataset; errors carry the offending line number."""
+    return read_jsonl(data, _parse_record)
 
 
 def serialize_dataset(records: Iterable[AnnotationRecord]) -> bytes:

@@ -19,6 +19,7 @@ from .providers import (
     PerceptionProvider,
     ProviderError,
     ReasoningProvider,
+    SchemaError,
     ToolPolicy,
     select_tool,
 )
@@ -111,13 +112,16 @@ def run_loop(
             elif not (regions := propose_masks(smap, cfg.tau_s, cfg.dilation_radius, cfg.min_area)):
                 stop = STOP_NO_ACTIONABLE_REGIONS
             else:
-                diagnoses = providers.reasoning.diagnose(current, prompt, regions)
+                diagnosed = providers.reasoning.diagnose(current, prompt, regions)
+                if len(diagnosed) != len(regions):  # a rejected list is not recorded
+                    raise SchemaError(
+                        "reasoning returned %d diagnoses for %d regions"
+                        % (len(diagnosed), len(regions))
+                    )
+                diagnoses = diagnosed
                 # regions come back in peak-saliency order already; every tool
                 # is chosen before the first edit
-                tools = [
-                    select_tool(providers.tools, d, cfg.tool_policy)
-                    for d in diagnoses[: len(regions)]
-                ]
+                tools = [select_tool(providers.tools, d, cfg.tool_policy) for d in diagnoses]
                 for region, diagnosis, tool in zip(regions, diagnoses, tools):
                     instruction = None
                     if tool.descriptor.kind == INSTRUCTION_DRIVEN:

@@ -179,15 +179,13 @@ def read_float_grid(data: bytes) -> FloatGrid:
         raise TruncatedPayloadError(
             "FSAL1 payload has %d of %d expected bytes" % (len(payload), need)
         )
-    values = np.frombuffer(payload, dtype="<f4")
-    if not np.all(np.isfinite(values)):
-        raise MediaFormatError("FSAL1 payload contains NaN/Inf")
-    return FloatGrid(width=width, height=height, data=payload)
+    try:
+        return FloatGrid(width=width, height=height, data=payload)
+    except ValueError as exc:  # non-finite values
+        raise MediaFormatError("FSAL1 payload: %s" % exc)
 
 
 def write_float_grid(grid: FloatGrid) -> bytes:
-    """Encode a FloatGrid as FSAL1 bytes (rejects non-finite values)."""
-    if not np.all(np.isfinite(grid.to_array())):
-        raise MediaFormatError("refusing to write NaN/Inf values")
+    """Encode a FloatGrid as FSAL1 bytes; a FloatGrid holds finite values only."""
     header = b"%s %d %d\n" % (_FSAL_MAGIC, grid.width, grid.height)
     return header + grid.data

@@ -16,7 +16,7 @@ import numpy as np
 import requests
 
 from .dataset import DistortionCategory
-from .media_io import ImageBuffer, FloatGrid, read_float_grid, read_pnm, write_float_grid, write_pnm
+from .media_io import ImageBuffer, read_float_grid, read_pnm, write_float_grid, write_pnm
 from .saliency import RegionProposal, SaliencyMap
 from .textmetrics import Diagnosis
 
@@ -47,6 +47,9 @@ class PerceptionProvider(Protocol):
 
 
 class ReasoningProvider(Protocol):
+    """Returns exactly one diagnosis per region, in region order; run_loop
+    treats any other length as a SchemaError."""
+
     def diagnose(
         self, image: ImageBuffer, prompt: str, regions: Sequence[RegionProposal]
     ) -> list[Diagnosis]: ...
@@ -66,13 +69,13 @@ class ToolDescriptor:
 
 
 class InpaintTool(Protocol):
+    """Edits the pixels under `mask` (a bool array with the image's height
+    and width); an instruction-driven tool also takes an instruction."""
+
     descriptor: ToolDescriptor
 
     def inpaint(
-        self,
-        image: ImageBuffer,
-        mask: Optional[np.ndarray] = None,
-        instruction: Optional[str] = None,
+        self, image: ImageBuffer, mask: np.ndarray, instruction: Optional[str] = None
     ) -> ImageBuffer: ...
 
 
@@ -154,36 +157,23 @@ class MockInpaintTool:
         self.descriptor = descriptor or ToolDescriptor(name="mock-inpaint", kind=MASK_GUIDED)
 
     def inpaint(
-        self,
-        image: ImageBuffer,
-        mask: Optional[np.ndarray] = None,
-        instruction: Optional[str] = None,
+        self, image: ImageBuffer, mask: np.ndarray, instruction: Optional[str] = None
     ) -> ImageBuffer:
-        if self.descriptor.kind == MASK_GUIDED and mask is None:
-            raise ValueError("mask-guided tool requires a mask")
         if self.descriptor.kind == INSTRUCTION_DRIVEN and instruction is None:
             raise ValueError("instruction-driven tool requires an instruction")
-        if mask is None:
-            # instruction-only edit: apply to the whole image
-            mask = np.ones((image.height, image.width), dtype=bool)
         mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (image.height, image.width):
+            raise ValueError("mask dims must equal image dims")
         self.scene.distortion_field[mask] *= self.scene.decay
-        arr = image.to_array().copy()
-        if mask.any():
+        # flat pixel indices: boolean indexing of the (h, w, c) array is slow
+        idx = np.flatnonzero(mask)
+        px = image.to_array().reshape(-1, image.channels).copy()
+        if idx.size:
             # the mean of uint8 values sums in float64, where integer sums are exact
-            arr[mask] = np.round(arr[mask].mean(axis=0))
-        out = ImageBuffer.from_array(arr)
+            px[idx] = np.round(px[idx].mean(axis=0))
+        out = ImageBuffer.from_array(px.reshape(image.height, image.width, image.channels))
         self.scene.image = out
         return out
-
-
-def make_mock_providers(scene: SyntheticScene, seed: int = 0):
-    """Bundle (perception, reasoning, [tool]) mocks sharing one scene."""
-    return (
-        MockPerceptionProvider(scene),
-        MockReasoningProvider(seed),
-        [MockInpaintTool(scene)],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +351,11 @@ class HttpInpaintTool:
         self._client = _HttpClient(endpoint, cfg or HttpConfig())
 
     def inpaint(
-        self,
-        image: ImageBuffer,
-        mask: Optional[np.ndarray] = None,
-        instruction: Optional[str] = None,
+        self, image: ImageBuffer, mask: np.ndarray, instruction: Optional[str] = None
     ) -> ImageBuffer:
-        if self.descriptor.kind == MASK_GUIDED and mask is None:
-            raise ValueError("mask-guided tool requires a mask")
         if self.descriptor.kind == INSTRUCTION_DRIVEN and instruction is None:
             raise ValueError("instruction-driven tool requires an instruction")
-        payload: dict = {"image_b64": _b64(write_pnm(image))}
-        if mask is not None:
-            payload["mask_b64"] = _b64(mask_to_bytes(mask))
+        payload: dict = {"image_b64": _b64(write_pnm(image)), "mask_b64": _b64(mask_to_bytes(mask))}
         if instruction is not None:
             payload["instruction"] = instruction
         body = self._client.post("/v1/inpaint", payload)

@@ -242,6 +242,25 @@ def test_evaluate_reasoning(tmp_path, capsys):
     assert rouge == 1.0
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"category": "face_distortion", "description": "d"}', "missing field 'region_id'"),
+        ('["r0", "face_distortion"]', "record is not a JSON object"),
+    ],
+)
+@pytest.mark.parametrize("bad_input", ["pred", "truth"])
+def test_evaluate_reasoning_malformed_line(tmp_path, capsys, line, message, bad_input):
+    good = json.dumps({"region_id": "r0", "category": "face_distortion", "description": "d"})
+    paths = {name: tmp_path / ("%s.jsonl" % name) for name in ("pred", "truth")}
+    for name, path in paths.items():
+        path.write_text(good + "\n" + (line + "\n" if name == bad_input else ""))
+    rc = main(["evaluate-reasoning", str(paths["pred"]), str(paths["truth"])])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "%s: line 2: %s\n" % (paths[bad_input], message)
+
+
 def test_evaluate_saliency(tmp_path, capsys):
     from retouchkit.dataset import ground_truth_map, parse_dataset
 

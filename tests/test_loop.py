@@ -151,13 +151,35 @@ def test_stall_stops_no_actionable_regions():
     assert trace.final_image == image
 
 
+def test_empty_diagnosis_list_is_a_provider_error():
+    # two regions, no diagnoses: the loop stops at once instead of
+    # perceiving through its whole budget without acting
+    class Silent:
+        def diagnose(self, image, prompt, regions):
+            return []
+
+    scene = bump_scene(0.9, size=16)
+    scene.distortion_field[10:12, 10:12] = 0.8
+    provs = LoopProviders(MockPerceptionProvider(scene), Silent(), [MockInpaintTool(scene)])
+    cfg = LoopConfig(tau_s=0.5, max_iterations=5, dilation_radius=0, min_area=1)
+    trace = run_loop(scene.image, "p", provs, cfg)
+    assert trace.stop_reason == STOP_PROVIDER_ERROR
+    assert trace.error == "reasoning returned 0 diagnoses for 2 regions"
+    [rec] = trace.records
+    assert len(rec.regions) == 2
+    assert rec.diagnoses == rec.actions == ()
+    assert trace.final_image == scene.image
+
+
 class FaultAt:
     """Counts perceive, diagnose and inpaint calls over the providers it
-    wraps and raises ProviderError on call k (0-based; never if k is None).
-    Keeps the image after every inpaint call."""
+    wraps and raises ProviderError on call k (0-based; never if k is None);
+    with short=True, diagnose call k instead returns one diagnosis too few.
+    Keeps the image after every inpaint call and the numbers of the
+    diagnose calls."""
 
-    def __init__(self, provs, k=None):
-        self.k, self.calls, self.images = k, 0, []
+    def __init__(self, provs, k=None, short=False):
+        self.k, self.short, self.calls, self.images, self.diagnose_calls = k, short, 0, [], []
         fault = self
 
         class Perception:
@@ -167,14 +189,16 @@ class FaultAt:
 
         class Reasoning:
             def diagnose(self, image, prompt, regions):
-                fault.tick()
-                return provs.reasoning.diagnose(image, prompt, regions)
+                fault.diagnose_calls.append(fault.calls)
+                shorten = fault.tick(shortable=True)
+                diagnoses = provs.reasoning.diagnose(image, prompt, regions)
+                return diagnoses[:-1] if shorten else diagnoses
 
         class Tool:
             def __init__(self, tool):
                 self.tool, self.descriptor = tool, tool.descriptor
 
-            def inpaint(self, image, mask=None, instruction=None):
+            def inpaint(self, image, mask, instruction=None):
                 fault.tick()
                 out = self.tool.inpaint(image, mask=mask, instruction=instruction)
                 fault.images.append(out)
@@ -182,10 +206,13 @@ class FaultAt:
 
         self.providers = LoopProviders(Perception(), Reasoning(), [Tool(t) for t in provs.tools])
 
-    def tick(self):
-        if self.calls == self.k:
-            raise ProviderError("fault at call %d" % self.k)
+    def tick(self, shortable=False):
+        """True when this call is to return a short diagnosis list."""
+        hit = self.calls == self.k
         self.calls += 1
+        if hit and not (self.short and shortable):
+            raise ProviderError("fault at call %d" % self.k)
+        return hit
 
 
 def test_inpaint_failure_keeps_the_applied_edit():
@@ -237,12 +264,17 @@ def test_fault_sweep_keeps_every_applied_edit():
     tools = [[a["tool"] for a in r["actions"]] for r in clean_records]
     assert tools == [["mock-inpaint", "instruct", "mock-inpaint"], ["mock-inpaint", "instruct"], []]
     images = [image] + clean.images  # images[m]: the image after m inpaint calls
-    for k in range(clean.calls):
+    faults = [(k, False) for k in range(clean.calls)] + [(k, True) for k in clean.diagnose_calls]
+    for k, short in faults:
         provs, image = sweep_scene()
-        faulty = FaultAt(provs, k)
+        faulty = FaultAt(provs, k, short)
         trace = run_loop(image, "p", faulty.providers, cfg)
         assert trace.stop_reason == STOP_PROVIDER_ERROR, k
-        assert trace.error == "fault at call %d" % k
+        if short:
+            n = len(clean_records[clean.diagnose_calls.index(k)]["regions"])
+            assert trace.error == "reasoning returned %d diagnoses for %d regions" % (n - 1, n)
+        else:
+            assert trace.error == "fault at call %d" % k
         records = json.loads(trace_to_json(trace))["records"]
         if records:
             *done, last = records
@@ -253,6 +285,8 @@ def test_fault_sweep_keeps_every_applied_edit():
             }, k
             assert last["diagnoses"] in ([], want["diagnoses"]), k
             assert last["actions"] == want["actions"][: len(last["actions"])], k
+            if short:
+                assert last["diagnoses"] == last["actions"] == [], k
         assert trace.final_image == images[len(faulty.images)], k
         assert sum(len(r["actions"]) for r in records) == len(faulty.images), k
 

@@ -95,13 +95,38 @@ def test_mock_inpaint_outside_mask_unchanged():
     assert np.array_equal(scene.distortion_field[:3, :], before[:3, :])
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+def test_mock_inpaint_paints_masked_pixels_with_their_mean(channels):
+    rng = np.random.default_rng(channels)
+    for _ in range(20):
+        h, w = (int(v) for v in rng.integers(1, 9, 2))
+        arr = rng.integers(0, 256, (h, w, channels), dtype=np.uint8)
+        mask = rng.random((h, w)) < 0.4
+        scene = SyntheticScene(ImageBuffer.from_array(arr), np.zeros((h, w), np.float32))
+        out = MockInpaintTool(scene).inpaint(scene.image, mask=mask).to_array()
+        inside = [arr[y, x] for y in range(h) for x in range(w) if mask[y, x]]
+        # Python's round, like np.round, breaks ties to even
+        n = max(len(inside), 1)
+        mean = [round(sum(int(p[c]) for p in inside) / n) for c in range(channels)]
+        for y in range(h):
+            for x in range(w):
+                assert list(out[y, x]) == (mean if mask[y, x] else list(arr[y, x]))
+
+
+@pytest.mark.parametrize("mask", [None, np.ones((3, 4), bool)])
+def test_mock_inpaint_rejects_a_mask_of_other_dims(mask):
+    scene = scene_with_bump()
+    with pytest.raises(ValueError, match="mask dims"):
+        MockInpaintTool(scene).inpaint(scene.image, mask=mask)
+
+
 # --- select_tool ---------------------------------------------------------
 
 class _FakeTool:
     def __init__(self, name, kind, cost):
         self.descriptor = ToolDescriptor(name=name, kind=kind, cost_hint=cost)
 
-    def inpaint(self, image, mask=None, instruction=None):
+    def inpaint(self, image, mask, instruction=None):
         return image
 
 
