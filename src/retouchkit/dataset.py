@@ -125,13 +125,20 @@ class DatasetStats:
 def read_jsonl(data: bytes, parse: Callable[[dict], T]) -> list[T]:
     """Build one item per non-blank line of a JSON-lines byte string with
     `parse`, which receives the line's object. Any failure, in the JSON or
-    in `parse`, becomes a DatasetError carrying the 1-based line number."""
+    in `parse`, becomes a DatasetError carrying the 1-based line number.
+    The bytes are split into lines before decoding, so a raw U+2028, U+2029
+    or U+0085 in a string is not a line break, and a line that is not UTF-8
+    is reported with its number."""
     items = []
-    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
-        if not raw.strip():
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetError("not UTF-8: %s" % exc, lineno)
+        if not text.strip():
             continue
         try:
-            obj = json.loads(raw)
+            obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DatasetError("malformed JSON: %s" % exc, lineno)
         if not isinstance(obj, dict):

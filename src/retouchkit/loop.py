@@ -157,8 +157,6 @@ def run_batch(items: Sequence[LoopInput], cfg: LoopConfig, parallelism: int = 1)
                 (), STOP_INTERNAL_ERROR, item.image, error="%s: %s" % (type(exc).__name__, exc)
             )
 
-    if parallelism == 1:
-        return [one(item) for item in items]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(one, items))
 

@@ -33,7 +33,7 @@ class TransportError(ProviderError):
 
 
 class HttpStatusError(ProviderError):
-    def __init__(self, status: int, body: str = ""):
+    def __init__(self, status: int):
         self.status = status
         super().__init__("backend returned HTTP %d" % status)
 
@@ -164,16 +164,15 @@ class MockInpaintTool:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (image.height, image.width):
             raise ValueError("mask dims must equal image dims")
-        self.scene.distortion_field[mask] *= self.scene.decay
-        # flat pixel indices: boolean indexing of the (h, w, c) array is slow
+        # flat pixel indices: boolean indexing is slow, and `.flat` also
+        # writes through to a field that is not contiguous
         idx = np.flatnonzero(mask)
+        self.scene.distortion_field.flat[idx] *= self.scene.decay
         px = image.to_array().reshape(-1, image.channels).copy()
         if idx.size:
             # the mean of uint8 values sums in float64, where integer sums are exact
             px[idx] = np.round(px[idx].mean(axis=0))
-        out = ImageBuffer.from_array(px.reshape(image.height, image.width, image.channels))
-        self.scene.image = out
-        return out
+        return ImageBuffer.from_array(px.reshape(image.height, image.width, image.channels))
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +217,21 @@ def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-def _unb64(text: str) -> bytes:
+def _decode_answer(body: dict, key: str, read, image: ImageBuffer):
+    """Decode the base64 PNM or FSAL1 field `key` of a backend answer with
+    `read`; the result must have the request image's width and height."""
     try:
-        return base64.b64decode(text, validate=True)
-    except Exception as exc:
-        raise SchemaError("invalid base64 payload: %s" % exc)
+        out = read(base64.b64decode(body[key], validate=True))
+    except KeyError:
+        raise SchemaError("response missing %s" % key)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise SchemaError("undecodable %s payload: %s" % (key, exc))
+    if (out.width, out.height) != (image.width, image.height):
+        raise SchemaError(
+            "%s dims %dx%d != image dims %dx%d"
+            % (key, out.width, out.height, image.width, image.height)
+        )
+    return out
 
 
 def mask_to_bytes(mask: np.ndarray) -> bytes:
@@ -247,13 +256,16 @@ class HttpConfig:
 
 
 class _HttpClient:
-    def __init__(self, endpoint: str, cfg: HttpConfig):
+    def __init__(self, endpoint: str, cfg: HttpConfig | None = None):
         self.endpoint = endpoint.rstrip("/")
-        self.cfg = cfg
-        self._gate = threading.BoundedSemaphore(cfg.max_in_flight)
+        self.cfg = cfg or HttpConfig()
+        self._gate = threading.BoundedSemaphore(self.cfg.max_in_flight)
         self._session = requests.Session()
 
-    def post(self, path: str, payload: dict) -> dict:
+    def post(self, path: str, image: ImageBuffer, **fields) -> dict:
+        """POST `image` (base64 PNM) and `fields` as one JSON object, with
+        retries; returns the answer object."""
+        payload = {"image_b64": _b64(write_pnm(image)), **fields}
         last: Exception | None = None
         for attempt in range(self.cfg.retries + 1):
             if attempt:
@@ -274,7 +286,7 @@ class _HttpClient:
                 if not isinstance(body, dict):
                     raise SchemaError("response is not a JSON object")
                 return body
-            last = HttpStatusError(resp.status_code, resp.text[:200])
+            last = HttpStatusError(resp.status_code)
             if 400 <= resp.status_code < 500:
                 break  # client errors are not retried
         assert last is not None
@@ -283,24 +295,11 @@ class _HttpClient:
 
 class HttpPerceptionProvider:
     def __init__(self, endpoint: str, cfg: HttpConfig | None = None):
-        self._client = _HttpClient(endpoint, cfg or HttpConfig())
+        self._client = _HttpClient(endpoint, cfg)
 
     def perceive(self, image: ImageBuffer, prompt: str) -> SaliencyMap:
-        body = self._client.post(
-            "/v1/perceive",
-            {"image_b64": _b64(write_pnm(image)), "format": "pnm", "prompt": prompt},
-        )
-        try:
-            grid = read_float_grid(_unb64(body["saliency_b64"]))
-        except KeyError:
-            raise SchemaError("response missing saliency_b64")
-        except ValueError as exc:
-            raise SchemaError("undecodable saliency payload: %s" % exc)
-        if (grid.width, grid.height) != (image.width, image.height):
-            raise SchemaError(
-                "saliency dims %dx%d != image dims %dx%d"
-                % (grid.width, grid.height, image.width, image.height)
-            )
+        body = self._client.post("/v1/perceive", image, format="pnm", prompt=prompt)
+        grid = _decode_answer(body, "saliency_b64", read_float_grid, image)
         try:
             return SaliencyMap(grid)
         except ValueError as exc:
@@ -309,7 +308,7 @@ class HttpPerceptionProvider:
 
 class HttpReasoningProvider:
     def __init__(self, endpoint: str, cfg: HttpConfig | None = None):
-        self._client = _HttpClient(endpoint, cfg or HttpConfig())
+        self._client = _HttpClient(endpoint, cfg)
 
     def diagnose(
         self, image: ImageBuffer, prompt: str, regions: Sequence[RegionProposal]
@@ -318,29 +317,26 @@ class HttpReasoningProvider:
             {"id": "r%d" % i, "bbox": list(r.bbox), "mask_b64": _b64(mask_to_bytes(r.mask))}
             for i, r in enumerate(regions)
         ]
-        body = self._client.post(
-            "/v1/diagnose",
-            {"image_b64": _b64(write_pnm(image)), "prompt": prompt, "regions": req_regions},
-        )
+        body = self._client.post("/v1/diagnose", image, prompt=prompt, regions=req_regions)
         raw = body.get("diagnoses")
         if not isinstance(raw, list) or len(raw) != len(regions):
             raise SchemaError("diagnoses missing or not aligned with request regions")
         out = []
-        by_id = {d.get("id"): d for d in raw if isinstance(d, dict)}
+        # an entry without a string id answers no region, so with the
+        # lengths equal some region is missing below
+        by_id = {d["id"]: d for d in raw if isinstance(d, dict) and isinstance(d.get("id"), str)}
         for i in range(len(regions)):
             d = by_id.get("r%d" % i)
             if d is None:
                 raise SchemaError("missing diagnosis for region r%d" % i)
             try:
-                out.append(
-                    Diagnosis(
-                        region_id="r%d" % i,
-                        category=DistortionCategory(d["category"]),
-                        description=str(d["description"]),
-                        severity=float(d["severity"]),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
+                description, severity = d["description"], d["severity"]
+                # type(), not isinstance: a JSON `true` is no severity
+                if not isinstance(description, str) or type(severity) not in (int, float):
+                    raise TypeError("description must be a string and severity a number")
+                category = DistortionCategory(d["category"])
+                out.append(Diagnosis("r%d" % i, category, description, float(severity)))
+            except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError("bad diagnosis for r%d: %s" % (i, exc))
         return out
 
@@ -348,36 +344,31 @@ class HttpReasoningProvider:
 class HttpInpaintTool:
     def __init__(self, endpoint: str, descriptor: ToolDescriptor, cfg: HttpConfig | None = None):
         self.descriptor = descriptor
-        self._client = _HttpClient(endpoint, cfg or HttpConfig())
+        self._client = _HttpClient(endpoint, cfg)
 
     def inpaint(
         self, image: ImageBuffer, mask: np.ndarray, instruction: Optional[str] = None
     ) -> ImageBuffer:
         if self.descriptor.kind == INSTRUCTION_DRIVEN and instruction is None:
             raise ValueError("instruction-driven tool requires an instruction")
-        payload: dict = {"image_b64": _b64(write_pnm(image)), "mask_b64": _b64(mask_to_bytes(mask))}
+        fields = {"mask_b64": _b64(mask_to_bytes(mask))}
         if instruction is not None:
-            payload["instruction"] = instruction
-        body = self._client.post("/v1/inpaint", payload)
-        try:
-            out = read_pnm(_unb64(body["image_b64"]))
-        except KeyError:
-            raise SchemaError("response missing image_b64")
-        except ValueError as exc:
-            raise SchemaError("undecodable image payload: %s" % exc)
-        if (out.width, out.height) != (image.width, image.height):
-            raise SchemaError("inpainted dims differ from input dims")
-        return out
+            fields["instruction"] = instruction
+        body = self._client.post("/v1/inpaint", image, **fields)
+        return _decode_answer(body, "image_b64", read_pnm, image)
 
 
-def http_provider(endpoint: str, role: str, cfg: HttpConfig | None = None, **kwargs):
+def http_provider(
+    endpoint: str, role: str, cfg: HttpConfig | None = None, descriptor: ToolDescriptor | None = None
+):
     """Factory for HTTP-backed providers: role in {perception, reasoning,
-    inpaint}. For inpaint, pass a ToolDescriptor via `descriptor=`."""
+    inpaint}; `descriptor` describes an inpaint tool (default: mask-guided
+    "http-inpaint")."""
     if role == "perception":
         return HttpPerceptionProvider(endpoint, cfg)
     if role == "reasoning":
         return HttpReasoningProvider(endpoint, cfg)
     if role == "inpaint":
-        descriptor = kwargs.get("descriptor") or ToolDescriptor(name="http-inpaint", kind=MASK_GUIDED)
+        descriptor = descriptor or ToolDescriptor(name="http-inpaint", kind=MASK_GUIDED)
         return HttpInpaintTool(endpoint, descriptor, cfg)
     raise ValueError("unknown role %r" % role)

@@ -66,7 +66,7 @@ class RegionProposal:
     def __post_init__(self):
         object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
         self.mask.setflags(write=False)
-        if self.area < 1 or self.area != int(self.mask.sum()):
+        if self.area < 1 or self.area != np.count_nonzero(self.mask):
             raise ValueError("area must equal the set-pixel count (>= 1)")
 
 
@@ -137,9 +137,6 @@ def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     """Morphological dilation with a (2r+1)x(2r+1) square element."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    mask = np.asarray(mask, dtype=bool)
-    if radius == 0:
-        return mask.copy()
     # scipy is imported where it is used (here and in extract_regions):
     # loading scipy.ndimage adds ~18 MB of RSS, and the metrics path never
     # needs it

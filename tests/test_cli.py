@@ -156,20 +156,23 @@ def test_run_loop_no_eligible_tool_writes_trace(tmp_path, capsys):
 
 
 class ZeroMapBackend:
-    """Loopback perception backend answering every POST with an all-zero
-    8x8 FSAL1 map."""
+    """Loopback backend answering every POST with an 8x8 FSAL1 map, all
+    zero unless `field` is given, and the `diagnoses` list."""
 
-    def __init__(self):
+    def __init__(self, field=None, diagnoses=()):
+        grid = FloatGrid.from_array(np.zeros((8, 8), np.float32) if field is None else field)
+        answer = {
+            "saliency_b64": base64.b64encode(write_float_grid(grid)).decode(),
+            "diagnoses": list(diagnoses),
+        }
+
         class Handler(BaseHTTPRequestHandler):
             def log_message(self, *args):
                 pass
 
             def do_POST(self):
                 self.rfile.read(int(self.headers["Content-Length"]))
-                grid = FloatGrid.from_array(np.zeros((8, 8), np.float32))
-                body = json.dumps(
-                    {"saliency_b64": base64.b64encode(write_float_grid(grid)).decode()}
-                ).encode()
+                body = json.dumps(answer).encode()
                 self.send_response(200)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
@@ -212,6 +215,32 @@ def test_run_loop_unset_backend_variable(tmp_path, capsys, backend_env):
     assert "RETOUCH_BACKEND_REASONING_URL" in capsys.readouterr().err
 
 
+def test_run_loop_malformed_diagnosis_writes_the_trace(tmp_path, capsys, monkeypatch):
+    # one region whose diagnosis has a null severity: a SchemaError, so the
+    # loop stops provider_error instead of a TypeError escaping main
+    field = np.zeros((8, 8), np.float32)
+    field[3:5, 3:5] = 0.9
+    entry = {"id": "r0", "category": "face_distortion", "description": "d", "severity": None}
+    backend = ZeroMapBackend(field, [entry])
+    for role in ("PERCEPTION", "REASONING", "INPAINT"):
+        monkeypatch.setenv("RETOUCH_BACKEND_%s_URL" % role, backend.url)
+    img = tmp_path / "in.pnm"
+    trace_path = tmp_path / "trace.json"
+    write_gray_image(img)
+    try:
+        rc = main(["run-loop", "--image", str(img), "--tau", "0.5", "--trace", str(trace_path)])
+    finally:
+        backend.close()
+    assert rc == 1
+    trace = json.loads(trace_path.read_text())
+    assert trace["stop_reason"] == "provider_error"
+    assert "r0" in trace["error"]
+    [rec] = trace["records"]
+    assert len(rec["regions"]) == 1
+    assert rec["actions"] == []
+    assert json.loads(capsys.readouterr().out)["iterations"] == 1
+
+
 def test_evaluate_reasoning(tmp_path, capsys):
     pred = tmp_path / "pred.jsonl"
     truth = tmp_path / "truth.jsonl"
@@ -247,14 +276,23 @@ def test_evaluate_reasoning(tmp_path, capsys):
     [
         ('{"category": "face_distortion", "description": "d"}', "missing field 'region_id'"),
         ('["r0", "face_distortion"]', "record is not a JSON object"),
+        pytest.param(
+            '{"region_id": "r0", "category": "face_distortion", "description": "caf\xe9"}'.encode(
+                "latin-1"
+            ),
+            "not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 70: "
+            "invalid continuation byte",
+            id="latin-1",
+        ),
     ],
 )
 @pytest.mark.parametrize("bad_input", ["pred", "truth"])
 def test_evaluate_reasoning_malformed_line(tmp_path, capsys, line, message, bad_input):
     good = json.dumps({"region_id": "r0", "category": "face_distortion", "description": "d"})
+    line = line if isinstance(line, bytes) else line.encode()
     paths = {name: tmp_path / ("%s.jsonl" % name) for name in ("pred", "truth")}
     for name, path in paths.items():
-        path.write_text(good + "\n" + (line + "\n" if name == bad_input else ""))
+        path.write_bytes(good.encode() + b"\n" + (line + b"\n" if name == bad_input else b""))
     rc = main(["evaluate-reasoning", str(paths["pred"]), str(paths["truth"])])
     err = capsys.readouterr().err
     assert rc == 1

@@ -58,11 +58,14 @@ def test_parse_empty():
 
 
 def test_parse_one_record_round_trip():
-    rec = make_record([region(10, 20, desc="six fingered hand")])
-    data = serialize_dataset([rec])
-    back = parse_dataset(data)
-    assert back == [rec]
-    assert serialize_dataset(back) == data
+    # U+2028, U+2029 and U+0085 are written raw (ensure_ascii=False); they
+    # are line breaks to str.splitlines, not to the JSON-lines format
+    for desc in ("six fingered hand", "line\u2028sep", "para\u2029sep", "next\x85line"):
+        rec = make_record([region(10, 20, desc=desc)])
+        data = serialize_dataset([rec])
+        back = parse_dataset(data)
+        assert back == [rec]
+        assert serialize_dataset(back) == data
 
 
 def test_parse_rejects_center_at_width():

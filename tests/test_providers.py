@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from retouchkit.dataset import DistortionCategory
-from retouchkit.media_io import FloatGrid, ImageBuffer, write_float_grid
+from retouchkit.loop import STOP_PROVIDER_ERROR, LoopConfig, LoopProviders, run_loop
+from retouchkit.media_io import FloatGrid, ImageBuffer, write_float_grid, write_pnm
 from retouchkit.providers import (
     INSTRUCTION_DRIVEN,
     MASK_GUIDED,
@@ -165,13 +166,18 @@ def test_select_tie_keeps_registry_order():
 
 # --- HTTP providers ------------------------------------------------------
 
+def _b64(data):
+    return base64.b64encode(data).decode()
+
+
 class _Backend:
     """Counting test server with scriptable behavior."""
 
-    def __init__(self, fail_first=0, saliency_shape=None, delay=0.0):
+    def __init__(self, fail_first=0, saliency_shape=None, delay=0.0, answers=None):
         self.fail_first = fail_first
         self.saliency_shape = saliency_shape  # override returned dims
         self.delay = delay
+        self.answers = answers or {}  # path -> scripted JSON answer
         self.calls = 0
         self.in_flight = 0
         self.max_in_flight = 0
@@ -199,15 +205,11 @@ class _Backend:
                     req = json.loads(self.rfile.read(length))
                     h, w = backend.saliency_shape or (4, 4)
                     grid = FloatGrid.from_array(np.zeros((h, w), np.float32))
-                    body = json.dumps(
-                        {
-                            "saliency_b64": base64.b64encode(
-                                write_float_grid(grid)
-                            ).decode(),
-                            "width": w,
-                            "height": h,
-                        }
-                    ).encode()
+                    answer = backend.answers.get(
+                        self.path,
+                        {"saliency_b64": _b64(write_float_grid(grid)), "width": w, "height": h},
+                    )
+                    body = json.dumps(answer).encode()
                     self.send_response(200)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(body)))
@@ -218,7 +220,10 @@ class _Backend:
                         backend.in_flight -= 1
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # a short poll keeps close() from waiting up to 0.5 s per backend
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self.thread.start()
 
     @property
@@ -291,3 +296,103 @@ def test_http_provider_factory():
     assert isinstance(p, HttpPerceptionProvider)
     with pytest.raises(ValueError):
         http_provider("http://example.invalid", "oracle")
+
+
+def test_http_provider_rejects_an_unknown_keyword():
+    # a misspelt `descriptor` used to give a mask-guided tool silently
+    text_tool = ToolDescriptor(name="text", kind=INSTRUCTION_DRIVEN)
+    with pytest.raises(TypeError):
+        http_provider("http://example.invalid", "inpaint", desciptor=text_tool)
+    tool = http_provider("http://example.invalid", "inpaint", descriptor=text_tool)
+    assert tool.descriptor is text_tool
+
+
+# --- HTTP fault injection: every malformed answer is a SchemaError ----------
+
+
+def _entry(i, **fields):
+    """A well-formed diagnosis for region r<i>, changed by `fields`; a field
+    given as `...` is left out."""
+    entry = {"id": "r%d" % i, "category": "face_distortion", "description": "d", "severity": 0.5}
+    entry.update(fields)
+    return {k: v for k, v in entry.items() if v is not ...}
+
+
+def _answer(*entries):
+    return {"diagnoses": list(entries)}
+
+
+_PATHS = {"perception": "/v1/perceive", "reasoning": "/v1/diagnose", "inpaint": "/v1/inpaint"}
+_GRID_2X2 = _b64(write_float_grid(FloatGrid.from_array(np.zeros((2, 2), np.float32))))
+_PNM_3X3 = _b64(write_pnm(gray_image(3, 3)))
+
+
+def _call(role, url):
+    """One call of `role` on a 4x4 gray image; diagnose sends two regions."""
+    provider = http_provider(url, role, HttpConfig(retries=2, backoff_base_s=0.01))
+    image = gray_image()
+    if role == "perception":
+        return provider.perceive(image, "p")
+    if role == "reasoning":
+        return provider.diagnose(image, "p", [proposal((0, 0, 1, 1)), proposal((2, 2, 3, 3))])
+    return provider.inpaint(image, np.ones((4, 4), bool))
+
+
+@pytest.mark.parametrize(
+    "role, answer",
+    [
+        pytest.param("perception", {}, id="perceive-missing"),
+        pytest.param("perception", {"saliency_b64": "no base64!"}, id="perceive-not-base64"),
+        pytest.param("perception", {"saliency_b64": 7}, id="perceive-not-a-string"),
+        pytest.param("perception", {"saliency_b64": _b64(b"FSAL9")}, id="perceive-not-fsal"),
+        pytest.param("perception", {"saliency_b64": _GRID_2X2}, id="perceive-wrong-dims"),
+        pytest.param("inpaint", {}, id="inpaint-missing"),
+        pytest.param("inpaint", {"image_b64": "no base64!"}, id="inpaint-not-base64"),
+        pytest.param("inpaint", {"image_b64": _GRID_2X2}, id="inpaint-not-pnm"),
+        pytest.param("inpaint", {"image_b64": _PNM_3X3}, id="inpaint-wrong-dims"),
+        pytest.param("reasoning", {}, id="diagnoses-missing"),
+        pytest.param("reasoning", _answer(_entry(0)), id="diagnoses-short"),
+        pytest.param("reasoning", _answer(_entry(0), _entry(1), _entry(2)), id="diagnoses-long"),
+        pytest.param("reasoning", _answer(_entry(0), 5), id="entry-not-an-object"),
+        pytest.param("reasoning", _answer(_entry(0), _entry(1, id=...)), id="id-missing"),
+        pytest.param("reasoning", _answer(_entry(0), _entry(0)), id="id-duplicate"),
+        pytest.param("reasoning", _answer(_entry(0, id=["r0"]), _entry(1)), id="id-list"),
+        pytest.param("reasoning", _answer(_entry(0), _entry(1, severity=None)), id="severity-null"),
+        pytest.param("reasoning", _answer(_entry(0), _entry(1, severity=[1])), id="severity-list"),
+        pytest.param("reasoning", _answer(_entry(0), _entry(1, severity="0.5")), id="severity-string"),
+        pytest.param("reasoning", _answer(_entry(0), _entry(1, severity=True)), id="severity-bool"),
+        pytest.param("reasoning", _answer(_entry(0), _entry(1, description=None)), id="description-null"),
+        pytest.param("reasoning", _answer(_entry(0), _entry(1, category="blur")), id="unknown-category"),
+        pytest.param("reasoning", _answer(_entry(0), _entry(1, description=...)), id="no-description"),
+    ],
+)
+def test_http_malformed_answer_is_schema_error(role, answer):
+    backend = _Backend(answers={_PATHS[role]: answer})
+    try:
+        with pytest.raises(SchemaError):
+            _call(role, backend.url)
+        assert backend.calls == 1  # a bad answer is not retried
+    finally:
+        backend.close()
+
+
+def test_run_loop_stops_provider_error_on_a_null_severity():
+    # the bare TypeError of float(None) used to escape run_loop
+    scene = scene_with_bump(0.8)
+    backend = _Backend(answers={"/v1/diagnose": _answer(_entry(0, severity=None))})
+    try:
+        provs = LoopProviders(
+            perception=MockPerceptionProvider(scene),
+            reasoning=http_provider(backend.url, "reasoning", HttpConfig(retries=0)),
+            tools=[MockInpaintTool(scene)],
+        )
+        cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
+        trace = run_loop(scene.image, "p", provs, cfg)
+    finally:
+        backend.close()
+    assert trace.stop_reason == STOP_PROVIDER_ERROR
+    assert "r0" in trace.error
+    [rec] = trace.records
+    assert len(rec.regions) == 1
+    assert rec.diagnoses == rec.actions == ()
+    assert trace.final_image == scene.image
