@@ -105,8 +105,7 @@ def _cmd_grpo_check(args) -> int:
 def _cmd_rasterize(args) -> int:
     cx, cy = (int(v) for v in args.center.split(","))
     mask = ds.rasterize_region((cx, cy), args.height, args.width)
-    img = ImageBuffer.from_array(np.where(mask, 255, 0).astype(np.uint8))
-    Path(args.output).write_bytes(write_pnm(img))
+    Path(args.output).write_bytes(providers.mask_to_bytes(mask))
     print("%d pixels set" % int(mask.sum()))
     return 0
 
@@ -114,15 +113,7 @@ def _cmd_rasterize(args) -> int:
 def _cmd_propose_masks(args) -> int:
     smap = SaliencyMap(read_float_grid(Path(args.map).read_bytes()))
     regions = propose_masks(smap, args.tau, args.dilation_radius, args.min_area)
-    out = [
-        {
-            "bbox": list(r.bbox),
-            "area": r.area,
-            "peak_saliency": round(r.peak_saliency, 9),
-        }
-        for r in regions
-    ]
-    print(json.dumps(out, indent=2))
+    print(json.dumps([loop_mod.region_to_dict(r) for r in regions], indent=2))
     return 0
 
 

@@ -31,7 +31,7 @@ STOP_MAX_ITERATIONS = "max_iterations"
 STOP_PROVIDER_ERROR = "provider_error"
 STOP_NO_ACTIONABLE_REGIONS = "no_actionable_regions"  # peak >= tau, but no region reaches min_area
 STOP_NO_ELIGIBLE_TOOL = "no_eligible_tool"  # no tool in the registry fits a diagnosis
-STOP_INTERNAL_ERROR = "internal_error"  # an unexpected exception escaped run_loop
+STOP_INTERNAL_ERROR = "internal_error"  # any other exception raised inside an iteration
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,10 @@ class LoopInput:
 def run_loop(
     image: ImageBuffer, prompt: str, providers: LoopProviders, cfg: LoopConfig
 ) -> LoopTrace:
-    """Run the retouching state machine until a stop. Every iteration whose
-    perception returned leaves one record, so the records always describe
-    the final image, also when a fault cuts an iteration short."""
+    """Run the retouching state machine until a stop; never raises. Every
+    iteration whose perception returned leaves one record, so the records
+    always describe the final image, also when a fault cuts an iteration
+    short."""
     records: list[IterationRecord] = []
     current = image
     stop, error = STOP_MAX_ITERATIONS, None
@@ -126,12 +127,15 @@ def run_loop(
                     instruction = None
                     if tool.descriptor.kind == INSTRUCTION_DRIVEN:
                         instruction = "fix %s: %s" % (diagnosis.category.value, diagnosis.description)
-                    current = tool.inpaint(current, mask=region.mask, instruction=instruction)
+                    mask = region.full_mask(current.height, current.width)
+                    current = tool.inpaint(current, mask=mask, instruction=instruction)
                     actions.append(Action(diagnosis.region_id, tool.descriptor.name, instruction))
         except NoEligibleToolError as exc:
             stop, error = STOP_NO_ELIGIBLE_TOOL, str(exc)
         except ProviderError as exc:
             stop, error = STOP_PROVIDER_ERROR, str(exc)
+        except Exception as exc:
+            stop, error = STOP_INTERNAL_ERROR, "%s: %s" % (type(exc).__name__, exc)
         if peak is not None:
             records.append(
                 IterationRecord(t, peak, tuple(regions), tuple(diagnoses), tuple(actions))
@@ -142,23 +146,14 @@ def run_loop(
 
 
 def run_batch(items: Sequence[LoopInput], cfg: LoopConfig, parallelism: int = 1) -> list[LoopTrace]:
-    """Order-preserving batch of independent loop runs; one failing item
-    never aborts the others. An exception that escapes run_loop (never a
-    ProviderError, which run_loop turns into a stop) becomes an
-    internal_error stop named after its type."""
+    """Order-preserving batch of independent loop runs; run_loop never
+    raises, so one failing item never aborts the others."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-
-    def one(item: LoopInput) -> LoopTrace:
-        try:
-            return run_loop(item.image, item.prompt, item.providers, cfg)
-        except Exception as exc:  # isolate unexpected per-item failures
-            return LoopTrace(
-                (), STOP_INTERNAL_ERROR, item.image, error="%s: %s" % (type(exc).__name__, exc)
-            )
-
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(one, items))
+        return list(
+            pool.map(lambda item: run_loop(item.image, item.prompt, item.providers, cfg), items)
+        )
 
 
 def trace_to_report(trace: LoopTrace) -> dict:
@@ -172,6 +167,15 @@ def trace_to_report(trace: LoopTrace) -> dict:
     }
 
 
+def region_to_dict(region: RegionProposal) -> dict:
+    """A region as it appears in traces and `propose-masks` output."""
+    return {
+        "bbox": list(region.bbox),
+        "area": region.area,
+        "peak_saliency": round(region.peak_saliency, 9),
+    }
+
+
 def trace_to_json(trace: LoopTrace, image_ref: str = "final.pnm") -> str:
     """Serialize a trace as deterministic JSON; images appear as file refs."""
     obj = {
@@ -182,14 +186,7 @@ def trace_to_json(trace: LoopTrace, image_ref: str = "final.pnm") -> str:
             {
                 "t": rec.t,
                 "max_saliency": round(rec.max_saliency, 9),
-                "regions": [
-                    {
-                        "bbox": list(r.bbox),
-                        "area": r.area,
-                        "peak_saliency": round(r.peak_saliency, 9),
-                    }
-                    for r in rec.regions
-                ],
+                "regions": [region_to_dict(r) for r in rec.regions],
                 "diagnoses": [
                     {
                         "region_id": d.region_id,

@@ -314,7 +314,11 @@ class HttpReasoningProvider:
         self, image: ImageBuffer, prompt: str, regions: Sequence[RegionProposal]
     ) -> list[Diagnosis]:
         req_regions = [
-            {"id": "r%d" % i, "bbox": list(r.bbox), "mask_b64": _b64(mask_to_bytes(r.mask))}
+            {
+                "id": "r%d" % i,
+                "bbox": list(r.bbox),
+                "mask_b64": _b64(mask_to_bytes(r.full_mask(image.height, image.width))),
+            }
             for i, r in enumerate(regions)
         ]
         body = self._client.post("/v1/diagnose", image, prompt=prompt, regions=req_regions)

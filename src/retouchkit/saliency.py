@@ -56,18 +56,41 @@ class HybridLossConfig:
 
 @dataclass(frozen=True)
 class RegionProposal:
-    """One candidate distortion region: mask, tight bbox, peak score, area."""
+    """One candidate distortion region: mask, tight bbox, peak score, area.
 
-    mask: np.ndarray  # bool, same dims as the source map
+    `mask` is stored at the size of the bbox; `full_mask` builds the frame.
+    A full-frame mask, as a region decoded from the wire arrives, is also
+    accepted and cropped to the bbox."""
+
+    mask: np.ndarray  # bool, shape (y1 - y0 + 1, x1 - x0 + 1): the bbox crop
     bbox: tuple[int, int, int, int]  # (x0, y0, x1, y1) inclusive
     peak_saliency: float
     area: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
-        self.mask.setflags(write=False)
-        if self.area < 1 or self.area != np.count_nonzero(self.mask):
+        mask = np.asarray(self.mask, dtype=bool)
+        x0, y0, x1, y1 = self.bbox
+        dims = (y1 - y0 + 1, x1 - x0 + 1)
+        if min(x0, y0) < 0:  # a negative index would wrap around the frame
+            raise ValueError("bbox origin must be >= 0")
+        if mask.shape != dims:
+            crop = mask[y0 : y1 + 1, x0 : x1 + 1]
+            if crop.shape != dims:
+                raise ValueError("mask of shape %s holds no %s bbox crop" % (mask.shape, dims))
+            if np.count_nonzero(crop) != np.count_nonzero(mask):
+                raise ValueError("mask has set pixels outside the bbox")
+            mask = crop.copy()  # a view would keep the whole frame alive
+        mask.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
+        if self.area < 1 or self.area != np.count_nonzero(mask):
             raise ValueError("area must equal the set-pixel count (>= 1)")
+
+    def full_mask(self, height: int, width: int) -> np.ndarray:
+        """The region as a bool mask of a height x width frame."""
+        x0, y0, x1, y1 = self.bbox
+        frame = np.zeros((height, width), dtype=bool)
+        frame[y0 : y1 + 1, x0 : x1 + 1] = self.mask
+        return frame
 
 
 def _check_same_dims(a: SaliencyMap, b: SaliencyMap) -> None:
@@ -164,11 +187,9 @@ def extract_regions(mask: np.ndarray, source: SaliencyMap, min_area: int = 4) ->
         area = int(crop.sum())
         if area < min_area:
             continue
-        comp = np.zeros(mask.shape, dtype=bool)
-        comp[ys, xs] = crop
         bbox = (xs.start, ys.start, xs.stop - 1, ys.stop - 1)
         peak = float(src[ys, xs][crop].max())
-        proposals.append(RegionProposal(mask=comp, bbox=bbox, peak_saliency=peak, area=area))
+        proposals.append(RegionProposal(mask=crop, bbox=bbox, peak_saliency=peak, area=area))
     proposals.sort(key=lambda r: (-r.peak_saliency, r.bbox[1], r.bbox[0]))
     return proposals
 

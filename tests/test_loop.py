@@ -30,6 +30,7 @@ from retouchkit.providers import (
     SyntheticScene,
     ToolDescriptor,
 )
+from retouchkit.saliency import SaliencyMap
 from retouchkit.textmetrics import Diagnosis
 
 
@@ -173,13 +174,14 @@ def test_empty_diagnosis_list_is_a_provider_error():
 
 class FaultAt:
     """Counts perceive, diagnose and inpaint calls over the providers it
-    wraps and raises ProviderError on call k (0-based; never if k is None);
-    with short=True, diagnose call k instead returns one diagnosis too few.
-    Keeps the image after every inpaint call and the numbers of the
-    diagnose calls."""
+    wraps and raises `error` (ProviderError by default) on call k (0-based;
+    never if k is None); with short=True, diagnose call k instead returns
+    one diagnosis too few. Keeps the image after every inpaint call and the
+    numbers of the diagnose calls."""
 
-    def __init__(self, provs, k=None, short=False):
-        self.k, self.short, self.calls, self.images, self.diagnose_calls = k, short, 0, [], []
+    def __init__(self, provs, k=None, short=False, error=ProviderError):
+        self.k, self.short, self.error = k, short, error
+        self.calls, self.images, self.diagnose_calls = 0, [], []
         fault = self
 
         class Perception:
@@ -211,7 +213,7 @@ class FaultAt:
         hit = self.calls == self.k
         self.calls += 1
         if hit and not (self.short and shortable):
-            raise ProviderError("fault at call %d" % self.k)
+            raise self.error("fault at call %d" % self.k)
         return hit
 
 
@@ -234,7 +236,7 @@ def test_inpaint_failure_keeps_the_applied_edit():
     # replaying the recorded action on the input gives the final image
     region = rec.regions[[d.region_id for d in rec.diagnoses].index(action.region_id)]
     replay = SyntheticScene(image, np.zeros((16, 16), np.float32))
-    assert MockInpaintTool(replay).inpaint(image, mask=region.mask) == trace.final_image
+    assert MockInpaintTool(replay).inpaint(image, mask=region.full_mask(16, 16)) == trace.final_image
 
 
 def sweep_scene():
@@ -264,16 +266,26 @@ def test_fault_sweep_keeps_every_applied_edit():
     tools = [[a["tool"] for a in r["actions"]] for r in clean_records]
     assert tools == [["mock-inpaint", "instruct", "mock-inpaint"], ["mock-inpaint", "instruct"], []]
     images = [image] + clean.images  # images[m]: the image after m inpaint calls
-    faults = [(k, False) for k in range(clean.calls)] + [(k, True) for k in clean.diagnose_calls]
-    for k, short in faults:
+    # a ProviderError or, as an in-process provider's bug, a ValueError at
+    # each call; a short diagnosis list at each diagnose call
+    faults = (
+        [(k, False, ProviderError) for k in range(clean.calls)]
+        + [(k, False, ValueError) for k in range(clean.calls)]
+        + [(k, True, ProviderError) for k in clean.diagnose_calls]
+    )
+    for k, short, error in faults:
         provs, image = sweep_scene()
-        faulty = FaultAt(provs, k, short)
+        faulty = FaultAt(provs, k, short, error)
         trace = run_loop(image, "p", faulty.providers, cfg)
-        assert trace.stop_reason == STOP_PROVIDER_ERROR, k
         if short:
             n = len(clean_records[clean.diagnose_calls.index(k)]["regions"])
+            assert trace.stop_reason == STOP_PROVIDER_ERROR, k
             assert trace.error == "reasoning returned %d diagnoses for %d regions" % (n - 1, n)
+        elif error is ValueError:
+            assert trace.stop_reason == STOP_INTERNAL_ERROR, k
+            assert trace.error == "ValueError: fault at call %d" % k
         else:
+            assert trace.stop_reason == STOP_PROVIDER_ERROR, k
             assert trace.error == "fault at call %d" % k
         records = json.loads(trace_to_json(trace))["records"]
         if records:
@@ -348,6 +360,31 @@ def test_batch_isolates_failures():
     assert traces[1].stop_reason == STOP_PROVIDER_ERROR
     assert traces[1].error == "backend down"
     assert traces[2].stop_reason == STOP_CONVERGED
+
+
+def test_batch_keeps_the_records_before_an_internal_error():
+    # the second perception is a NaN map, which SaliencyMap rejects with a
+    # ValueError: the first iteration's record and edit are kept
+    image = ImageBuffer.from_array(np.arange(64, dtype=np.uint8).reshape(8, 8))
+    scene = SyntheticScene(image, bump_scene(0.9).distortion_field, decay=0.9)
+
+    class NaNOnSecondCall:
+        calls = 0
+
+        def perceive(self, image, prompt):
+            self.calls += 1
+            if self.calls == 2:
+                return SaliencyMap.from_array(np.full((8, 8), np.nan, np.float32))
+            return MockPerceptionProvider(scene).perceive(image, prompt)
+
+    provs = LoopProviders(NaNOnSecondCall(), MockReasoningProvider(), [MockInpaintTool(scene)])
+    cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
+    [trace] = run_batch([LoopInput(scene.image, "p", provs)], cfg)
+    assert trace.stop_reason == STOP_INTERNAL_ERROR
+    assert trace.error == "ValueError: float grid contains NaN/Inf"
+    [rec] = trace.records
+    assert len(rec.actions) == 1
+    assert trace.final_image != scene.image
 
 
 # --- no eligible tool ----------------------------------------------------

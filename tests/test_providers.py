@@ -25,6 +25,7 @@ from retouchkit.providers import (
     ToolDescriptor,
     ToolPolicy,
     http_provider,
+    mask_from_bytes,
     select_tool,
 )
 from retouchkit.saliency import RegionProposal
@@ -178,6 +179,7 @@ class _Backend:
         self.saliency_shape = saliency_shape  # override returned dims
         self.delay = delay
         self.answers = answers or {}  # path -> scripted JSON answer
+        self.requests = []  # (path, JSON request) of every answered call
         self.calls = 0
         self.in_flight = 0
         self.max_in_flight = 0
@@ -203,6 +205,8 @@ class _Backend:
                         return
                     length = int(self.headers["Content-Length"])
                     req = json.loads(self.rfile.read(length))
+                    with backend.lock:
+                        backend.requests.append((self.path, req))
                     h, w = backend.saliency_shape or (4, 4)
                     grid = FloatGrid.from_array(np.zeros((h, w), np.float32))
                     answer = backend.answers.get(
@@ -305,6 +309,28 @@ def test_http_provider_rejects_an_unknown_keyword():
         http_provider("http://example.invalid", "inpaint", desciptor=text_tool)
     tool = http_provider("http://example.invalid", "inpaint", descriptor=text_tool)
     assert tool.descriptor is text_tool
+
+
+def test_http_diagnose_sends_full_frame_masks():
+    # regions hold bbox crops; the wire still carries each mask as a frame
+    # of the image's size
+    regions = [
+        RegionProposal(mask=np.eye(2, dtype=bool), bbox=(3, 2, 4, 3), peak_saliency=0.8, area=2),
+        RegionProposal(mask=np.ones((1, 2), bool), bbox=(0, 4, 1, 4), peak_saliency=0.6, area=2),
+    ]
+    frames = [np.zeros((5, 6), bool) for _ in regions]
+    frames[0][2, 3] = frames[0][3, 4] = True
+    frames[1][4, 0:2] = True
+    backend = _Backend(answers={"/v1/diagnose": _answer(_entry(0), _entry(1))})
+    try:
+        http_provider(backend.url, "reasoning").diagnose(gray_image(6, 5), "p", regions)
+    finally:
+        backend.close()
+    [(path, req)] = backend.requests
+    assert path == "/v1/diagnose"
+    assert [r["bbox"] for r in req["regions"]] == [[3, 2, 4, 3], [0, 4, 1, 4]]
+    sent = [mask_from_bytes(base64.b64decode(r["mask_b64"])) for r in req["regions"]]
+    assert all(np.array_equal(m, f) for m, f in zip(sent, frames))
 
 
 # --- HTTP fault injection: every malformed answer is a SchemaError ----------

@@ -10,6 +10,7 @@ import pytest
 import retouchkit
 from retouchkit.saliency import (
     HybridLossConfig,
+    RegionProposal,
     SaliencyMap,
     binarize,
     dilate,
@@ -245,7 +246,7 @@ def test_propose_single_bump_contains_argmax():
     arr[4, 4] = 0.9
     regions = propose_masks(smap(arr), tau=0.5, dilation_radius=1, min_area=4)
     assert len(regions) == 1
-    assert regions[0].mask[4, 4]
+    assert regions[0].full_mask(9, 9)[4, 4]
     assert regions[0].peak_saliency == pytest.approx(0.9)
 
 
@@ -271,7 +272,7 @@ def test_propose_masks_disjoint_union_property():
         regions = propose_masks(m, tau=0.6, dilation_radius=1, min_area=3)
         total = np.zeros((10, 10), int)
         for r in regions:
-            total += r.mask.astype(int)
+            total += r.full_mask(10, 10).astype(int)
         assert total.max() <= 1  # pairwise disjoint
         dilated = dilate(binarize(m, 0.6), 1)
         union = total.astype(bool)
@@ -282,6 +283,71 @@ def test_propose_masks_disjoint_union_property():
                 for y, x in comp:
                     small[y, x] = True
         assert np.array_equal(union, dilated & ~small)
+
+
+# --- regions at the size of their bounding box ----------------------------
+
+def test_regions_are_stored_at_bbox_size():
+    # 12% of pixels set at random: thousands of small components, each
+    # stored as its bbox crop instead of a 64 KB frame
+    rng = np.random.default_rng(0)
+    arr = (rng.random((256, 256)) < 0.12).astype(np.float32)
+    regions = propose_masks(smap(arr), tau=0.5, dilation_radius=0, min_area=1)
+    assert len(regions) == 4523
+    boxes = 0
+    total = np.zeros((256, 256), int)
+    for r in regions:
+        x0, y0, x1, y1 = r.bbox
+        assert r.mask.shape == (y1 - y0 + 1, x1 - x0 + 1)
+        boxes += r.mask.size
+        total[y0 : y1 + 1, x0 : x1 + 1] += r.mask
+    assert sum(r.mask.nbytes for r in regions) == boxes < 2**20
+    assert np.array_equal(total, arr >= 0.5)  # the crops tile the set pixels once
+
+
+def diagonal_frame(*extra):
+    # three set pixels on the diagonal of the bbox (x0, y0, x1, y1) = (2, 1, 4, 3),
+    # plus the `extra` (y, x) pixels
+    frame = np.zeros((6, 8), bool)
+    for y, x in [(1, 2), (2, 3), (3, 4), *extra]:
+        frame[y, x] = True
+    return frame
+
+
+def test_full_frame_mask_is_cropped_to_the_bbox():
+    frame = diagonal_frame()
+    from_frame = RegionProposal(mask=frame, bbox=(2, 1, 4, 3), peak_saliency=0.7, area=3)
+    from_crop = RegionProposal(frame[1:4, 2:5].copy(), (2, 1, 4, 3), peak_saliency=0.7, area=3)
+    assert np.array_equal(from_frame.mask, np.eye(3, dtype=bool))
+    assert np.array_equal(from_crop.mask, from_frame.mask)
+    assert np.array_equal(from_frame.full_mask(6, 8), frame)
+    assert np.array_equal(from_crop.full_mask(6, 8), frame)
+    frame[2, 3] = False  # the region keeps its own copy of the crop
+    assert from_frame.mask[1, 1]
+
+
+@pytest.mark.parametrize(
+    "mask, bbox, area, message",
+    [
+        (diagonal_frame((5, 7)), (2, 1, 4, 3), 3, "outside the bbox"),
+        (diagonal_frame()[:3, :4], (2, 1, 4, 3), 1, "bbox crop"),  # frame smaller than the bbox
+        (diagonal_frame(), (2, 1, 4, 3), 2, "area must equal"),
+        (np.eye(3, dtype=bool), (2, 1, 4, 3), 2, "area must equal"),
+        (np.eye(2, dtype=bool), (-2, -2, -1, -1), 2, "origin"),
+    ],
+)
+def test_region_constructor_rejects(mask, bbox, area, message):
+    with pytest.raises(ValueError, match=message):
+        RegionProposal(mask=mask, bbox=bbox, peak_saliency=0.5, area=area)
+
+
+@pytest.mark.parametrize("crop", [False, True])
+def test_region_mask_is_read_only(crop):
+    frame = diagonal_frame()
+    r = RegionProposal(frame[1:4, 2:5].copy() if crop else frame, (2, 1, 4, 3), 0.7, 3)
+    assert not r.mask.flags.writeable
+    with pytest.raises(ValueError):
+        r.mask[0, 0] = False
 
 
 # --- scipy stays out of the evaluation path --------------------------------
