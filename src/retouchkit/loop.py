@@ -23,7 +23,7 @@ from .providers import (
     ToolPolicy,
     select_tool,
 )
-from .saliency import RegionProposal, propose_masks
+from .saliency import RegionProposal, propose_masks, union_mask
 from .textmetrics import Diagnosis
 
 STOP_CONVERGED = "converged"
@@ -47,6 +47,8 @@ class LoopConfig:
             raise ValueError("tau_s must lie in [0, 1]")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.dilation_radius < 0:
+            raise ValueError("dilation_radius must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,8 @@ def run_loop(
         peak = None
         regions: list[RegionProposal] = []
         diagnoses: list[Diagnosis] = []
-        actions: list[Action] = []
+        planned: list[Action] = []  # one per region, in region order
+        done: list[int] = []  # indices of the planned actions whose call completed
         try:
             smap = providers.perception.perceive(current, prompt)
             peak = float(smap.to_array().max())
@@ -123,13 +126,28 @@ def run_loop(
                 # regions come back in peak-saliency order already; every tool
                 # is chosen before the first edit
                 tools = [select_tool(providers.tools, d, cfg.tool_policy) for d in diagnoses]
-                for region, diagnosis, tool in zip(regions, diagnoses, tools):
-                    instruction = None
-                    if tool.descriptor.kind == INSTRUCTION_DRIVEN:
-                        instruction = "fix %s: %s" % (diagnosis.category.value, diagnosis.description)
-                    mask = region.full_mask(current.height, current.width)
+                planned = [
+                    Action(
+                        d.region_id,
+                        tool.descriptor.name,
+                        "fix %s: %s" % (d.category.value, d.description)
+                        if tool.descriptor.kind == INSTRUCTION_DRIVEN
+                        else None,
+                    )
+                    for d, tool in zip(diagnoses, tools)
+                ]
+                # one call per (tool, instruction), in the order of each
+                # group's first region; its mask is the union of the group's
+                # regions, which one labelling leaves disjoint and not
+                # 8-adjacent
+                groups: dict[tuple[int, Optional[str]], list[int]] = {}
+                for i, (tool, action) in enumerate(zip(tools, planned)):
+                    groups.setdefault((id(tool), action.instruction), []).append(i)
+                for members in groups.values():
+                    mask = union_mask([regions[i] for i in members], current.height, current.width)
+                    tool, instruction = tools[members[0]], planned[members[0]].instruction
                     current = tool.inpaint(current, mask=mask, instruction=instruction)
-                    actions.append(Action(diagnosis.region_id, tool.descriptor.name, instruction))
+                    done.extend(members)
         except NoEligibleToolError as exc:
             stop, error = STOP_NO_ELIGIBLE_TOOL, str(exc)
         except ProviderError as exc:
@@ -137,9 +155,8 @@ def run_loop(
         except Exception as exc:
             stop, error = STOP_INTERNAL_ERROR, "%s: %s" % (type(exc).__name__, exc)
         if peak is not None:
-            records.append(
-                IterationRecord(t, peak, tuple(regions), tuple(diagnoses), tuple(actions))
-            )
+            actions = tuple(planned[i] for i in sorted(done))  # the completed calls' actions
+            records.append(IterationRecord(t, peak, tuple(regions), tuple(diagnoses), actions))
         if stop != STOP_MAX_ITERATIONS:
             break
     return LoopTrace(tuple(records), stop, current, error)

@@ -17,7 +17,7 @@ import requests
 
 from .dataset import DistortionCategory
 from .media_io import ImageBuffer, read_float_grid, read_pnm, write_float_grid, write_pnm
-from .saliency import RegionProposal, SaliencyMap
+from .saliency import CONN8, RegionProposal, SaliencyMap
 from .textmetrics import Diagnosis
 
 MASK_GUIDED = "mask-guided"
@@ -149,8 +149,8 @@ class MockReasoningProvider:
 
 
 class MockInpaintTool:
-    """Decays the scene's hidden field inside the mask and paints the
-    masked image pixels with their mean color."""
+    """Decays the scene's hidden field inside the mask and paints each
+    8-connected hole of the mask with the rounded mean color of its pixels."""
 
     def __init__(self, scene: SyntheticScene, descriptor: ToolDescriptor | None = None):
         self.scene = scene
@@ -159,20 +159,32 @@ class MockInpaintTool:
     def inpaint(
         self, image: ImageBuffer, mask: np.ndarray, instruction: Optional[str] = None
     ) -> ImageBuffer:
+        # scipy is imported where it is used, as in saliency.extract_regions
+        from scipy import ndimage
+
         if self.descriptor.kind == INSTRUCTION_DRIVEN and instruction is None:
             raise ValueError("instruction-driven tool requires an instruction")
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (image.height, image.width):
             raise ValueError("mask dims must equal image dims")
-        # flat pixel indices: boolean indexing is slow, and `.flat` also
-        # writes through to a field that is not contiguous
-        idx = np.flatnonzero(mask)
-        self.scene.distortion_field.flat[idx] *= self.scene.decay
-        px = image.to_array().reshape(-1, image.channels).copy()
-        if idx.size:
-            # the mean of uint8 values sums in float64, where integer sums are exact
-            px[idx] = np.round(px[idx].mean(axis=0))
-        return ImageBuffer.from_array(px.reshape(image.height, image.width, image.channels))
+        rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+        if not rows.size:
+            return image
+        # all work stays inside the mask's bounding box
+        box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+        hole = mask[box]
+        self.scene.distortion_field[box][hole] *= self.scene.decay
+        labels, n = ndimage.label(hole, structure=CONN8)
+        px = image.to_array().copy()
+        window = px[box]
+        lbl = labels[hole]
+        counts = np.bincount(lbl, minlength=n + 1)[1:]
+        for c in range(image.channels):
+            # uint8 sums are exact in float64, so each mean equals the mean
+            # of that hole's pixels on its own
+            sums = np.bincount(lbl, weights=window[..., c][hole], minlength=n + 1)[1:]
+            window[..., c][hole] = np.round(sums / counts)[lbl - 1]
+        return ImageBuffer.from_array(px)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +265,16 @@ class HttpConfig:
     retries: int = 3
     backoff_base_s: float = 0.1
     max_in_flight: int = 4
+
+    def __post_init__(self):
+        if not self.timeout_s > 0.0:
+            raise ValueError("timeout_s must be > 0")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        if not self.backoff_base_s >= 0.0:
+            raise ValueError("backoff_base_s must be >= 0")
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
 
 
 class _HttpClient:

@@ -6,13 +6,14 @@ map into region proposals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .media_io import FloatGrid
 
 # 8-connectivity structuring element for component labeling
-_CONN8 = np.ones((3, 3), dtype=bool)
+CONN8 = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,17 @@ class RegionProposal:
 
     def full_mask(self, height: int, width: int) -> np.ndarray:
         """The region as a bool mask of a height x width frame."""
-        x0, y0, x1, y1 = self.bbox
-        frame = np.zeros((height, width), dtype=bool)
-        frame[y0 : y1 + 1, x0 : x1 + 1] = self.mask
-        return frame
+        return union_mask((self,), height, width)
+
+
+def union_mask(regions: Sequence[RegionProposal], height: int, width: int) -> np.ndarray:
+    """The union of `regions` as a bool mask of a height x width frame."""
+    frame = np.zeros((height, width), dtype=bool)
+    for region in regions:
+        x0, y0, x1, y1 = region.bbox
+        # OR, not assignment: the bboxes of disjoint regions can overlap
+        frame[y0 : y1 + 1, x0 : x1 + 1] |= region.mask
+    return frame
 
 
 def _check_same_dims(a: SaliencyMap, b: SaliencyMap) -> None:
@@ -157,39 +165,54 @@ def binarize(smap: SaliencyMap, tau: float) -> np.ndarray:
 
 
 def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Morphological dilation with a (2r+1)x(2r+1) square element."""
+    """Morphological dilation with a (2r+1)x(2r+1) square element; pixels
+    beyond the border count as unset."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    # scipy is imported where it is used (here and in extract_regions):
-    # loading scipy.ndimage adds ~18 MB of RSS, and the metrics path never
-    # needs it
-    from scipy import ndimage
-
-    se = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
-    return ndimage.binary_dilation(mask, structure=se)
+    src = np.asarray(mask, dtype=bool)
+    # the square element is separable: OR shifted slices along y, then along
+    # x; a shift of a whole side or more moves every pixel out of the frame
+    rows = src.copy()
+    for s in range(1, min(radius, src.shape[0] - 1) + 1):
+        rows[s:] |= src[:-s]
+        rows[:-s] |= src[s:]
+    out = rows.copy()
+    for s in range(1, min(radius, src.shape[1] - 1) + 1):
+        out[:, s:] |= rows[:, :-s]
+        out[:, :-s] |= rows[:, s:]
+    return out
 
 
 def extract_regions(mask: np.ndarray, source: SaliencyMap, min_area: int = 4) -> list[RegionProposal]:
     """8-connected components of `mask` with area >= min_area, sorted by
     peak saliency descending (ties by (y0, x0) ascending)."""
+    # scipy is imported where it is used: loading scipy.ndimage adds ~18 MB
+    # of RSS, and the metrics path never needs it
     from scipy import ndimage
 
     mask = np.asarray(mask, dtype=bool)
     src = source.to_array()
     if mask.shape != src.shape:
         raise ValueError("mask and source dimensions differ")
-    labels, _ = ndimage.label(mask, structure=_CONN8)
+    labels, n = ndimage.label(mask, structure=CONN8)
+    # every component's area and peak in one pass each over the frame; a crop
+    # is cut, inside its bounding box, only for a component that is kept
+    areas = np.bincount(labels.ravel(), minlength=n + 1)
+    peaks = np.full(n + 1, -np.inf, dtype=src.dtype)
+    np.maximum.at(peaks, labels.ravel(), src.ravel())
+    areas, peaks = areas.tolist(), peaks.tolist()  # Python scalars index faster
     proposals = []
-    # each component is scanned inside its bounding box only, so the cost
-    # grows with pixels plus region areas, not with pixels x regions
     for lbl, (ys, xs) in enumerate(ndimage.find_objects(labels), start=1):
-        crop = labels[ys, xs] == lbl
-        area = int(crop.sum())
-        if area < min_area:
+        if areas[lbl] < min_area:
             continue
-        bbox = (xs.start, ys.start, xs.stop - 1, ys.stop - 1)
-        peak = float(src[ys, xs][crop].max())
-        proposals.append(RegionProposal(mask=crop, bbox=bbox, peak_saliency=peak, area=area))
+        proposals.append(
+            RegionProposal(
+                mask=labels[ys, xs] == lbl,
+                bbox=(xs.start, ys.start, xs.stop - 1, ys.stop - 1),
+                peak_saliency=peaks[lbl],
+                area=areas[lbl],
+            )
+        )
     proposals.sort(key=lambda r: (-r.peak_saliency, r.bbox[1], r.bbox[0]))
     return proposals
 

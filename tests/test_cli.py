@@ -115,6 +115,22 @@ def test_run_loop_mock_two_iterations(tmp_path, capsys):
     assert out_img.exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--mock", "--dilation-radius", "-1"], "dilation_radius must be >= 0"),
+        (["--timeout-ms", "0"], "timeout_s must be > 0"),
+    ],
+)
+def test_run_loop_rejects_an_out_of_range_option(tmp_path, capsys, args, message):
+    img = tmp_path / "in.pnm"
+    write_gray_image(img)
+    assert main(["run-loop", "--image", str(img), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_run_loop_determinism(tmp_path, capsys):
     img = tmp_path / "in.pnm"
     fsal = tmp_path / "field.fsal"

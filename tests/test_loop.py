@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from retouchkit.dataset import DistortionCategory
 from retouchkit.loop import (
@@ -53,6 +54,13 @@ def providers_for(scene, seed=0):
 def run_on(scene, cfg=None):
     cfg = cfg or LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
     return run_loop(scene.image, "prompt", providers_for(scene), cfg)
+
+
+def test_config_rejects_a_negative_dilation_radius():
+    # it used to be accepted, and every run stopped internal_error after its
+    # first perception
+    with pytest.raises(ValueError, match="dilation_radius must be >= 0"):
+        LoopConfig(dilation_radius=-1)
 
 
 def test_zero_field_converges_immediately():
@@ -217,26 +225,17 @@ class FaultAt:
         return hit
 
 
-def test_inpaint_failure_keeps_the_applied_edit():
-    image = ImageBuffer.from_array(np.arange(256, dtype=np.uint8).reshape(16, 16))
-    field = np.zeros((16, 16), dtype=np.float32)
-    field[3:5, 3:5] = 0.9
-    field[10:12, 10:12] = 0.8
-    scene = SyntheticScene(image, field)
-    # call 0 perceives, 1 diagnoses, 2 and 3 inpaint: the second inpaint fails
-    faulty = FaultAt(providers_for(scene), k=3)
-    cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
-    trace = run_loop(image, "p", faulty.providers, cfg)
-    assert trace.stop_reason == STOP_PROVIDER_ERROR
-    assert trace.error == "fault at call 3"
-    [rec] = trace.records
-    assert len(rec.regions) == len(rec.diagnoses) == 2
-    [action] = rec.actions
-    assert trace.final_image != image
-    # replaying the recorded action on the input gives the final image
-    region = rec.regions[[d.region_id for d in rec.diagnoses].index(action.region_id)]
-    replay = SyntheticScene(image, np.zeros((16, 16), np.float32))
-    assert MockInpaintTool(replay).inpaint(image, mask=region.full_mask(16, 16)) == trace.final_image
+def replay(image, field, decay, records):
+    """Each recorded action applied alone, in record order, by a mock over a
+    fresh scene on the input; returns the image and the field it leaves."""
+    scene = SyntheticScene(image, field.copy(), decay=decay)
+    tool = MockInpaintTool(scene)
+    for rec in records:
+        ids = [d.region_id for d in rec.diagnoses]
+        for action in rec.actions:
+            region = rec.regions[ids.index(action.region_id)]
+            image = tool.inpaint(image, mask=region.full_mask(image.height, image.width))
+    return image, scene.distortion_field
 
 
 def sweep_scene():
@@ -256,6 +255,34 @@ def sweep_scene():
     ), image
 
 
+def test_inpaint_failure_keeps_the_applied_edit():
+    # call 0 perceives, 1 diagnoses, 2 edits the two mask-guided regions in
+    # one call, and 3, the instruction-driven region's call, fails
+    provs, image = sweep_scene()
+    field = provs.perception.scene.distortion_field.copy()
+    faulty = FaultAt(provs, k=3)
+    cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
+    trace = run_loop(image, "p", faulty.providers, cfg)
+    assert trace.stop_reason == STOP_PROVIDER_ERROR
+    assert trace.error == "fault at call 3"
+    [rec] = trace.records
+    assert len(rec.regions) == len(rec.diagnoses) == 3
+    assert [(a.region_id, a.tool) for a in rec.actions] == [("r0", "mock-inpaint"), ("r2", "mock-inpaint")]
+    assert [trace.final_image] == faulty.images
+    assert trace.final_image != image
+    # replaying the recorded actions on the input gives the final image
+    assert replay(image, field, 0.6, trace.records)[0] == trace.final_image
+
+
+def inpaint_calls(record):
+    """The action indices of each inpaint call of a JSON trace record: one
+    call per (tool, instruction), in the order of each group's first action."""
+    calls = {}
+    for i, action in enumerate(record["actions"]):
+        calls.setdefault((action["tool"], action["instruction"]), []).append(i)
+    return list(calls.values())
+
+
 def test_fault_sweep_keeps_every_applied_edit():
     cfg = LoopConfig(tau_s=0.5, max_iterations=5, dilation_radius=0, min_area=1)
     provs, image = sweep_scene()
@@ -265,7 +292,10 @@ def test_fault_sweep_keeps_every_applied_edit():
     clean_records = json.loads(trace_to_json(clean_trace))["records"]
     tools = [[a["tool"] for a in r["actions"]] for r in clean_records]
     assert tools == [["mock-inpaint", "instruct", "mock-inpaint"], ["mock-inpaint", "instruct"], []]
+    calls = [inpaint_calls(r) for r in clean_records]
+    assert calls == [[[0, 2], [1]], [[0], [1]], []]
     images = [image] + clean.images  # images[m]: the image after m inpaint calls
+    assert len(images) == 5
     # a ProviderError or, as an in-process provider's bug, a ValueError at
     # each call; a short diagnosis list at each diagnose call
     faults = (
@@ -287,6 +317,7 @@ def test_fault_sweep_keeps_every_applied_edit():
         else:
             assert trace.stop_reason == STOP_PROVIDER_ERROR, k
             assert trace.error == "fault at call %d" % k
+        m = len(faulty.images)  # inpaint calls completed
         records = json.loads(trace_to_json(trace))["records"]
         if records:
             *done, last = records
@@ -296,11 +327,131 @@ def test_fault_sweep_keeps_every_applied_edit():
                 key: want[key] for key in ("t", "max_saliency", "regions")
             }, k
             assert last["diagnoses"] in ([], want["diagnoses"]), k
-            assert last["actions"] == want["actions"][: len(last["actions"])], k
+            # the last record keeps exactly the actions of its completed calls
+            j = m - sum(len(c) for c in calls[: len(done)])
+            assert 0 <= j <= len(calls[len(done)]), k
+            acted = sorted(i for call in calls[len(done)][:j] for i in call)
+            assert last["actions"] == [want["actions"][i] for i in acted], k
             if short:
                 assert last["diagnoses"] == last["actions"] == [], k
-        assert trace.final_image == images[len(faulty.images)], k
-        assert sum(len(r["actions"]) for r in records) == len(faulty.images), k
+        else:
+            assert m == 0, k
+        assert trace.final_image == images[m], k
+
+
+class Categorised:
+    """Reasoner giving region i a text anomaly iff pattern[i % len(pattern)];
+    region i's description is "d<i % kinds>", so with kinds < 2 text
+    regions share one instruction."""
+
+    def __init__(self, pattern, kinds=10**6):
+        self.pattern, self.kinds = pattern, kinds
+
+    def diagnose(self, image, prompt, regions):
+        return [
+            Diagnosis(
+                "r%d" % i,
+                DistortionCategory.TEXT_ANOMALY
+                if self.pattern[i % len(self.pattern)]
+                else DistortionCategory.FACE_DISTORTION,
+                "d%d" % (i % self.kinds),
+                r.peak_saliency,
+            )
+            for i, r in enumerate(regions)
+        ]
+
+
+class Recording:
+    """An inpaint tool that records (name, instruction, mask) of every call."""
+
+    def __init__(self, tool, calls):
+        self.tool, self.descriptor, self.calls = tool, tool.descriptor, calls
+
+    def inpaint(self, image, mask, instruction=None):
+        self.calls.append((self.descriptor.name, instruction, mask.copy()))
+        return self.tool.inpaint(image, mask=mask, instruction=instruction)
+
+
+@pytest.mark.parametrize(
+    "pattern, want",
+    [
+        # n mask-guided regions: one call with their union
+        ([False], [("mock-inpaint", None, [0, 1, 2, 3])]),
+        # each instruction-driven region gets its own call, and the calls
+        # run in the order of each group's first region
+        (
+            [True, False],
+            [
+                ("instruct", "fix text_anomaly: d0", [0]),
+                ("mock-inpaint", None, [1, 3]),
+                ("instruct", "fix text_anomaly: d2", [2]),
+            ],
+        ),
+    ],
+)
+def test_one_inpaint_call_per_tool_and_instruction(pattern, want):
+    image = ImageBuffer.from_array(np.arange(256, dtype=np.uint8).reshape(16, 16))
+    field = np.zeros((16, 16), dtype=np.float32)
+    for (y, x), height in zip([(1, 1), (1, 9), (9, 1), (9, 9)], [0.95, 0.9, 0.85, 0.8]):
+        field[y : y + 3, x : x + 2] = height
+    scene = SyntheticScene(image, field)
+    calls = []
+    text_tool = ToolDescriptor(name="instruct", kind=INSTRUCTION_DRIVEN)
+    tools = [Recording(MockInpaintTool(scene), calls), Recording(MockInpaintTool(scene, text_tool), calls)]
+    provs = LoopProviders(MockPerceptionProvider(scene), Categorised(pattern), tools)
+    cfg = LoopConfig(tau_s=0.5, max_iterations=1, dilation_radius=0, min_area=1)
+    trace = run_loop(image, "p", provs, cfg)
+    assert trace.stop_reason == STOP_MAX_ITERATIONS
+    [rec] = trace.records
+    frames = [r.full_mask(16, 16) for r in rec.regions]
+    assert [(name, instruction) for name, instruction, _ in calls] == [(n, i) for n, i, _ in want]
+    for (_, _, mask), (_, _, members) in zip(calls, want):
+        assert np.array_equal(mask, np.logical_or.reduce([frames[i] for i in members]))
+    # one action per region, in region order
+    assert [a.region_id for a in rec.actions] == ["r0", "r1", "r2", "r3"]
+    assert [a.tool for a in rec.actions] == [
+        "instruct" if pattern[i % len(pattern)] else "mock-inpaint" for i in range(4)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bumps=st.lists(
+        st.tuples(st.integers(0, 13), st.integers(0, 13), st.integers(1, 3), st.floats(0.55, 1.0)),
+        min_size=1,
+        max_size=7,
+    ),
+    pattern=st.lists(st.booleans(), min_size=2, max_size=4).filter(lambda p: any(p) and not all(p)),
+    kinds=st.sampled_from([1, 2, 10**6]),
+    channels=st.sampled_from([1, 3]),
+    decay=st.sampled_from([0.3, 0.6, 0.9]),
+    radius=st.integers(0, 1),
+    seed=st.integers(0, 2**16),
+)
+def test_grouped_calls_equal_each_action_replayed_alone(
+    bumps, pattern, kinds, channels, decay, radius, seed
+):
+    # both tool kinds; with kinds < 2 several text regions share one
+    # instruction and so one call
+    rng = np.random.default_rng(seed)
+    image = ImageBuffer.from_array(rng.integers(0, 256, (16, 16, channels), dtype=np.uint8))
+    field = np.zeros((16, 16), dtype=np.float32)
+    for y, x, size, height in bumps:
+        field[y : y + size, x : x + size] = np.maximum(field[y : y + size, x : x + size], height)
+    scene = SyntheticScene(image, field.copy(), decay=decay)
+    text_tool = ToolDescriptor(name="instruct", kind=INSTRUCTION_DRIVEN)
+    provs = LoopProviders(
+        MockPerceptionProvider(scene),
+        Categorised(pattern, kinds),
+        [MockInpaintTool(scene), MockInpaintTool(scene, text_tool)],
+    )
+    cfg = LoopConfig(tau_s=0.5, max_iterations=4, dilation_radius=radius, min_area=1)
+    trace = run_loop(image, "p", provs, cfg)
+    assert trace.error is None
+    assert all(len(r.actions) == len(r.regions) for r in trace.records)
+    got_image, got_field = replay(image, field, decay, trace.records)
+    assert got_image == trace.final_image
+    assert np.array_equal(got_field, scene.distortion_field)
 
 
 # --- batch ---------------------------------------------------------------

@@ -30,6 +30,7 @@ from retouchkit.providers import (
 )
 from retouchkit.saliency import RegionProposal
 from retouchkit.textmetrics import Diagnosis
+from test_saliency import flood_fill_components
 
 
 def gray_image(w=4, h=4, value=128):
@@ -97,22 +98,44 @@ def test_mock_inpaint_outside_mask_unchanged():
     assert np.array_equal(scene.distortion_field[:3, :], before[:3, :])
 
 
+def painted(arr, holes):
+    """`arr` as nested lists, each hole's pixels set to the hole's mean color;
+    Python's round, like np.round, breaks ties to even."""
+    out = arr.tolist()
+    for hole in holes:
+        for c in range(arr.shape[2]):
+            mean = round(sum(int(arr[y, x, c]) for y, x in hole) / len(hole))
+            for y, x in hole:
+                out[y][x][c] = mean
+    return out
+
+
 @pytest.mark.parametrize("channels", [1, 3])
 def test_mock_inpaint_paints_masked_pixels_with_their_mean(channels):
+    # each 8-connected hole of the mask gets its own mean; a mask of one
+    # hole gets the mean of all its pixels
     rng = np.random.default_rng(channels)
-    for _ in range(20):
+    for trial in range(40):
         h, w = (int(v) for v in rng.integers(1, 9, 2))
         arr = rng.integers(0, 256, (h, w, channels), dtype=np.uint8)
-        mask = rng.random((h, w)) < 0.4
+        if trial % 2:
+            mask = rng.random((h, w)) < 0.4
+            holes = flood_fill_components(mask)
+        else:
+            y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+            mask = np.zeros((h, w), bool)
+            mask[y0 : int(rng.integers(y0, h)) + 1, x0 : int(rng.integers(x0, w)) + 1] = True
+            holes = [list(zip(*np.nonzero(mask)))]
         scene = SyntheticScene(ImageBuffer.from_array(arr), np.zeros((h, w), np.float32))
         out = MockInpaintTool(scene).inpaint(scene.image, mask=mask).to_array()
-        inside = [arr[y, x] for y in range(h) for x in range(w) if mask[y, x]]
-        # Python's round, like np.round, breaks ties to even
-        n = max(len(inside), 1)
-        mean = [round(sum(int(p[c]) for p in inside) / n) for c in range(channels)]
-        for y in range(h):
-            for x in range(w):
-                assert list(out[y, x]) == (mean if mask[y, x] else list(arr[y, x]))
+        assert out.tolist() == painted(arr, holes), trial
+
+
+def test_mock_inpaint_with_an_empty_mask_changes_nothing():
+    scene = scene_with_bump(0.8)
+    before = scene.distortion_field.copy()
+    assert MockInpaintTool(scene).inpaint(scene.image, mask=np.zeros((4, 4), bool)) == scene.image
+    assert np.array_equal(scene.distortion_field, before)
 
 
 @pytest.mark.parametrize("mask", [None, np.ones((3, 4), bool)])
@@ -237,6 +260,24 @@ class _Backend:
     def close(self):
         self.server.shutdown()
         self.server.server_close()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("timeout_s", 0.0, "timeout_s must be > 0"),
+        ("timeout_s", -1.0, "timeout_s must be > 0"),
+        ("timeout_s", float("nan"), "timeout_s must be > 0"),
+        ("retries", -1, "retries must be >= 0"),
+        ("backoff_base_s", -0.1, "backoff_base_s must be >= 0"),
+        ("max_in_flight", 0, "max_in_flight must be >= 1"),
+    ],
+)
+def test_http_config_rejects(field, value, message):
+    # max_in_flight=0 would block the first call forever, retries=-1 would
+    # raise a bare AssertionError and timeout_s=0 a ValueError from requests
+    with pytest.raises(ValueError, match=message):
+        HttpConfig(**{field: value})
 
 
 def test_http_retry_then_success():

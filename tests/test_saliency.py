@@ -18,6 +18,7 @@ from retouchkit.saliency import (
     hybrid_loss,
     hybrid_loss_gradient,
     propose_masks,
+    union_mask,
 )
 
 
@@ -197,6 +198,28 @@ def test_dilate_extensive_and_monotone():
         assert np.all(~da | db)  # monotone
 
 
+@pytest.mark.parametrize("radius", [0, 1, 2, 3, 7])
+def test_dilate_matches_scipy(radius):
+    from scipy import ndimage
+
+    rng = np.random.default_rng(radius)
+    shapes = [(1, 1), (1, 9), (9, 1), (2, 5), (5, 2), (6, 6), (16, 11), (33, 40)]
+    se = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+    for shape in shapes:  # 1xN, Nx1 and, for r = 7, sides shorter than r
+        for density in (0.02, 0.1, 0.4):
+            mask = rng.random(shape) < density
+            before = mask.copy()
+            got = dilate(mask, radius)
+            assert got.dtype == bool, shape
+            assert np.array_equal(got, ndimage.binary_dilation(mask, structure=se)), (shape, density)
+            assert np.array_equal(mask, before)  # the input is not written
+
+
+def test_dilate_rejects_a_negative_radius():
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        dilate(np.zeros((3, 3), bool), -1)
+
+
 def test_extract_empty():
     src = smap(np.zeros((3, 3)))
     assert extract_regions(np.zeros((3, 3), bool), src, 1) == []
@@ -324,6 +347,21 @@ def test_full_frame_mask_is_cropped_to_the_bbox():
     assert np.array_equal(from_crop.full_mask(6, 8), frame)
     frame[2, 3] = False  # the region keeps its own copy of the crop
     assert from_frame.mask[1, 1]
+
+
+def test_union_mask_ors_regions_whose_bboxes_overlap():
+    # an L along the left and bottom sides of (0, 0, 3, 3) and a pixel inside
+    # that bbox which is not 8-adjacent to it: assigning the L's crop after
+    # the pixel would clear the pixel
+    ell = np.zeros((4, 4), bool)
+    ell[:, 0] = ell[3, :] = True
+    a = RegionProposal(ell, (0, 0, 3, 3), peak_saliency=0.9, area=7)
+    b = RegionProposal(np.ones((1, 1), bool), (2, 1, 2, 1), peak_saliency=0.8, area=1)
+    want = a.full_mask(5, 6) | b.full_mask(5, 6)
+    assert want.sum() == 8
+    assert np.array_equal(union_mask([a, b], 5, 6), want)
+    assert np.array_equal(union_mask([b, a], 5, 6), want)
+    assert not union_mask([], 5, 6).any()
 
 
 @pytest.mark.parametrize(
