@@ -113,7 +113,7 @@ def _cmd_rasterize(args) -> int:
 def _cmd_propose_masks(args) -> int:
     smap = SaliencyMap(read_float_grid(Path(args.map).read_bytes()))
     regions = propose_masks(smap, args.tau, args.dilation_radius, args.min_area)
-    print(json.dumps([loop_mod.region_to_dict(r) for r in regions], indent=2))
+    print(loop_mod.regions_to_json(regions))
     return 0
 
 

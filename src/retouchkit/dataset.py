@@ -147,7 +147,7 @@ def read_jsonl(data: bytes, parse: Callable[[dict], T]) -> list[T]:
             items.append(parse(obj))
         except KeyError as exc:
             raise DatasetError("missing field %s" % exc, lineno)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge int overflows
             raise DatasetError(str(exc), lineno)
     return items
 

@@ -6,9 +6,10 @@ applies, producing a full audit trace.
 
 from __future__ import annotations
 
-import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .media_io import ImageBuffer
@@ -184,41 +185,135 @@ def trace_to_report(trace: LoopTrace) -> dict:
     }
 
 
-def region_to_dict(region: RegionProposal) -> dict:
-    """A region as it appears in traces and `propose-masks` output."""
-    return {
-        "bbox": list(region.bbox),
-        "area": region.area,
-        "peak_saliency": round(region.peak_saliency, 9),
-    }
+# The trace is written with its fixed schema, not by json.dumps(indent=2),
+# which gives up json's C encoder for a pure-Python one. Each object has one
+# `%`-template, laid out at its nesting level; keys are in sorted order and
+# strings go through json's own ASCII escaper, so the bytes are those of
+# json.dumps(..., sort_keys=True, indent=2) on the same dict.
+_string = encode_basestring_ascii
+
+
+def _nullable(text: Optional[str]) -> str:
+    return "null" if text is None else _string(text)
+
+
+def _number(x: float) -> str:
+    """round(x, 9) as json writes it: an int by int.__repr__, a float by
+    float.__repr__, with json's NaN, Infinity and -Infinity."""
+    x = round(x, 9)
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _list(items: list[str], level: int) -> str:
+    """A JSON list of laid-out items whose closing bracket sits at `level`."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+
+
+def _at_level(template: str, level: int) -> str:
+    """An object's template, written at nesting level 0, moved to `level`."""
+    return template.replace("\n", "\n" + "  " * level)
+
+
+_TRACE = """{
+  "error": %s,
+  "final_image": %s,
+  "records": %s,
+  "stop_reason": %s
+}"""
+_RECORD = _at_level(
+    """{
+  "actions": %s,
+  "diagnoses": %s,
+  "max_saliency": %s,
+  "regions": %s,
+  "t": %d
+}""",
+    2,
+)
+_ACTION = _at_level(
+    """{
+  "instruction": %s,
+  "region_id": %s,
+  "tool": %s
+}""",
+    4,
+)
+_DIAGNOSIS = _at_level(
+    """{
+  "category": %s,
+  "description": %s,
+  "region_id": %s,
+  "severity": %s
+}""",
+    4,
+)
+_REGION = _at_level(
+    """{
+  "area": %d,
+  "bbox": [
+    %d,
+    %d,
+    %d,
+    %d
+  ],
+  "peak_saliency": %s
+}""",
+    4,
+)
+# `propose-masks` never sorted its keys, so its regions keep this order
+_PROPOSAL = _at_level(
+    """{
+  "bbox": [
+    %d,
+    %d,
+    %d,
+    %d
+  ],
+  "area": %d,
+  "peak_saliency": %s
+}""",
+    1,
+)
+
+
+def regions_to_json(regions: Sequence[RegionProposal]) -> str:
+    """The `propose-masks` output: one {bbox, area, peak_saliency} object
+    per region, as json.dumps(..., indent=2) lays the list out."""
+    return _list([_PROPOSAL % (*r.bbox, r.area, _number(r.peak_saliency)) for r in regions], 0)
+
+
+def _record_json(rec: IterationRecord) -> str:
+    actions = [
+        _ACTION % (_nullable(a.instruction), _string(a.region_id), _string(a.tool))
+        for a in rec.actions
+    ]
+    diagnoses = [
+        _DIAGNOSIS
+        % (_string(d.category.value), _string(d.description), _string(d.region_id), _number(d.severity))
+        for d in rec.diagnoses
+    ]
+    regions = [_REGION % (r.area, *r.bbox, _number(r.peak_saliency)) for r in rec.regions]
+    return _RECORD % (
+        _list(actions, 3),
+        _list(diagnoses, 3),
+        _number(rec.max_saliency),
+        _list(regions, 3),
+        rec.t,
+    )
 
 
 def trace_to_json(trace: LoopTrace, image_ref: str = "final.pnm") -> str:
     """Serialize a trace as deterministic JSON; images appear as file refs."""
-    obj = {
-        "stop_reason": trace.stop_reason,
-        "error": trace.error,
-        "final_image": image_ref,
-        "records": [
-            {
-                "t": rec.t,
-                "max_saliency": round(rec.max_saliency, 9),
-                "regions": [region_to_dict(r) for r in rec.regions],
-                "diagnoses": [
-                    {
-                        "region_id": d.region_id,
-                        "category": d.category.value,
-                        "description": d.description,
-                        "severity": round(d.severity, 9),
-                    }
-                    for d in rec.diagnoses
-                ],
-                "actions": [
-                    {"region_id": a.region_id, "tool": a.tool, "instruction": a.instruction}
-                    for a in rec.actions
-                ],
-            }
-            for rec in trace.records
-        ],
-    }
-    return json.dumps(obj, sort_keys=True, indent=2)
+    return _TRACE % (
+        _nullable(trace.error),
+        _string(image_ref),
+        _list([_record_json(rec) for rec in trace.records], 1),
+        _string(trace.stop_reason),
+    )

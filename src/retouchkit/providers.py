@@ -362,7 +362,8 @@ class HttpReasoningProvider:
                     raise TypeError("description must be a string and severity a number")
                 category = DistortionCategory(d["category"])
                 out.append(Diagnosis("r%d" % i, category, description, float(severity)))
-            except (KeyError, TypeError, ValueError) as exc:
+            # float() of a JSON integer too large for a float raises OverflowError
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError("bad diagnosis for r%d: %s" % (i, exc))
         return out
 

@@ -85,6 +85,64 @@ def test_propose_masks(tmp_path, capsys):
     assert regions[0]["area"] == 4
 
 
+_ONE_REGION = """[
+  {
+    "bbox": [
+      3,
+      3,
+      4,
+      4
+    ],
+    "area": 4,
+    "peak_saliency": 0.800000012
+  }
+]
+"""
+
+
+@pytest.mark.parametrize("tau, want", [("0.5", _ONE_REGION), ("0.9", "[]\n")])
+def test_propose_masks_output_bytes(tmp_path, capsys, tau, want):
+    # json.dumps(..., indent=2) without sort_keys: keys in bbox, area, peak order
+    fsal = tmp_path / "map.fsal"
+    write_bump_field(fsal)
+    assert main(["propose-masks", str(fsal), "--tau", tau, "--dilation-radius", "0"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def write_multi_bump_scene(image_path, field_path):
+    """A 24x24 gray ramp whose hidden field has bumps of 0.95, 0.8 and 0.65."""
+    ramp = np.add.outer(np.arange(24) * 7, np.arange(24) * 3) % 251
+    image_path.write_bytes(write_pnm(ImageBuffer.from_array(ramp.astype(np.uint8))))
+    field = np.zeros((24, 24), dtype=np.float32)
+    field[2:5, 3:7] = 0.95
+    field[10:14, 15:18] = 0.8
+    field[18:21, 4:6] = 0.65
+    field_path.write_bytes(write_float_grid(FloatGrid.from_array(field)))
+
+
+def test_run_loop_trace_file_matches_the_golden_bytes(tmp_path, capsys, monkeypatch):
+    # the golden bytes are json.dumps(..., sort_keys=True, indent=2) of this
+    # trace: three records (3, 2 and 0 regions), then a converged stop
+    monkeypatch.chdir(tmp_path)  # the trace names the -o path as given
+    write_multi_bump_scene(Path("in.pnm"), Path("field.fsal"))
+    rc = main(
+        [
+            "run-loop",
+            "--image", "in.pnm",
+            "--mock",
+            "--mock-field", "field.fsal",
+            "--seed", "0",
+            "--mock-decay", "0.7",
+            "--trace", "trace.json",
+            "-o", "out.pnm",
+        ]
+    )
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["iterations"] == 3
+    golden = (DATA / "run_loop_multi_bump.trace.json").read_bytes()
+    assert Path("trace.json").read_bytes() == golden
+
+
 def test_run_loop_mock_two_iterations(tmp_path, capsys):
     img = tmp_path / "in.pnm"
     fsal = tmp_path / "field.fsal"
@@ -313,6 +371,20 @@ def test_evaluate_reasoning_malformed_line(tmp_path, capsys, line, message, bad_
     err = capsys.readouterr().err
     assert rc == 1
     assert err == "%s: line 2: %s\n" % (paths[bad_input], message)
+
+
+def test_evaluate_reasoning_huge_integer_severity(tmp_path, capsys):
+    # float() of a 400-digit integer raises OverflowError, which is no ValueError
+    good = json.dumps({"region_id": "r0", "category": "face_distortion", "description": "d"})
+    huge = '{"region_id": "r1", "category": "face_distortion", "description": "d", "severity": %s}'
+    pred, truth = tmp_path / "pred.jsonl", tmp_path / "truth.jsonl"
+    pred.write_text(good + "\n" + huge % ("9" * 400) + "\n")
+    truth.write_text(good + "\n")
+    rc = main(["evaluate-reasoning", str(pred), str(truth)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "%s: line 2: int too large to convert to float\n" % pred
 
 
 def test_evaluate_saliency(tmp_path, capsys):

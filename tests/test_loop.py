@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from retouchkit.dataset import DistortionCategory
 from retouchkit.loop import (
@@ -13,9 +13,13 @@ from retouchkit.loop import (
     STOP_NO_ACTIONABLE_REGIONS,
     STOP_NO_ELIGIBLE_TOOL,
     STOP_PROVIDER_ERROR,
+    Action,
+    IterationRecord,
     LoopConfig,
     LoopInput,
     LoopProviders,
+    LoopTrace,
+    regions_to_json,
     run_batch,
     run_loop,
     trace_to_json,
@@ -31,7 +35,7 @@ from retouchkit.providers import (
     SyntheticScene,
     ToolDescriptor,
 )
-from retouchkit.saliency import SaliencyMap
+from retouchkit.saliency import RegionProposal, SaliencyMap
 from retouchkit.textmetrics import Diagnosis
 
 
@@ -612,3 +616,128 @@ def test_trace_json_is_deterministic():
     scene1 = bump_scene(0.8)
     scene2 = bump_scene(0.8)
     assert trace_to_json(run_on(scene1)) == trace_to_json(run_on(scene2))
+
+
+# --- the trace writer against json.dumps ----------------------------------
+
+
+def region_dict(region):
+    return {
+        "bbox": list(region.bbox),
+        "area": region.area,
+        "peak_saliency": round(region.peak_saliency, 9),
+    }
+
+
+def reference_dict(trace, image_ref):
+    """The trace as a dict whose json.dumps(sort_keys=True, indent=2) gives
+    the bytes trace_to_json must write."""
+    return {
+        "stop_reason": trace.stop_reason,
+        "error": trace.error,
+        "final_image": image_ref,
+        "records": [
+            {
+                "t": rec.t,
+                "max_saliency": round(rec.max_saliency, 9),
+                "regions": [region_dict(r) for r in rec.regions],
+                "diagnoses": [
+                    {
+                        "region_id": d.region_id,
+                        "category": d.category.value,
+                        "description": d.description,
+                        "severity": round(d.severity, 9),
+                    }
+                    for d in rec.diagnoses
+                ],
+                "actions": [
+                    {"region_id": a.region_id, "tool": a.tool, "instruction": a.instruction}
+                    for a in rec.actions
+                ],
+            }
+            for rec in trace.records
+        ],
+    }
+
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates,
+# besides any code point at all
+_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600'),
+        st.integers(0, 0x10FFFF).map(chr),
+    ),
+    max_size=8,
+)
+# 0.1234567894, 0.9999999996 and 1e-10 are among the values round(x, 9) changes
+_UNIT = st.one_of(
+    st.sampled_from([0, 1, 0.0, 1.0, 0.5, 0.1234567894, 0.9999999996, 1e-10, 5e-10]),
+    st.floats(0.0, 1.0),
+)
+_NUMBER = st.one_of(_UNIT, st.integers(-(10**20), 10**20), st.floats())
+_IMAGE = ImageBuffer.from_array(np.zeros((1, 1), dtype=np.uint8))
+
+
+@st.composite
+def _regions(draw):
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    x0, y0 = draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
+    return RegionProposal(
+        mask=np.ones((h, w), dtype=bool),
+        bbox=(x0, y0, x0 + w - 1, y0 + h - 1),
+        peak_saliency=draw(_NUMBER),
+        area=h * w,
+    )
+
+
+_DIAGNOSES = st.builds(
+    Diagnosis,
+    region_id=_TEXT,
+    category=st.sampled_from(DistortionCategory),
+    description=_TEXT.filter(bool),
+    severity=_UNIT,
+)
+_ACTIONS = st.builds(Action, region_id=_TEXT, tool=_TEXT, instruction=st.none() | _TEXT)
+_RECORDS = st.builds(
+    IterationRecord,
+    t=st.integers(0, 10**6),
+    max_saliency=_NUMBER,
+    regions=st.lists(_regions(), max_size=3).map(tuple),
+    diagnoses=st.lists(_DIAGNOSES, max_size=3).map(tuple),
+    actions=st.lists(_ACTIONS, max_size=3).map(tuple),
+)
+_TRACES = st.builds(
+    LoopTrace,
+    records=st.lists(_RECORDS, max_size=3).map(tuple),
+    stop_reason=_TEXT,
+    final_image=st.just(_IMAGE),
+    error=st.none() | _TEXT,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace=_TRACES, image_ref=_TEXT)
+@example(trace=LoopTrace((), STOP_CONVERGED, _IMAGE), image_ref="final.pnm")
+@example(
+    trace=LoopTrace(
+        tuple(
+            IterationRecord(t, x, (), (), ())
+            for t, x in enumerate([1, 1.0, float("nan"), float("inf"), -float("inf")])
+        ),
+        STOP_PROVIDER_ERROR,
+        _IMAGE,
+        error='bad "answer"\\\n\x01\xe9\ud800',
+    ),
+    image_ref="",
+)
+def test_trace_to_json_equals_json_dumps(trace, image_ref):
+    assert trace_to_json(trace, image_ref) == json.dumps(
+        reference_dict(trace, image_ref), sort_keys=True, indent=2
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(regions=st.lists(_regions(), max_size=4))
+def test_regions_to_json_equals_json_dumps(regions):
+    # propose-masks output: the keys are not sorted
+    assert regions_to_json(regions) == json.dumps([region_dict(r) for r in regions], indent=2)

@@ -428,6 +428,7 @@ def _call(role, url):
         pytest.param("reasoning", _answer(_entry(0), _entry(1, severity=[1])), id="severity-list"),
         pytest.param("reasoning", _answer(_entry(0), _entry(1, severity="0.5")), id="severity-string"),
         pytest.param("reasoning", _answer(_entry(0), _entry(1, severity=True)), id="severity-bool"),
+        pytest.param("reasoning", _answer(_entry(0), _entry(1, severity=10**400)), id="severity-huge-int"),
         pytest.param("reasoning", _answer(_entry(0), _entry(1, description=None)), id="description-null"),
         pytest.param("reasoning", _answer(_entry(0), _entry(1, category="blur")), id="unknown-category"),
         pytest.param("reasoning", _answer(_entry(0), _entry(1, description=...)), id="no-description"),
