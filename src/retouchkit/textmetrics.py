@@ -28,7 +28,7 @@ class Diagnosis:
             raise ValueError("severity must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReasoningReport:
     accuracy: float
     rouge_l: float
@@ -58,12 +58,20 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return prev[-1]
 
 
-def rouge_l(candidate: str, reference: str) -> float:
-    """LCS F-measure: 2PR/(P+R) with P = LCS/|cand|, R = LCS/|ref|."""
+def _nonempty_tokens(candidate: str, reference: str) -> tuple[list[str], list[str]]:
     cand = tokenize(candidate)
     ref = tokenize(reference)
     if not cand or not ref:
         raise ValueError("empty tokenization")
+    return cand, ref
+
+
+def rouge_l(candidate: str, reference: str) -> float:
+    """LCS F-measure: 2PR/(P+R) with P = LCS/|cand|, R = LCS/|ref|."""
+    return _rouge_l(*_nonempty_tokens(candidate, reference))
+
+
+def _rouge_l(cand: Sequence[str], ref: Sequence[str]) -> float:
     lcs = _lcs_length(cand, ref)
     if lcs == 0:
         return 0.0
@@ -76,10 +84,10 @@ def meteor_lite(candidate: str, reference: str) -> float:
     """Exact-unigram METEOR: greedy left-to-right alignment (each reference
     token used at most once), F = 10PR/(R+9P), fragmentation penalty
     0.5*(chunks/matches)^3."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
-    if not cand or not ref:
-        raise ValueError("empty tokenization")
+    return _meteor_lite(*_nonempty_tokens(candidate, reference))
+
+
+def _meteor_lite(cand: Sequence[str], ref: Sequence[str]) -> float:
     used = [False] * len(ref)
     align: list[int | None] = []
     for tok in cand:
@@ -111,39 +119,68 @@ def meteor_lite(candidate: str, reference: str) -> float:
     return f * (1.0 - penalty)
 
 
+def _by_region_id(items: Sequence, side: str) -> dict:
+    by_id = {}
+    for item in items:
+        if item.region_id in by_id:
+            raise ValueError("duplicate %s region id %r" % (side, item.region_id))
+        by_id[item.region_id] = item
+    return by_id
+
+
+def _matched_pairs(
+    preds: Sequence[Diagnosis], truths: Sequence[RegionAnnotation]
+) -> list[tuple[Diagnosis, RegionAnnotation]]:
+    """Each prediction with the truth region of the same region_id. An id
+    may appear once among the predictions and once among the truths;
+    truths without an id match nothing."""
+    if not preds:
+        raise ValueError("no predictions")
+    truth_by_id = _by_region_id([t for t in truths if t.region_id is not None], "truth")
+    pairs = []
+    for region_id, pred in _by_region_id(preds, "prediction").items():
+        truth = truth_by_id.get(region_id)
+        if truth is None:
+            raise ValueError("no truth region with id %r" % region_id)
+        pairs.append((pred, truth))
+    return pairs
+
+
+def _accuracy(pairs: Sequence[tuple[Diagnosis, RegionAnnotation]]) -> float:
+    return sum(pred.category is truth.category for pred, truth in pairs) / len(pairs)
+
+
+def _description_tokens(text: str, side: str, region_id: str) -> list[str]:
+    tokens = tokenize(text)
+    if not tokens:
+        raise ValueError(
+            "region %r: %s description %r has no a-z or 0-9 token" % (region_id, side, text)
+        )
+    return tokens
+
+
 def category_accuracy(preds: Sequence[Diagnosis], truths: Sequence[RegionAnnotation]) -> float:
     """Fraction of predictions whose category matches the truth region with
     the same region_id."""
-    truth_by_id = {t.region_id: t for t in truths if t.region_id is not None}
-    if not preds:
-        raise ValueError("no predictions")
-    correct = 0
-    for pred in preds:
-        truth = truth_by_id.get(pred.region_id)
-        if truth is None:
-            raise ValueError("no truth region with id %r" % pred.region_id)
-        if truth.category is pred.category:
-            correct += 1
-    return correct / len(preds)
+    return _accuracy(_matched_pairs(preds, truths))
 
 
 def evaluate_reasoning(
     preds: Sequence[Diagnosis], truths: Sequence[RegionAnnotation]
 ) -> ReasoningReport:
-    """Accuracy over matched pairs; ROUGE-L / METEOR-lite means over pairs."""
-    truth_by_id = {t.region_id: t for t in truths if t.region_id is not None}
-    if not preds:
-        raise ValueError("no matched pairs")
+    """Accuracy over matched pairs; ROUGE-L / METEOR-lite means over pairs.
+    Each description is tokenized once, and one with no token is an error
+    naming its region and side."""
+    pairs = _matched_pairs(preds, truths)
     rouges = []
     meteors = []
-    for pred in preds:
-        truth = truth_by_id.get(pred.region_id)
-        if truth is None:
-            raise ValueError("no truth region with id %r" % pred.region_id)
-        rouges.append(rouge_l(pred.description, truth.description))
-        meteors.append(meteor_lite(pred.description, truth.description))
+    for pred, truth in pairs:
+        cand = _description_tokens(pred.description, "prediction", pred.region_id)
+        ref = _description_tokens(truth.description, "truth", pred.region_id)
+        rouges.append(_rouge_l(cand, ref))
+        meteors.append(_meteor_lite(cand, ref))
     return ReasoningReport(
-        accuracy=category_accuracy(preds, truths),
+        accuracy=_accuracy(pairs),
         rouge_l=sum(rouges) / len(rouges),
         meteor_lite=sum(meteors) / len(meteors),
     )

@@ -387,6 +387,59 @@ def test_evaluate_reasoning_huge_integer_severity(tmp_path, capsys):
     assert captured.err == "%s: line 2: int too large to convert to float\n" % pred
 
 
+def write_reasoning_files(tmp_path, preds, truths):
+    """pred.jsonl and truth.jsonl of (region_id, description) pairs, all of
+    category face_distortion."""
+    paths = []
+    for name, rows in (("pred", preds), ("truth", truths)):
+        path = tmp_path / ("%s.jsonl" % name)
+        path.write_text(
+            "".join(
+                json.dumps({"region_id": rid, "category": "face_distortion", "description": d})
+                + "\n"
+                for rid, d in rows
+            )
+        )
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "preds, truths, message",
+    [
+        (
+            [("r0", "extra finger")],
+            [("r0", "extra finger"), ("r0", "blurry face")],
+            "duplicate truth region id 'r0'",
+        ),
+        (
+            [("r0", "extra finger"), ("r0", "blurry face")],
+            [("r0", "extra finger")],
+            "duplicate prediction region id 'r0'",
+        ),
+    ],
+    ids=["truth", "prediction"],
+)
+def test_evaluate_reasoning_duplicate_region_id(tmp_path, capsys, preds, truths, message):
+    rc = main(["evaluate-reasoning", *write_reasoning_files(tmp_path, preds, truths)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+def test_evaluate_reasoning_untokenizable_description(tmp_path, capsys):
+    preds = [("r0", "warped face"), ("r1", "日本語の説明")]
+    truths = [("r0", "warped face"), ("r1", "extra finger")]
+    rc = main(["evaluate-reasoning", *write_reasoning_files(tmp_path, preds, truths)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "region 'r1': prediction description '日本語の説明' has no a-z or 0-9 token\n"
+    )
+
+
 def test_evaluate_saliency(tmp_path, capsys):
     from retouchkit.dataset import ground_truth_map, parse_dataset
 

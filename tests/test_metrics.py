@@ -271,6 +271,50 @@ def test_auc_equals_pairwise_count_with_heavy_ties(case):
     assert auc_judd(smap(arr), fix) == mann_whitney(pos, neg)
 
 
+def pairwise(arr, flat):
+    """(positives, negatives) as Python floats: fixated pixels, counted once,
+    and all other pixels of arr."""
+    values = arr.ravel().tolist()
+    fixated = set(flat)
+    pos = [v for i, v in enumerate(values) if i in fixated]
+    neg = [v for i, v in enumerate(values) if i not in fixated]
+    return pos, neg
+
+
+@st.composite
+def corpus_like_maps(draw):
+    """(map, flat fixations) shaped like the evaluation corpus: a continuous
+    float32 map of 64^2 to 96^2 pixels and 1-7 fixations, which may repeat."""
+    h, w = draw(st.integers(64, 96)), draw(st.integers(64, 96))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = rng.random((h, w), dtype=np.float32)
+    flat = draw(st.lists(st.integers(0, h * w - 1), min_size=1, max_size=7))
+    flat += draw(st.lists(st.sampled_from(flat), max_size=2))
+    return arr, flat
+
+
+@given(corpus_like_maps())
+@settings(max_examples=60, deadline=None)
+def test_auc_equals_pairwise_count_on_continuous_maps(case):
+    arr, flat = case
+    w = arr.shape[1]
+    fix = FixationSet((i % w, i // w) for i in flat)
+    assert auc_judd(smap(arr), fix) == mann_whitney(*pairwise(arr, flat))
+
+
+@pytest.mark.parametrize("levels", [None, 5])
+@pytest.mark.parametrize("nneg", [1, 2, 7])
+def test_auc_with_almost_every_pixel_fixated(levels, nneg):
+    # P close to N: the binary searches run over a long sorted list
+    rng = np.random.default_rng(nneg)
+    arr = rng.random((24, 24), dtype=np.float32)
+    if levels is not None:
+        arr = np.floor(arr * levels) / levels  # heavy ties
+    flat = [int(i) for i in rng.permutation(arr.size)[nneg:]]
+    fix = FixationSet((i % 24, i // 24) for i in flat + flat[:3])
+    assert auc_judd(smap(arr), fix) == mann_whitney(*pairwise(arr, flat))
+
+
 # --- evaluate_all / aggregation -----------------------------------------
 
 def test_evaluate_all_equals_the_single_metrics():

@@ -114,3 +114,50 @@ def test_evaluate_single_pair_equals_pair_metrics():
     assert rep.meteor_lite == pytest.approx(
         meteor_lite("the hand looks odd", "six fingers on the hand")
     )
+
+
+@pytest.mark.parametrize("score", [category_accuracy, evaluate_reasoning])
+def test_duplicate_truth_id_is_an_error(score):
+    truths = [truth("r0", desc="extra finger"), truth("r0", desc="blurry face")]
+    with pytest.raises(ValueError, match="^duplicate truth region id 'r0'$"):
+        score([diag("r0", desc="extra finger")], truths)
+
+
+@pytest.mark.parametrize("score", [category_accuracy, evaluate_reasoning])
+def test_duplicate_prediction_id_is_an_error(score):
+    with pytest.raises(ValueError, match="^duplicate prediction region id 'r1'$"):
+        score([diag("r1"), diag("r0"), diag("r1", FACE)], [truth("r0"), truth("r1")])
+
+
+def test_truths_without_an_id_match_nothing():
+    truths = [truth(None), truth(None, FACE), truth("r0")]
+    assert category_accuracy([diag("r0")], truths) == 1.0
+
+
+@pytest.mark.parametrize(
+    "pred_desc, truth_desc, message",
+    [
+        (
+            "日本語の説明",
+            "the hand",
+            "region 'r1': prediction description '日本語の説明' has no a-z or 0-9 token",
+        ),
+        ("the hand", "...", "region 'r1': truth description '...' has no a-z or 0-9 token"),
+    ],
+    ids=["prediction", "truth"],
+)
+def test_evaluate_reasoning_names_an_untokenizable_description(pred_desc, truth_desc, message):
+    truths = [truth("r0"), truth("r1", desc=truth_desc)]
+    with pytest.raises(ValueError) as info:
+        evaluate_reasoning([diag("r0"), diag("r1", desc=pred_desc)], truths)
+    assert str(info.value) == message
+
+
+def test_evaluate_reasoning_equals_the_pair_metrics():
+    truths = [truth("r0", HAND, "six fingers on the hand"), truth("r1", FACE, "a warped face")]
+    preds = [diag("r1", FACE, "the face is warped"), diag("r0", FACE, "the hand looks odd")]
+    rep = evaluate_reasoning(preds, truths)
+    pairs = [(p.description, t.description) for p, t in zip(preds, truths[::-1])]
+    assert rep.accuracy == 0.5
+    assert rep.rouge_l == sum(rouge_l(c, r) for c, r in pairs) / 2
+    assert rep.meteor_lite == sum(meteor_lite(c, r) for c, r in pairs) / 2
