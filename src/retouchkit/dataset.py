@@ -318,6 +318,8 @@ def ground_truth_map(
     """Union of rasterized region discs as a {0,1} saliency map plus the
     region centers as fixations. With blur_sigma > 0 the union mask is
     Gaussian-blurred and renormalized to peak 1."""
+    if not blur_sigma >= 0.0:  # also rejects NaN
+        raise ValueError("blur_sigma must be >= 0, got %r" % blur_sigma)
     mask = np.zeros((record.height, record.width), dtype=bool)
     for reg in record.regions:
         mask |= rasterize_region(reg.center, record.height, record.width)

@@ -116,7 +116,9 @@ def _read_pnm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def read_pnm(data: bytes) -> ImageBuffer:
-    """Decode a binary PNM (P5/P6, maxval <= 255) byte string."""
+    """Decode a binary PNM (P5/P6, maxval 255) byte string. An ImageBuffer
+    is full-range 8-bit, so any other maxval is an UnsupportedMaxvalError:
+    its samples would be re-labelled maxval 255 by every writer."""
     if len(data) < 2:
         raise MalformedHeaderError("too short for a PNM header")
     magic = data[:2]
@@ -136,8 +138,8 @@ def read_pnm(data: bytes) -> ImageBuffer:
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise MalformedHeaderError("bad dimensions %dx%d" % (width, height))
-    if maxval < 1 or maxval > 255:
-        raise UnsupportedMaxvalError("maxval %d not in 1..255" % maxval)
+    if maxval != 255:
+        raise UnsupportedMaxvalError("maxval %d is not 255" % maxval)
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise MalformedHeaderError("missing whitespace after maxval")
     pos += 1  # exactly one whitespace byte before the raster

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .saliency import SaliencyMap, _check_same_dims, _kld_term
+from .saliency import SaliencyMap, _float64_pair, _kld_term
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,9 @@ class MetricReport:
 TSV_HEADER = "image\tauc_judd\tnss\tcc\tsim\tkld"
 
 
-def _as64(smap: SaliencyMap) -> np.ndarray:
-    return smap.to_array().astype(np.float64)
-
-
-def _cc(p: np.ndarray, g: np.ndarray) -> float:
+def cc(pred: SaliencyMap, truth: SaliencyMap) -> float:
+    """Pearson correlation of the two pixel populations."""
+    p, g = _float64_pair(pred, truth)
     pc = p - p.mean()
     gc = g - g.mean()
     denom = np.sqrt((pc**2).sum() * (gc**2).sum())
@@ -61,47 +59,32 @@ def _cc(p: np.ndarray, g: np.ndarray) -> float:
     return float((pc * gc).sum() / denom)
 
 
-def _sim(p: np.ndarray, g: np.ndarray) -> float:
+def sim(pred: SaliencyMap, truth: SaliencyMap) -> float:
+    """Histogram intersection of the sum-normalized maps."""
+    p, g = _float64_pair(pred, truth)
     if p.sum() <= 0.0 or g.sum() <= 0.0:
         raise ValueError("sim undefined for a zero-sum map")
     return float(np.minimum(p / p.sum(), g / g.sum()).sum())
 
 
-def _nss(p: np.ndarray, fix: FixationSet) -> float:
+def kld(pred: SaliencyMap, truth: SaliencyMap, epsilon: float = 1e-7) -> float:
+    """KL(truth || pred) over sum-normalized maps; shared with the hybrid
+    training loss so evaluation and training agree exactly."""
+    return _kld_term(*_float64_pair(pred, truth), epsilon)
+
+
+def nss(pred: SaliencyMap, fix: FixationSet) -> float:
+    """Mean z-scored saliency at fixation points (population std)."""
     if len(fix) == 0:
         raise ValueError("nss needs at least one fixation")
-    height, width = p.shape
-    fix.validate_bounds(width, height)
+    fix.validate_bounds(pred.width, pred.height)
+    p = pred.float64
     sigma = p.std()  # population std
     if sigma == 0.0:
         raise ValueError("nss undefined for a constant map")
     mu = p.mean()
     vals = [(p[y, x] - mu) / sigma for x, y in fix.points]
     return float(np.mean(vals))
-
-
-def cc(pred: SaliencyMap, truth: SaliencyMap) -> float:
-    """Pearson correlation of the two pixel populations."""
-    _check_same_dims(pred, truth)
-    return _cc(_as64(pred), _as64(truth))
-
-
-def sim(pred: SaliencyMap, truth: SaliencyMap) -> float:
-    """Histogram intersection of the sum-normalized maps."""
-    _check_same_dims(pred, truth)
-    return _sim(_as64(pred), _as64(truth))
-
-
-def kld(pred: SaliencyMap, truth: SaliencyMap, epsilon: float = 1e-7) -> float:
-    """KL(truth || pred) over sum-normalized maps; shared with the hybrid
-    training loss so evaluation and training agree exactly."""
-    _check_same_dims(pred, truth)
-    return _kld_term(_as64(pred), _as64(truth), epsilon)
-
-
-def nss(pred: SaliencyMap, fix: FixationSet) -> float:
-    """Mean z-scored saliency at fixation points (population std)."""
-    return _nss(_as64(pred), fix)
 
 
 def auc_judd(pred: SaliencyMap, fix: FixationSet) -> float:
@@ -137,19 +120,14 @@ def auc_judd(pred: SaliencyMap, fix: FixationSet) -> float:
 def evaluate_all(
     pred: SaliencyMap, truth: SaliencyMap, fix: FixationSet, epsilon: float = 1e-7
 ) -> MetricReport:
-    """Bundle of the five metrics for one image; each map is widened to
-    float64 once and shared by NSS, CC, SIM and KLD."""
-    auc = auc_judd(pred, fix)
-    p = _as64(pred)
-    score = _nss(p, fix)
-    _check_same_dims(pred, truth)
-    g = _as64(truth)
+    """The five metrics for one image. Each map is widened to float64 once,
+    by its cached `SaliencyMap.float64`, and shared by NSS, CC, SIM and KLD."""
     return MetricReport(
-        auc_judd=auc,
-        nss=score,
-        cc=_cc(p, g),
-        sim=_sim(p, g),
-        kld=_kld_term(p, g, epsilon),
+        auc_judd=auc_judd(pred, fix),
+        nss=nss(pred, fix),
+        cc=cc(pred, truth),
+        sim=sim(pred, truth),
+        kld=kld(pred, truth, epsilon),
     )
 
 

@@ -118,7 +118,8 @@ class MockPerceptionProvider:
         self.scene = scene
 
     def perceive(self, image: ImageBuffer, prompt: str) -> SaliencyMap:
-        return SaliencyMap.from_array(self.scene.distortion_field.copy())
+        # FloatGrid.from_array copies the field into its bytes
+        return SaliencyMap.from_array(self.scene.distortion_field)
 
 
 class MockReasoningProvider:

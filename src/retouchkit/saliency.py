@@ -6,6 +6,7 @@ map into region proposals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +39,14 @@ class SaliencyMap:
     def to_array(self) -> np.ndarray:
         return self.grid.to_array()
 
+    @cached_property
+    def float64(self) -> np.ndarray:
+        """A read-only float64 copy of the map, built on first use; not a
+        field, so `==` and `hash` see only the grid."""
+        arr = self.to_array().astype(np.float64)
+        arr.setflags(write=False)
+        return arr
+
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "SaliencyMap":
         return cls(FloatGrid.from_array(arr))
@@ -51,7 +60,7 @@ class HybridLossConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:  # also rejects NaN
             raise ValueError("epsilon must be positive")
 
 
@@ -101,15 +110,19 @@ def union_mask(regions: Sequence[RegionProposal], height: int, width: int) -> np
     return frame
 
 
-def _check_same_dims(a: SaliencyMap, b: SaliencyMap) -> None:
+def _float64_pair(a: SaliencyMap, b: SaliencyMap) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 views of two maps of the same dimensions."""
     if (a.width, a.height) != (b.width, b.height):
         raise ValueError(
             "dimension mismatch: %dx%d vs %dx%d" % (a.width, a.height, b.width, b.height)
         )
+    return a.float64, b.float64
 
 
 def _kld_term(pred: np.ndarray, truth: np.ndarray, epsilon: float) -> float:
     # Both maps sum-normalized; KL(truth || pred) with epsilon stabilization.
+    if not epsilon > 0.0:  # also rejects NaN
+        raise ValueError("epsilon must be positive, got %r" % epsilon)
     gsum = truth.sum()
     if gsum <= 0.0:
         raise ValueError("truth map sums to 0; KLD undefined")
@@ -121,9 +134,7 @@ def _kld_term(pred: np.ndarray, truth: np.ndarray, epsilon: float) -> float:
 
 def hybrid_loss(pred: SaliencyMap, truth: SaliencyMap, cfg: HybridLossConfig) -> float:
     """alpha * MSE(pred, truth) + (1 - alpha) * KL(truth || pred)."""
-    _check_same_dims(pred, truth)
-    p = pred.to_array().astype(np.float64)
-    g = truth.to_array().astype(np.float64)
+    p, g = _float64_pair(pred, truth)
     mse = float(np.mean((p - g) ** 2))
     if cfg.alpha == 1.0:
         return cfg.alpha * mse
@@ -133,9 +144,7 @@ def hybrid_loss(pred: SaliencyMap, truth: SaliencyMap, cfg: HybridLossConfig) ->
 def hybrid_loss_gradient(pred: SaliencyMap, truth: SaliencyMap, cfg: HybridLossConfig) -> FloatGrid:
     """Analytic d(hybrid_loss)/d(pred pixel), including the normalization
     chain rule inside the KLD term."""
-    _check_same_dims(pred, truth)
-    p = pred.to_array().astype(np.float64)
-    g = truth.to_array().astype(np.float64)
+    p, g = _float64_pair(pred, truth)
     n = p.size
     grad = cfg.alpha * 2.0 * (p - g) / n
     if cfg.alpha < 1.0:

@@ -440,7 +440,8 @@ def test_evaluate_reasoning_untokenizable_description(tmp_path, capsys):
     )
 
 
-def test_evaluate_saliency(tmp_path, capsys):
+def write_self_evaluation(tmp_path):
+    """A one-image dataset and a prediction equal to its ground truth."""
     from retouchkit.dataset import ground_truth_map, parse_dataset
 
     record = {
@@ -467,6 +468,11 @@ def test_evaluate_saliency(tmp_path, capsys):
     pred_dir = tmp_path / "preds"
     pred_dir.mkdir()
     (pred_dir / "img0.fsal").write_bytes(write_float_grid(truth.grid))
+    return ds_path, pred_dir
+
+
+def test_evaluate_saliency(tmp_path, capsys):
+    ds_path, pred_dir = write_self_evaluation(tmp_path)
     rc = main(["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir)])
     out = capsys.readouterr().out
     assert rc == 0
@@ -480,3 +486,19 @@ def test_evaluate_saliency(tmp_path, capsys):
     assert cc_v == pytest.approx(1.0, abs=1e-6)
     assert sim_v == pytest.approx(1.0, abs=1e-6)
     assert lines[2].startswith("aggregate\t")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--epsilon", "0"], "epsilon must be positive, got 0.0"),
+        (["--epsilon", "-1"], "epsilon must be positive, got -1.0"),
+        (["--epsilon", "nan"], "epsilon must be positive, got nan"),
+        (["--blur-sigma", "-3"], "blur_sigma must be >= 0, got -3.0"),
+        (["--blur-sigma", "nan"], "blur_sigma must be >= 0, got nan"),
+    ],
+)
+def test_evaluate_saliency_rejects_an_out_of_range_option(tmp_path, capsys, args, message):
+    ds_path, pred_dir = write_self_evaluation(tmp_path)
+    assert main(["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir), *args]) == 1
+    assert capsys.readouterr().err == message + "\n"

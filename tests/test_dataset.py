@@ -288,6 +288,12 @@ def test_ground_truth_one_region():
     assert fix.points == ((50, 50),)
 
 
+@pytest.mark.parametrize("sigma", [-3.0, -1e-9, float("nan")])
+def test_ground_truth_rejects_a_blur_sigma_below_zero(sigma):
+    with pytest.raises(ValueError, match="blur_sigma must be >= 0"):
+        ground_truth_map(make_record([region(50, 50)]), blur_sigma=sigma)
+
+
 def test_ground_truth_union_of_overlapping():
     rec = make_record([region(50, 50), region(52, 50)])
     m, fix = ground_truth_map(rec)

@@ -50,6 +50,9 @@ def test_pnm_comments_and_whitespace():
         (b"P3\n1 1\n255\n\x00", MalformedHeaderError),
         (b"P5\n1 x\n255\n\x00", MalformedHeaderError),
         (b"P5\n1 1\n70000\n\x00", UnsupportedMaxvalError),
+        (b"P5\n1 1\n1\n\x01", UnsupportedMaxvalError),
+        (b"P5\n2 1\n15\n\x0f\xc8", UnsupportedMaxvalError),
+        (b"P6\n1 1\n254\n\x00\x00\x00", UnsupportedMaxvalError),
         (b"P5\n2 2\n255\n\x00", TruncatedPayloadError),
         (b"", MalformedHeaderError),
     ],

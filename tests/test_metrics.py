@@ -132,6 +132,15 @@ def test_kld_zero_truth():
         kld(smap([[0.5, 0.5]]), smap([[0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+def test_kld_rejects_an_epsilon_that_is_not_positive(epsilon):
+    m = smap([[0.2, 0.8]])
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        kld(m, m, epsilon)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        evaluate_all(m, m, FixationSet([(1, 0)]), epsilon=epsilon)
+
+
 # --- nss -----------------------------------------------------------------
 
 def test_nss_single_peak_derived():
@@ -325,6 +334,29 @@ def test_evaluate_all_equals_the_single_metrics():
         fix = FixationSet([(int(rng.integers(9)), int(rng.integers(7))) for _ in range(3)])
         want = MetricReport(auc_judd(p, fix), nss(p, fix), cc(p, g), sim(p, g), kld(p, g, 1e-6))
         assert evaluate_all(p, g, fix, epsilon=1e-6) == want
+
+
+def test_evaluate_all_calls_each_public_metric_once(monkeypatch):
+    import retouchkit.metrics as metrics
+
+    rng = np.random.default_rng(5)
+    p = smap(rng.random((6, 8)))
+    g = smap(rng.random((6, 8)))
+    fix = FixationSet([(1, 2), (7, 5)])
+    want = evaluate_all(p, g, fix)
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("auc_judd", "nss", "cc", "sim", "kld"):
+        monkeypatch.setattr(metrics, name, counting(name, getattr(metrics, name)))
+    assert metrics.evaluate_all(p, g, fix) == want
+    assert calls == ["auc_judd", "nss", "cc", "sim", "kld"]
 
 
 def test_evaluate_all_self_bundle():

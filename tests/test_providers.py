@@ -59,6 +59,16 @@ def test_mock_perceive_returns_field():
     assert np.array_equal(m.to_array(), p.perceive(scene.image, "prompt").to_array())
 
 
+def test_mock_perceived_map_keeps_its_values_after_an_inpaint():
+    scene = scene_with_bump(0.8, decay=0.5)
+    m = MockPerceptionProvider(scene).perceive(scene.image, "prompt")
+    mask = np.zeros((4, 4), bool)
+    mask[1, 1] = True
+    MockInpaintTool(scene).inpaint(scene.image, mask=mask)
+    assert scene.distortion_field[1, 1] == pytest.approx(0.4)
+    assert m.to_array()[1, 1] == np.float32(0.8)
+
+
 def test_mock_perceive_zero_field():
     scene = SyntheticScene(gray_image(), np.zeros((4, 4), np.float32))
     assert not MockPerceptionProvider(scene).perceive(scene.image, "").to_array().any()

@@ -113,6 +113,27 @@ def test_loss_alpha1_equals_independent_mse():
         assert abs(got - mse) <= 1e-12
 
 
+def test_float64_view_is_cached_and_read_only():
+    arr = np.random.default_rng(2).random((3, 5)).astype(np.float32)
+    m = smap(arr)
+    view = m.float64
+    assert view.dtype == np.float64
+    assert np.array_equal(view, m.to_array().astype(np.float64))
+    assert m.float64 is view
+    assert not view.flags.writeable
+    with pytest.raises(ValueError):
+        view[0, 0] = 0.5
+    # not a field: equality and hash still see only the grid
+    fresh = smap(arr)
+    assert m == fresh and hash(m) == hash(fresh)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+def test_loss_config_rejects_an_epsilon_that_is_not_positive(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        HybridLossConfig(epsilon=epsilon)
+
+
 def test_loss_dimension_mismatch():
     with pytest.raises(ValueError):
         hybrid_loss(smap([[0.1]]), smap([[0.1, 0.2]]), HybridLossConfig())
