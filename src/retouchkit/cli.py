@@ -47,7 +47,9 @@ def _cmd_evaluate_saliency(args) -> int:
         print("empty dataset", file=sys.stderr)
         return 1
     pred_dir = Path(args.pred_dir)
-    print(metrics.TSV_HEADER)
+    # every row is computed before any is printed, so an error leaves no
+    # partial table on stdout
+    lines = [metrics.TSV_HEADER]
     reports = []
     for rec in records:
         pred_path = pred_dir / ("%s.fsal" % rec.image_id)
@@ -55,9 +57,10 @@ def _cmd_evaluate_saliency(args) -> int:
         truth, fix = ds.ground_truth_map(rec, blur_sigma=args.blur_sigma)
         report = metrics.evaluate_all(pred, truth, fix, epsilon=args.epsilon)
         reports.append(report)
-        print("%s\t%s" % (rec.image_id, report.as_tsv_row()))
+        lines.append("%s\t%s" % (rec.image_id, report.as_tsv_row()))
     agg = metrics.aggregate_reports(reports)
-    print("aggregate\t%s" % agg.as_tsv_row())
+    lines.append("aggregate\t%s" % agg.as_tsv_row())
+    print("\n".join(lines))
     return 0
 
 

@@ -1,7 +1,5 @@
 import base64
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +7,7 @@ import pytest
 
 from retouchkit.cli import main
 from retouchkit.media_io import FloatGrid, ImageBuffer, write_float_grid, write_pnm
+from fake_backend import FakeBackend, LoopbackServer
 
 DATA = Path(__file__).parent / "data"
 
@@ -229,45 +228,12 @@ def test_run_loop_no_eligible_tool_writes_trace(tmp_path, capsys):
     assert out_img.read_bytes() == img.read_bytes()
 
 
-class ZeroMapBackend:
-    """Loopback backend answering every POST with an 8x8 FSAL1 map, all
-    zero unless `field` is given, and the `diagnoses` list."""
-
-    def __init__(self, field=None, diagnoses=()):
-        grid = FloatGrid.from_array(np.zeros((8, 8), np.float32) if field is None else field)
-        answer = {
-            "saliency_b64": base64.b64encode(write_float_grid(grid)).decode(),
-            "diagnoses": list(diagnoses),
-        }
-
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *args):
-                pass
-
-            def do_POST(self):
-                self.rfile.read(int(self.headers["Content-Length"]))
-                body = json.dumps(answer).encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=self.server.serve_forever, daemon=True).start()
-        self.url = "http://127.0.0.1:%d" % self.server.server_address[1]
-
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
-
-
 @pytest.fixture
 def backend_env(monkeypatch):
-    backend = ZeroMapBackend()
-    for role in ("PERCEPTION", "REASONING", "INPAINT"):
-        monkeypatch.setenv("RETOUCH_BACKEND_%s_URL" % role, backend.url)
-    yield monkeypatch
-    backend.close()
+    with LoopbackServer(FakeBackend()) as server:
+        for role in ("PERCEPTION", "REASONING", "INPAINT"):
+            monkeypatch.setenv("RETOUCH_BACKEND_%s_URL" % role, server.url)
+        yield monkeypatch
 
 
 def test_run_loop_http_backends_from_env(tmp_path, capsys, backend_env):
@@ -294,17 +260,21 @@ def test_run_loop_malformed_diagnosis_writes_the_trace(tmp_path, capsys, monkeyp
     # loop stops provider_error instead of a TypeError escaping main
     field = np.zeros((8, 8), np.float32)
     field[3:5, 3:5] = 0.9
+    grid = FloatGrid.from_array(field)
     entry = {"id": "r0", "category": "face_distortion", "description": "d", "severity": None}
-    backend = ZeroMapBackend(field, [entry])
-    for role in ("PERCEPTION", "REASONING", "INPAINT"):
-        monkeypatch.setenv("RETOUCH_BACKEND_%s_URL" % role, backend.url)
+    backend = FakeBackend(
+        answers={
+            "/v1/perceive": {"saliency_b64": base64.b64encode(write_float_grid(grid)).decode()},
+            "/v1/diagnose": {"diagnoses": [entry]},
+        }
+    )
     img = tmp_path / "in.pnm"
     trace_path = tmp_path / "trace.json"
     write_gray_image(img)
-    try:
+    with LoopbackServer(backend) as server:
+        for role in ("PERCEPTION", "REASONING", "INPAINT"):
+            monkeypatch.setenv("RETOUCH_BACKEND_%s_URL" % role, server.url)
         rc = main(["run-loop", "--image", str(img), "--tau", "0.5", "--trace", str(trace_path)])
-    finally:
-        backend.close()
     assert rc == 1
     trace = json.loads(trace_path.read_text())
     assert trace["stop_reason"] == "provider_error"
@@ -501,4 +471,18 @@ def test_evaluate_saliency(tmp_path, capsys):
 def test_evaluate_saliency_rejects_an_out_of_range_option(tmp_path, capsys, args, message):
     ds_path, pred_dir = write_self_evaluation(tmp_path)
     assert main(["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir), *args]) == 1
-    assert capsys.readouterr().err == message + "\n"
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+
+
+def test_evaluate_saliency_missing_prediction_prints_no_partial_table(tmp_path, capsys):
+    # the first image evaluates; the second has no .fsal
+    ds_path, pred_dir = write_self_evaluation(tmp_path)
+    first = json.loads(ds_path.read_text())
+    second = dict(first, image_id="img1", image="img1.pnm")
+    ds_path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    assert main(["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "[Errno 2] No such file or directory: %r\n" % str(pred_dir / "img1.fsal")

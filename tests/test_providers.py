@@ -1,11 +1,9 @@
 import base64
-import json
 import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+import requests
 
 from retouchkit.dataset import DistortionCategory
 from retouchkit.loop import STOP_PROVIDER_ERROR, LoopConfig, LoopProviders, run_loop
@@ -24,12 +22,14 @@ from retouchkit.providers import (
     SyntheticScene,
     ToolDescriptor,
     ToolPolicy,
+    TransportError,
     http_provider,
     mask_from_bytes,
     select_tool,
 )
 from retouchkit.saliency import RegionProposal
 from retouchkit.textmetrics import Diagnosis
+from fake_backend import URL, Delay, FakeBackend, mount
 from test_saliency import flood_fill_components
 
 
@@ -204,72 +204,9 @@ def _b64(data):
     return base64.b64encode(data).decode()
 
 
-class _Backend:
-    """Counting test server with scriptable behavior."""
-
-    def __init__(self, fail_first=0, saliency_shape=None, delay=0.0, answers=None):
-        self.fail_first = fail_first
-        self.saliency_shape = saliency_shape  # override returned dims
-        self.delay = delay
-        self.answers = answers or {}  # path -> scripted JSON answer
-        self.requests = []  # (path, JSON request) of every answered call
-        self.calls = 0
-        self.in_flight = 0
-        self.max_in_flight = 0
-        self.lock = threading.Lock()
-        backend = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *args):
-                pass
-
-            def do_POST(self):
-                with backend.lock:
-                    backend.calls += 1
-                    backend.in_flight += 1
-                    backend.max_in_flight = max(backend.max_in_flight, backend.in_flight)
-                    fail = backend.calls <= backend.fail_first
-                try:
-                    if backend.delay:
-                        time.sleep(backend.delay)
-                    if fail:
-                        self.send_response(500)
-                        self.end_headers()
-                        return
-                    length = int(self.headers["Content-Length"])
-                    req = json.loads(self.rfile.read(length))
-                    with backend.lock:
-                        backend.requests.append((self.path, req))
-                    h, w = backend.saliency_shape or (4, 4)
-                    grid = FloatGrid.from_array(np.zeros((h, w), np.float32))
-                    answer = backend.answers.get(
-                        self.path,
-                        {"saliency_b64": _b64(write_float_grid(grid)), "width": w, "height": h},
-                    )
-                    body = json.dumps(answer).encode()
-                    self.send_response(200)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                finally:
-                    with backend.lock:
-                        backend.in_flight -= 1
-
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        # a short poll keeps close() from waiting up to 0.5 s per backend
-        self.thread = threading.Thread(
-            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-        )
-        self.thread.start()
-
-    @property
-    def url(self):
-        return "http://127.0.0.1:%d" % self.server.server_address[1]
-
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
+def _http(role, backend, **cfg):
+    """An HTTP provider of `role` served in-process by `backend`."""
+    return mount(http_provider(URL, role, HttpConfig(**cfg)), backend)
 
 
 @pytest.mark.parametrize(
@@ -291,59 +228,41 @@ def test_http_config_rejects(field, value, message):
 
 
 def test_http_retry_then_success():
-    backend = _Backend(fail_first=2)
-    try:
-        provider = HttpPerceptionProvider(
-            backend.url, HttpConfig(retries=3, backoff_base_s=0.01)
-        )
-        out = provider.perceive(gray_image(), "p")
-        assert out.width == 4
-        assert backend.calls == 3
-    finally:
-        backend.close()
+    backend = FakeBackend(outcomes=[500, 500])
+    provider = _http("perception", backend, retries=3, backoff_base_s=0.01)
+    out = provider.perceive(gray_image(), "p")
+    assert out.width == 4
+    assert backend.calls == 3
 
 
 def test_http_retry_budget_exhausted():
-    backend = _Backend(fail_first=100)
-    try:
-        provider = HttpPerceptionProvider(
-            backend.url, HttpConfig(retries=2, backoff_base_s=0.01)
-        )
-        with pytest.raises(HttpStatusError):
-            provider.perceive(gray_image(), "p")
-        assert backend.calls == 3  # initial try + 2 retries
-    finally:
-        backend.close()
+    backend = FakeBackend(outcomes=[500] * 100)
+    provider = _http("perception", backend, retries=2, backoff_base_s=0.01)
+    with pytest.raises(HttpStatusError):
+        provider.perceive(gray_image(), "p")
+    assert backend.calls == 3  # initial try + 2 retries
 
 
 def test_http_dim_mismatch_is_schema_error():
-    backend = _Backend(saliency_shape=(2, 2))
-    try:
-        provider = HttpPerceptionProvider(backend.url, HttpConfig(retries=0))
-        with pytest.raises(SchemaError):
-            provider.perceive(gray_image(), "p")
-    finally:
-        backend.close()
+    backend = FakeBackend(answers={"/v1/perceive": {"saliency_b64": _GRID_2X2}})
+    with pytest.raises(SchemaError):
+        _http("perception", backend, retries=0).perceive(gray_image(), "p")
 
 
 def test_http_in_flight_bound():
-    backend = _Backend(delay=0.15)
-    try:
-        provider = HttpPerceptionProvider(
-            backend.url, HttpConfig(retries=0, max_in_flight=2)
-        )
-        threads = [
-            threading.Thread(target=provider.perceive, args=(gray_image(), "p"))
-            for _ in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert backend.calls == 4
-        assert backend.max_in_flight <= 2
-    finally:
-        backend.close()
+    backend = FakeBackend(outcomes=[Delay(0.15)] * 4)
+    provider = _http("perception", backend, retries=0, max_in_flight=2)
+    threads = [
+        threading.Thread(target=provider.perceive, args=(gray_image(), "p"))
+        for _ in range(4)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert backend.calls == 4
+    assert backend.max_in_flight <= 2
 
 
 def test_http_provider_factory():
@@ -372,11 +291,8 @@ def test_http_diagnose_sends_full_frame_masks():
     frames = [np.zeros((5, 6), bool) for _ in regions]
     frames[0][2, 3] = frames[0][3, 4] = True
     frames[1][4, 0:2] = True
-    backend = _Backend(answers={"/v1/diagnose": _answer(_entry(0), _entry(1))})
-    try:
-        http_provider(backend.url, "reasoning").diagnose(gray_image(6, 5), "p", regions)
-    finally:
-        backend.close()
+    backend = FakeBackend(answers={"/v1/diagnose": _answer(_entry(0), _entry(1))})
+    _http("reasoning", backend).diagnose(gray_image(6, 5), "p", regions)
     [(path, req)] = backend.requests
     assert path == "/v1/diagnose"
     assert [r["bbox"] for r in req["regions"]] == [[3, 2, 4, 3], [0, 4, 1, 4]]
@@ -404,9 +320,10 @@ _GRID_2X2 = _b64(write_float_grid(FloatGrid.from_array(np.zeros((2, 2), np.float
 _PNM_3X3 = _b64(write_pnm(gray_image(3, 3)))
 
 
-def _call(role, url):
-    """One call of `role` on a 4x4 gray image; diagnose sends two regions."""
-    provider = http_provider(url, role, HttpConfig(retries=2, backoff_base_s=0.01))
+def _call(role, backend):
+    """One call of `role` on a 4x4 gray image, with two retries and no
+    backoff; diagnose sends two regions."""
+    provider = _http(role, backend, retries=2, backoff_base_s=0)
     image = gray_image()
     if role == "perception":
         return provider.perceive(image, "p")
@@ -418,6 +335,9 @@ def _call(role, url):
 @pytest.mark.parametrize(
     "role, answer",
     [
+        pytest.param("perception", b"<html>busy</html>", id="body-not-json"),
+        # a list has no .get, which only the reasoning provider calls
+        pytest.param("reasoning", [_entry(0), _entry(1)], id="body-a-list"),
         pytest.param("perception", {}, id="perceive-missing"),
         pytest.param("perception", {"saliency_b64": "no base64!"}, id="perceive-not-base64"),
         pytest.param("perception", {"saliency_b64": 7}, id="perceive-not-a-string"),
@@ -445,32 +365,101 @@ def _call(role, url):
     ],
 )
 def test_http_malformed_answer_is_schema_error(role, answer):
-    backend = _Backend(answers={_PATHS[role]: answer})
-    try:
-        with pytest.raises(SchemaError):
-            _call(role, backend.url)
-        assert backend.calls == 1  # a bad answer is not retried
-    finally:
-        backend.close()
+    backend = FakeBackend(answers={_PATHS[role]: answer})
+    with pytest.raises(SchemaError):
+        _call(role, backend)
+    assert backend.calls == 1  # a bad answer is not retried
+
+
+def test_http_client_error_is_not_retried():
+    backend = FakeBackend(outcomes=[404])
+    with pytest.raises(HttpStatusError) as err:
+        _call("perception", backend)
+    assert err.value.status == 404
+    assert backend.calls == 1
+
+
+def test_http_malformed_answer_after_a_retry_is_not_retried():
+    backend = FakeBackend(outcomes=[503, b"<html>busy</html>"])
+    with pytest.raises(SchemaError, match="non-JSON response body"):
+        _call("inpaint", backend)
+    assert backend.calls == 2
+
+
+# --- HTTP fault injection: transport failures are retried ------------------
+
+_FAULTS = [
+    pytest.param(requests.Timeout("read timed out"), id="timeout"),
+    pytest.param(requests.ConnectionError("connection refused"), id="connection-error"),
+]
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@pytest.mark.parametrize("role", list(_PATHS))
+def test_http_transport_fault_recovered_by_a_retry(role, fault):
+    backend = FakeBackend(outcomes=[fault])
+    out = _call(role, backend)
+    if role == "perception":
+        assert (out.width, out.height) == (4, 4)
+    elif role == "reasoning":
+        assert [d.region_id for d in out] == ["r0", "r1"]
+    else:
+        assert out == gray_image()
+    assert backend.calls == 2
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@pytest.mark.parametrize("role", list(_PATHS))
+def test_http_transport_fault_exhausts_the_retries(role, fault):
+    backend = FakeBackend(outcomes=[fault] * 3)
+    with pytest.raises(TransportError, match="^transport failure: %s$" % fault.args[0]):
+        _call(role, backend)
+    assert backend.calls == 3  # initial try + 2 retries
+    assert [path for path, _ in backend.requests] == [_PATHS[role]] * 3
 
 
 def test_run_loop_stops_provider_error_on_a_null_severity():
     # the bare TypeError of float(None) used to escape run_loop
     scene = scene_with_bump(0.8)
-    backend = _Backend(answers={"/v1/diagnose": _answer(_entry(0, severity=None))})
-    try:
-        provs = LoopProviders(
-            perception=MockPerceptionProvider(scene),
-            reasoning=http_provider(backend.url, "reasoning", HttpConfig(retries=0)),
-            tools=[MockInpaintTool(scene)],
-        )
-        cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
-        trace = run_loop(scene.image, "p", provs, cfg)
-    finally:
-        backend.close()
+    backend = FakeBackend(answers={"/v1/diagnose": _answer(_entry(0, severity=None))})
+    provs = LoopProviders(
+        perception=MockPerceptionProvider(scene),
+        reasoning=_http("reasoning", backend, retries=0),
+        tools=[MockInpaintTool(scene)],
+    )
+    cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
+    trace = run_loop(scene.image, "p", provs, cfg)
     assert trace.stop_reason == STOP_PROVIDER_ERROR
     assert "r0" in trace.error
     [rec] = trace.records
     assert len(rec.regions) == 1
     assert rec.diagnoses == rec.actions == ()
     assert trace.final_image == scene.image
+
+
+def test_run_loop_stops_provider_error_on_a_transport_failure():
+    # perception and diagnosis answer; every inpaint attempt loses its
+    # connection, so the record keeps its regions and diagnoses, no action
+    # and no edit
+    scene = scene_with_bump(0.8)
+    perceived = {"saliency_b64": _b64(write_float_grid(FloatGrid.from_array(scene.distortion_field)))}
+    fault = requests.ConnectionError("connection reset by peer")
+    backends = [
+        FakeBackend(answers={"/v1/perceive": perceived}),
+        FakeBackend(),
+        FakeBackend(outcomes=[fault] * 2),
+    ]
+    perception, reasoning, tool = (
+        _http(role, backend, retries=1, backoff_base_s=0)
+        for role, backend in zip(_PATHS, backends)
+    )
+    provs = LoopProviders(perception=perception, reasoning=reasoning, tools=[tool])
+    cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
+    trace = run_loop(scene.image, "p", provs, cfg)
+    assert trace.stop_reason == STOP_PROVIDER_ERROR
+    assert trace.error == "transport failure: connection reset by peer"
+    [rec] = trace.records
+    assert len(rec.regions) == len(rec.diagnoses) == 1
+    assert rec.actions == ()
+    assert trace.final_image == scene.image
+    assert [b.calls for b in backends] == [1, 1, 2]
