@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
+from .dataset import DistortionCategory
 from .media_io import ImageBuffer
 from .providers import (
     INSTRUCTION_DRIVEN,
@@ -50,6 +51,8 @@ class LoopConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.dilation_radius < 0:
             raise ValueError("dilation_radius must be >= 0")
+        if self.min_area < 1:
+            raise ValueError("min_area must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -125,8 +128,13 @@ def run_loop(
                     )
                 diagnoses = diagnosed
                 # regions come back in peak-saliency order already; every tool
-                # is chosen before the first edit
-                tools = [select_tool(providers.tools, d, cfg.tool_policy) for d in diagnoses]
+                # is chosen before the first edit, once per category: with the
+                # registry and the policy fixed, the choice depends on nothing else
+                chosen: dict[DistortionCategory, InpaintTool] = {}
+                for d in diagnoses:
+                    if d.category not in chosen:
+                        chosen[d.category] = select_tool(providers.tools, d, cfg.tool_policy)
+                tools = [chosen[d.category] for d in diagnoses]
                 planned = [
                     Action(
                         d.region_id,

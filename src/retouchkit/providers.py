@@ -168,9 +168,10 @@ class MockInpaintTool:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (image.height, image.width):
             raise ValueError("mask dims must equal image dims")
-        rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+        rows = np.flatnonzero(mask.any(axis=1))
         if not rows.size:
             return image
+        cols = np.flatnonzero(mask[rows[0] : rows[-1] + 1].any(axis=0))
         # all work stays inside the mask's bounding box
         box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
         hole = mask[box]

@@ -199,31 +199,43 @@ def extract_regions(mask: np.ndarray, source: SaliencyMap, min_area: int = 4) ->
     # of RSS, and the metrics path never needs it
     from scipy import ndimage
 
+    if min_area < 1:
+        raise ValueError("min_area must be >= 1")
     mask = np.asarray(mask, dtype=bool)
     src = source.to_array()
     if mask.shape != src.shape:
         raise ValueError("mask and source dimensions differ")
-    labels, n = ndimage.label(mask, structure=CONN8)
-    # every component's area and peak in one pass each over the frame; a crop
-    # is cut, inside its bounding box, only for a component that is kept
-    areas = np.bincount(labels.ravel(), minlength=n + 1)
-    peaks = np.full(n + 1, -np.inf, dtype=src.dtype)
-    np.maximum.at(peaks, labels.ravel(), src.ravel())
-    areas, peaks = areas.tolist(), peaks.tolist()  # Python scalars index faster
-    proposals = []
-    for lbl, (ys, xs) in enumerate(ndimage.find_objects(labels), start=1):
-        if areas[lbl] < min_area:
-            continue
-        proposals.append(
-            RegionProposal(
-                mask=labels[ys, xs] == lbl,
-                bbox=(xs.start, ys.start, xs.stop - 1, ys.stop - 1),
-                peak_saliency=peaks[lbl],
-                area=areas[lbl],
-            )
+    labels, _ = ndimage.label(mask, structure=CONN8)
+    # beyond the labelling, every statistic is taken from the set pixels
+    # alone: one stable sort groups them by label, each group in raster order
+    flat = np.flatnonzero(mask)
+    lab = labels.ravel()[flat]
+    flat = flat[np.argsort(lab, kind="stable")]
+    areas = np.bincount(lab)[1:]  # labels run 1..n, none empty
+    lasts = np.cumsum(areas) - 1
+    starts = lasts - areas + 1
+    vals = src.ravel()[flat]
+    peaks = np.maximum.reduceat(vals, starts)
+    # saliency is never negative, so a zero peak means a component of +-0
+    # values; it peaks at the last one in raster order, as a pixel-by-pixel
+    # maximum does, where reduceat's vector loop may return either zero
+    peaks = np.where(peaks == 0, vals[lasts], peaks)
+    ys, xs = np.divmod(flat, mask.shape[1])
+    boxes = np.c_[np.minimum.reduceat(xs, starts), ys[starts], np.maximum.reduceat(xs, starts), ys[lasts]]
+    keep = np.flatnonzero(areas >= min_area)
+    keep = keep[np.lexsort((boxes[keep, 0], boxes[keep, 1], -peaks[keep]))]
+    # a crop is cut, inside its bounding box, only for a component that is kept
+    return [
+        RegionProposal(
+            mask=labels[y0 : y1 + 1, x0 : x1 + 1] == lbl,
+            bbox=(x0, y0, x1, y1),
+            peak_saliency=peak,
+            area=area,
         )
-    proposals.sort(key=lambda r: (-r.peak_saliency, r.bbox[1], r.bbox[0]))
-    return proposals
+        for lbl, (x0, y0, x1, y1), peak, area in zip(
+            (keep + 1).tolist(), boxes[keep].tolist(), peaks[keep].tolist(), areas[keep].tolist()
+        )
+    ]
 
 
 def propose_masks(

@@ -84,6 +84,17 @@ def test_propose_masks(tmp_path, capsys):
     assert regions[0]["area"] == 4
 
 
+@pytest.mark.parametrize("min_area", ["0", "-5"])
+def test_propose_masks_rejects_min_area_below_one(tmp_path, capsys, min_area):
+    # it used to run, with min_area acting as 1
+    fsal = tmp_path / "map.fsal"
+    write_bump_field(fsal)
+    assert main(["propose-masks", str(fsal), "--min-area", min_area]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "min_area must be >= 1\n"
+
+
 _ONE_REGION = """[
   {
     "bbox": [
@@ -177,6 +188,7 @@ def test_run_loop_mock_two_iterations(tmp_path, capsys):
     [
         (["--mock", "--dilation-radius", "-1"], "dilation_radius must be >= 0"),
         (["--timeout-ms", "0"], "timeout_s must be > 0"),
+        (["--mock", "--min-area", "0"], "min_area must be >= 1"),
     ],
 )
 def test_run_loop_rejects_an_out_of_range_option(tmp_path, capsys, args, message):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from retouchkit import loop as loop_module
 from retouchkit.dataset import DistortionCategory
 from retouchkit.loop import (
     STOP_CONVERGED,
@@ -31,11 +32,13 @@ from retouchkit.providers import (
     MockInpaintTool,
     MockPerceptionProvider,
     MockReasoningProvider,
+    NoEligibleToolError,
     ProviderError,
     SyntheticScene,
     ToolDescriptor,
+    select_tool,
 )
-from retouchkit.saliency import RegionProposal, SaliencyMap
+from retouchkit.saliency import RegionProposal, SaliencyMap, propose_masks
 from retouchkit.textmetrics import Diagnosis
 
 
@@ -65,6 +68,13 @@ def test_config_rejects_a_negative_dilation_radius():
     # first perception
     with pytest.raises(ValueError, match="dilation_radius must be >= 0"):
         LoopConfig(dilation_radius=-1)
+
+
+@pytest.mark.parametrize("min_area", [0, -5])
+def test_config_rejects_min_area_below_one(min_area):
+    # it used to be accepted, and acted as 1
+    with pytest.raises(ValueError, match="min_area must be >= 1"):
+        LoopConfig(min_area=min_area)
 
 
 def test_zero_field_converges_immediately():
@@ -591,6 +601,88 @@ def test_empty_registry_is_a_typed_stop():
     provs = LoopProviders(MockPerceptionProvider(scene), MockReasoningProvider(), [])
     trace = run_loop(scene.image, "p", provs, LoopConfig(min_area=1))
     assert trace.stop_reason == STOP_NO_ELIGIBLE_TOOL
+
+
+# --- one tool choice per category -----------------------------------------
+
+FACE, HAND, TEXT = (
+    DistortionCategory.FACE_DISTORTION,
+    DistortionCategory.LIMB_HAND_DEFORMITY,
+    DistortionCategory.TEXT_ANOMALY,
+)
+
+
+class CategoryReasoner:
+    """Diagnoses the i-th region with categories[i]."""
+
+    def __init__(self, categories):
+        self.categories = categories
+
+    def diagnose(self, image, prompt, regions):
+        return [
+            Diagnosis(region_id="r%d" % i, category=c, description="d", severity=0.5)
+            for i, c in enumerate(self.categories[: len(regions)])
+        ]
+
+
+def row_of_bumps(n, decay=0.5):
+    # n separate 2x2 bumps of falling height, so region i is bump i
+    image = ImageBuffer.from_array(np.full((8, 4 * n), 100, dtype=np.uint8))
+    field = np.zeros((8, 4 * n), dtype=np.float32)
+    for i in range(n):
+        field[3:5, 4 * i + 1 : 4 * i + 3] = 0.9 - 0.02 * i
+    return SyntheticScene(image=image, distortion_field=field, decay=decay)
+
+
+@pytest.fixture
+def select_tool_calls(monkeypatch):
+    """The category of every select_tool call made by run_loop."""
+    calls = []
+
+    def counting(registry, diagnosis, policy):
+        calls.append(diagnosis.category)
+        return select_tool(registry, diagnosis, policy)
+
+    monkeypatch.setattr(loop_module, "select_tool", counting)
+    return calls
+
+
+def test_one_tool_choice_per_category_per_iteration(select_tool_calls):
+    cats = [FACE, TEXT, FACE, HAND, TEXT, FACE, HAND, FACE]
+    scene = row_of_bumps(len(cats), decay=0.9)  # every bump stays salient
+    text_tool = ToolDescriptor(name="instruct", kind=INSTRUCTION_DRIVEN)
+    tools = [MockInpaintTool(scene), MockInpaintTool(scene, text_tool)]
+    provs = LoopProviders(MockPerceptionProvider(scene), CategoryReasoner(cats), tools)
+    cfg = LoopConfig(tau_s=0.5, max_iterations=2, dilation_radius=0, min_area=1)
+    trace = run_loop(scene.image, "p", provs, cfg)
+    assert select_tool_calls == [FACE, TEXT, HAND] * 2  # first appearance order, each iteration
+    for rec in trace.records:
+        assert [a.tool for a in rec.actions] == [
+            "instruct" if c is TEXT else "mock-inpaint" for c in cats
+        ]
+
+
+def test_no_eligible_tool_stops_at_the_first_diagnosis_without_a_tool(select_tool_calls):
+    # the registry lacks the instruction-driven kind; the third diagnosis is
+    # the first text anomaly
+    cats = [FACE, FACE, TEXT, FACE, TEXT]
+    scene = row_of_bumps(len(cats))
+    tools = [MockInpaintTool(scene)]
+    provs = LoopProviders(MockPerceptionProvider(scene), CategoryReasoner(cats), tools)
+    cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
+    trace = run_loop(scene.image, "p", provs, cfg)
+    # the record and error of a choice made region by region
+    smap = MockPerceptionProvider(row_of_bumps(len(cats))).perceive(scene.image, "p")
+    regions = tuple(propose_masks(smap, 0.5, 0, 1))
+    diagnoses = tuple(CategoryReasoner(cats).diagnose(scene.image, "p", regions))
+    with pytest.raises(NoEligibleToolError) as exc:
+        [select_tool(tools, d, cfg.tool_policy) for d in diagnoses]
+    assert trace.error == "no tool satisfies policy (kind=instruction-driven, max_cost=inf)"
+    record = IterationRecord(1, float(np.float32(0.9)), regions, diagnoses, ())
+    want = LoopTrace((record,), STOP_NO_ELIGIBLE_TOOL, scene.image, str(exc.value))
+    assert trace_to_json(trace) == trace_to_json(want)
+    assert trace.final_image == scene.image
+    assert select_tool_calls == [FACE, TEXT]
 
 
 # --- reports -------------------------------------------------------------

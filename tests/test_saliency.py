@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import retouchkit
 from retouchkit.saliency import (
@@ -274,6 +275,132 @@ def test_bbox_tight_and_peak():
     (r,) = regions
     assert r.bbox == (1, 1, 2, 2)
     assert r.peak_saliency == pytest.approx(0.9)
+
+
+@pytest.mark.parametrize("min_area", [0, -5])
+def test_extract_rejects_min_area_below_one(min_area):
+    # it used to be accepted and acted as 1
+    mask = np.ones((3, 3), bool)
+    with pytest.raises(ValueError, match="min_area must be >= 1"):
+        extract_regions(mask, smap(np.zeros((3, 3))), min_area)
+    with pytest.raises(ValueError, match="min_area must be >= 1"):
+        propose_masks(smap(np.ones((3, 3))), 0.5, 1, min_area)
+
+
+def oracle_regions(mask, values, min_area):
+    """(bbox, area, repr(peak), crop bytes) of every flood-filled component
+    with at least min_area pixels, sorted by (-peak, y0, x0); ties keep the
+    order of each component's first pixel in raster order. The peak is the
+    last of the equal maxima in raster order, so the sign of a zero peak is
+    that of the component's last pixel."""
+    found = []
+    for comp in flood_fill_components(mask):
+        if len(comp) < min_area:
+            continue
+        comp = sorted(comp)  # raster order
+        ys, xs = [y for y, _ in comp], [x for _, x in comp]
+        x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
+        peak = -math.inf
+        crop = np.zeros((y1 - y0 + 1, x1 - x0 + 1), bool)
+        for y, x in comp:
+            if float(values[y, x]) >= peak:
+                peak = float(values[y, x])
+            crop[y - y0, x - x0] = True
+        found.append(((x0, y0, x1, y1), len(comp), peak, crop.tobytes()))
+    found.sort(key=lambda f: (-f[2], f[0][1], f[0][0]))
+    return [(bbox, area, repr(peak), crop) for bbox, area, peak, crop in found]
+
+
+def region_fields(regions):
+    return [(r.bbox, r.area, repr(r.peak_saliency), r.mask.tobytes()) for r in regions]
+
+
+def full_frame_extract_regions(mask, source, min_area):
+    # reference: areas, peaks and bboxes from a bincount, a maximum.at and a
+    # find_objects over the whole frame
+    from scipy import ndimage
+
+    from retouchkit.saliency import CONN8
+
+    mask = np.asarray(mask, dtype=bool)
+    src = source.to_array()
+    labels, n = ndimage.label(mask, structure=CONN8)
+    areas = np.bincount(labels.ravel(), minlength=n + 1)
+    peaks = np.full(n + 1, -np.inf, dtype=src.dtype)
+    np.maximum.at(peaks, labels.ravel(), src.ravel())
+    areas, peaks = areas.tolist(), peaks.tolist()
+    proposals = []
+    for lbl, (ys, xs) in enumerate(ndimage.find_objects(labels), start=1):
+        if areas[lbl] < min_area:
+            continue
+        proposals.append(
+            RegionProposal(
+                mask=labels[ys, xs] == lbl,
+                bbox=(xs.start, ys.start, xs.stop - 1, ys.stop - 1),
+                peak_saliency=peaks[lbl],
+                area=areas[lbl],
+            )
+        )
+    proposals.sort(key=lambda r: (-r.peak_saliency, r.bbox[1], r.bbox[0]))
+    return proposals
+
+
+# few distinct values, so peaks tie and (y0, x0) decides; both zeros, so a
+# component of zeros can peak at either sign
+_TIED_VALUES = (0.0, -0.0, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def region_cases(draw):
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(h, w), (1, 3 * w), (3 * h, 1)]))
+    n = shape[0] * shape[1]
+    palette = draw(st.sampled_from([_TIED_VALUES, _TIED_VALUES[:2]]))  # or zeros only
+    values = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    fill = draw(st.sampled_from(["random", "all", "none"]))
+    if fill == "random":
+        density = draw(st.integers(1, 9))
+        cells = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+        mask = np.array(cells).reshape(shape) < density
+    else:
+        mask = np.full(shape, fill == "all")
+    min_area = draw(st.integers(1, 6))
+    return mask, np.array(values, np.float32).reshape(shape), min_area
+
+
+_ZERO_PAIR = (np.ones((1, 2), bool), np.array([[0.0, -0.0]], np.float32), 1)
+
+
+@given(region_cases())
+@example(_ZERO_PAIR)
+@settings(max_examples=300, deadline=None)
+def test_extract_matches_flood_fill_and_the_full_frame_reference(case):
+    mask, values, min_area = case
+    got = region_fields(extract_regions(mask, smap(values), min_area))
+    assert got == oracle_regions(mask, values, min_area)
+    assert got == region_fields(full_frame_extract_regions(mask, smap(values), min_area))
+
+
+def test_zero_peak_takes_the_sign_of_the_last_zero():
+    # runs of zeros of both signs: numpy's vectorised maximum returns either
+    # zero, depending on the pattern; a pixel-by-pixel maximum returns the last
+    rng = np.random.default_rng(3)
+    for n in range(1, 130):
+        values = rng.choice(np.array([0.0, -0.0], np.float32), (1, n))
+        (r,) = extract_regions(np.ones((1, n), bool), smap(values), 1)
+        assert repr(r.peak_saliency) == repr(float(values[0, -1])), n
+
+
+def test_extract_matches_the_full_frame_reference_on_large_maps():
+    # many components of tied peaks; also the 512^2 map at 12% of pixels set
+    rng = np.random.default_rng(12)
+    for shape, density in [((64, 64), 0.3), ((96, 80), 0.1), ((256, 256), 0.08), ((512, 512), 0.12)]:
+        values = rng.choice(np.array(_TIED_VALUES, np.float32), shape)
+        mask = rng.random(shape) < density
+        for min_area in (1, 4):
+            got = extract_regions(mask, smap(values), min_area)
+            want = full_frame_extract_regions(mask, smap(values), min_area)
+            assert region_fields(got) == region_fields(want), (shape, min_area)
 
 
 # --- propose_masks -------------------------------------------------------
