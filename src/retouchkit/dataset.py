@@ -216,16 +216,41 @@ def region_radius(image_height: int) -> float:
     return image_height / 20.0
 
 
+def _window(c: int, k: int, dim: int) -> tuple[int, int]:
+    """[c - k, c + k + 1) clamped to [0, dim] at both ends, so a centre off
+    the frame gives an empty window."""
+    return min(max(c - k, 0), dim), min(max(c + k + 1, 0), dim)
+
+
+def _disc(
+    center: tuple[int, int], image_height: int, image_width: int
+) -> tuple[tuple[slice, slice], np.ndarray]:
+    """The disc of radius height/20 around `center`, computed only inside
+    its window of half-width floor(r), as (rows, cols) slices of the frame
+    and the bool disc over them. Pixel (i, j) is set iff its squared
+    distance from the center is <= r^2; no pixel outside the window is."""
+    r = region_radius(image_height)
+    k = int(r)
+    cx, cy = center
+    y0, y1 = _window(cy, k, image_height)
+    x0, x1 = _window(cx, k, image_width)
+    ys = np.arange(y0 - cy, y1 - cy)[:, None]
+    xs = np.arange(x0 - cx, x1 - cx)[None, :]
+    return (slice(y0, y1), slice(x0, x1)), xs**2 + ys**2 <= r * r
+
+
 def rasterize_region(center: tuple[int, int], image_height: int, image_width: int) -> np.ndarray:
     """Disc mask of radius height/20 around `center`, clipped at borders.
 
     Pixel (i, j) is set iff its squared distance from the center is <= r^2.
+    The center may lie off the frame.
     """
-    r = region_radius(image_height)
-    cx, cy = center
-    ys = np.arange(image_height)[:, None]
-    xs = np.arange(image_width)[None, :]
-    return (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
+    if image_height < 1 or image_width < 1:
+        raise ValueError("image dimensions must be >= 1")
+    mask = np.zeros((image_height, image_width), dtype=bool)
+    window, disc = _disc(center, image_height, image_width)
+    mask[window] = disc
+    return mask
 
 
 def reconcile_majority(
@@ -322,7 +347,8 @@ def ground_truth_map(
         raise ValueError("blur_sigma must be >= 0, got %r" % blur_sigma)
     mask = np.zeros((record.height, record.width), dtype=bool)
     for reg in record.regions:
-        mask |= rasterize_region(reg.center, record.height, record.width)
+        window, disc = _disc(reg.center, record.height, record.width)
+        mask[window] |= disc
     dense = mask.astype(np.float32)
     if blur_sigma > 0.0 and mask.any():
         from scipy.ndimage import gaussian_filter

@@ -48,14 +48,20 @@ def tokenize(text: str) -> list[str]:
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    # classic O(len(a)*len(b)) dynamic program, rolling rows
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
-        prev = cur
-    return prev[-1]
+    # Allison & Dix's bit-vector LCS in Hyyro's form, one len(b)-bit
+    # integer step per token of a: bit j of v is clear iff the LCS of the
+    # part of a read so far with b[:j+1] is one longer than with b[:j]
+    positions: dict[str, int] = {}
+    for j, tok in enumerate(b):
+        positions[tok] = positions.get(tok, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
+    for tok in a:
+        m = positions.get(tok)
+        if m is not None:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def _nonempty_tokens(candidate: str, reference: str) -> tuple[list[str], list[str]]:
@@ -88,30 +94,28 @@ def meteor_lite(candidate: str, reference: str) -> float:
 
 
 def _meteor_lite(cand: Sequence[str], ref: Sequence[str]) -> float:
-    used = [False] * len(ref)
-    align: list[int | None] = []
-    for tok in cand:
-        hit = None
-        for j, rtok in enumerate(ref):
-            if not used[j] and rtok == tok:
-                hit = j
-                used[j] = True
-                break
-        align.append(hit)
-    matches = sum(1 for a in align if a is not None)
-    if matches == 0:
-        return 0.0
+    # each token's reference positions, highest first, so pop() hands out
+    # its first unused one: the greedy left-to-right alignment, in
+    # O(len(cand) + len(ref))
+    unused: dict[str, list[int]] = {}
+    for j in range(len(ref) - 1, -1, -1):
+        unused.setdefault(ref[j], []).append(j)
     # a chunk is a maximal run of matched candidate tokens whose reference
     # positions are consecutive and increasing
-    chunks = 0
+    matches = chunks = 0
     prev = None
-    for a in align:
-        if a is None:
+    for tok in cand:
+        stack = unused.get(tok)
+        if not stack:
             prev = None
             continue
-        if prev is None or a != prev + 1:
+        j = stack.pop()
+        matches += 1
+        if prev is None or j != prev + 1:
             chunks += 1
-        prev = a
+        prev = j
+    if matches == 0:
+        return 0.0
     p = matches / len(cand)
     r = matches / len(ref)
     f = 10.0 * p * r / (r + 9.0 * p)

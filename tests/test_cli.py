@@ -74,6 +74,37 @@ def test_rasterize(tmp_path, capsys):
     assert int((img.to_array() > 0).sum()) == 81
 
 
+def test_rasterize_clips_a_disc_whose_centre_is_left_of_the_frame(tmp_path, capsys):
+    # argparse reads a bare "-3,50" as an option, so the value is attached
+    out = tmp_path / "mask.pnm"
+    rc = main(
+        ["rasterize", "--width", "100", "--height", "100", "--center=-3,50", "-o", str(out)]
+    )
+    # radius 5 around (-3, 50): the offsets dx >= 3 stay on the frame
+    want = sum(1 for dx in range(3, 6) for dy in range(-5, 6) if dx * dx + dy * dy <= 25)
+    assert want == 17
+    assert rc == 0
+    assert capsys.readouterr().out == "%d pixels set\n" % want
+    from retouchkit.media_io import read_pnm
+
+    img = read_pnm(out.read_bytes()).to_array()
+    assert int((img > 0).sum()) == want
+    assert (img[45:56, :3] > 0).sum() == want
+
+
+def test_rasterize_a_centre_far_off_the_frame_sets_nothing(tmp_path, capsys):
+    out = tmp_path / "mask.pnm"
+    rc = main(
+        ["rasterize", "--width", "100", "--height", "100", "--center", "500,500", "-o", str(out)]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out == "0 pixels set\n"
+    from retouchkit.media_io import read_pnm
+
+    img = read_pnm(out.read_bytes()).to_array()
+    assert img.shape[:2] == (100, 100) and not img.any()
+
+
 def test_propose_masks(tmp_path, capsys):
     fsal = tmp_path / "map.fsal"
     write_bump_field(fsal)

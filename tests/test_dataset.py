@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from retouchkit.dataset import (
     AnnotationRecord,
@@ -149,6 +150,103 @@ def test_disc_counts_match_lattice_oracle():
     for height in range(20, 401, 20):
         mask = rasterize_region((height // 2, height // 2), height, height)
         assert int(mask.sum()) == lattice_count(region_radius(height))
+
+
+# reference oracle: the disc evaluated over the whole frame
+def full_frame_rasterize_region(center, image_height, image_width):
+    r = region_radius(image_height)
+    cx, cy = center
+    ys = np.arange(image_height)[:, None]
+    xs = np.arange(image_width)[None, :]
+    return (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
+
+
+# sides under 20 give r < 1 (the centre alone); multiples of 20 give an
+# integer r, so pixels at exactly r are set
+_SIDES = st.one_of(st.sampled_from([1, 2, 19, 20, 21, 40, 60, 100, 120]), st.integers(1, 130))
+
+
+@st.composite
+def off_frame_centres(draw):
+    h, w = draw(_SIDES), draw(_SIDES)
+
+    def coord(dim):
+        return draw(
+            st.one_of(
+                st.sampled_from([0, dim - 1, dim, -1, -(h // 20), dim + h // 20]),
+                st.integers(-3 * dim - 10, 3 * dim + 10),
+                st.sampled_from([-(10**6), 10**6]),
+            )
+        )
+
+    return (coord(w), coord(h)), h, w
+
+
+@given(off_frame_centres())
+@example(((-3, 50), 100, 100))
+@example(((500, 500), 100, 100))
+@example(((-6, -6), 100, 100))  # a corner just out of reach
+@example(((-5, 50), 100, 100))  # one pixel at exactly r
+@settings(max_examples=300, deadline=None)
+def test_rasterize_matches_the_full_frame_disc(case):
+    center, h, w = case
+    got = rasterize_region(center, h, w)
+    want = full_frame_rasterize_region(center, h, w)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("h, w", [(0, 10), (10, 0), (-5, 10), (10, -5)])
+def test_rasterize_rejects_an_empty_frame(h, w):
+    with pytest.raises(ValueError, match="image dimensions must be >= 1"):
+        rasterize_region((0, 0), h, w)
+
+
+def full_frame_ground_truth_map(record, blur_sigma):
+    mask = np.zeros((record.height, record.width), dtype=bool)
+    for reg in record.regions:
+        mask |= full_frame_rasterize_region(reg.center, record.height, record.width)
+    dense = mask.astype(np.float32)
+    if blur_sigma > 0.0 and mask.any():
+        from scipy.ndimage import gaussian_filter
+
+        dense = gaussian_filter(dense, sigma=blur_sigma)
+        dense = dense / dense.max()
+    return dense
+
+
+@st.composite
+def disc_records(draw):
+    h, w = draw(_SIDES), draw(_SIDES)
+
+    def coord(dim):
+        # borders and corners, or anywhere
+        return draw(st.one_of(st.sampled_from([0, dim - 1]), st.integers(0, dim - 1)))
+
+    centres = []
+    for _ in range(draw(st.integers(0, 6))):
+        if centres and draw(st.booleans()):  # overlap an earlier disc
+            x, y = draw(st.sampled_from(centres))
+            x = min(max(x + draw(st.integers(-3, 3)), 0), w - 1)
+            y = min(max(y + draw(st.integers(-3, 3)), 0), h - 1)
+        else:
+            x, y = coord(w), coord(h)
+        centres.append((x, y))
+    sigma = draw(st.sampled_from([0.0, 0.0, 0.7, 2.0]))
+    return make_record([region(x, y) for x, y in centres], width=w, height=h), sigma
+
+
+@given(disc_records())
+@example((make_record([region(0, 0), region(99, 99), region(50, 50), region(52, 50)]), 0.0))
+@example((make_record([region(0, 99), region(3, 97)]), 2.0))
+@settings(max_examples=200, deadline=None)
+def test_ground_truth_map_matches_the_full_frame_union(case):
+    record, sigma = case
+    got, fix = ground_truth_map(record, blur_sigma=sigma)
+    want = full_frame_ground_truth_map(record, sigma)
+    assert got.to_array().tobytes() == want.tobytes()
+    assert got.to_array().shape == want.shape
+    assert fix.points == tuple(reg.center for reg in record.regions)
 
 
 # --- reconcile_majority --------------------------------------------------

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from retouchkit.dataset import DistortionCategory, RegionAnnotation
 from retouchkit.textmetrics import (
     Diagnosis,
+    _lcs_length,
+    _meteor_lite,
+    _rouge_l,
     category_accuracy,
     evaluate_reasoning,
     meteor_lite,
@@ -161,3 +165,110 @@ def test_evaluate_reasoning_equals_the_pair_metrics():
     assert rep.accuracy == 0.5
     assert rep.rouge_l == sum(rouge_l(c, r) for c, r in pairs) / 2
     assert rep.meteor_lite == sum(meteor_lite(c, r) for c, r in pairs) / 2
+
+
+# --- reference oracles: the quadratic DP and the first-unused scan --------
+
+def dp_lcs_length(a, b):
+    # classic O(len(a)*len(b)) dynamic program, rolling rows
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
+        prev = cur
+    return prev[-1]
+
+
+def dp_rouge_l(cand, ref):
+    lcs = dp_lcs_length(cand, ref)
+    if lcs == 0:
+        return 0.0
+    p = lcs / len(cand)
+    r = lcs / len(ref)
+    return 2.0 * p * r / (p + r)
+
+
+def scan_meteor_lite(cand, ref):
+    # each candidate token takes the first unused equal reference token
+    used = [False] * len(ref)
+    align = []
+    for tok in cand:
+        hit = None
+        for j, rtok in enumerate(ref):
+            if not used[j] and rtok == tok:
+                hit = j
+                used[j] = True
+                break
+        align.append(hit)
+    matches = sum(1 for a in align if a is not None)
+    if matches == 0:
+        return 0.0
+    chunks = 0
+    prev = None
+    for a in align:
+        if a is None:
+            prev = None
+            continue
+        if prev is None or a != prev + 1:
+            chunks += 1
+        prev = a
+    p = matches / len(cand)
+    r = matches / len(ref)
+    f = 10.0 * p * r / (r + 9.0 * p)
+    penalty = 0.5 * (chunks / matches) ** 3
+    return f * (1.0 - penalty)
+
+
+# small alphabets force repeated tokens; up to 200 tokens runs the bit
+# vector past one 64-bit word
+_ALPHABETS = (("a",), ("a", "b"), ("a", "b", "c"), tuple("abcdefgh"))
+
+
+@st.composite
+def token_pairs(draw):
+    alphabet = draw(st.sampled_from(_ALPHABETS))
+
+    def side(tokens):
+        n = draw(st.one_of(st.integers(1, 8), st.integers(1, 200)))
+        return draw(st.lists(st.sampled_from(tokens), min_size=n, max_size=n))
+
+    cand = side(alphabet)
+    shape = draw(st.sampled_from(["random", "identical", "disjoint"]))
+    if shape == "identical":
+        ref = list(cand)
+    elif shape == "disjoint":
+        ref = side(("x", "y"))
+    else:
+        ref = side(alphabet)
+    return cand, ref
+
+
+_LONG = ["a", "b", "c", "a", "b"] * 40  # 200 tokens
+
+
+@given(token_pairs())
+@example((["a"], ["a"]))
+@example((["a"], ["b"]))
+@example((["b"], _LONG))
+@example((_LONG, ["c"]))
+@example((_LONG, _LONG))
+@example((_LONG, _LONG[::-1]))
+@example((_LONG[:70], ["z"] * 69 + ["a"]))
+@settings(max_examples=200, deadline=None)
+def test_text_kernels_match_the_dp_and_the_scan(pair):
+    cand, ref = pair
+    assert _lcs_length(cand, ref) == dp_lcs_length(cand, ref)
+    want = dp_rouge_l(cand, ref)
+    assert _rouge_l(cand, ref) == want
+    assert rouge_l(" ".join(cand), " ".join(ref)) == want
+    want = scan_meteor_lite(cand, ref)
+    assert _meteor_lite(cand, ref) == want
+    assert meteor_lite(" ".join(cand), " ".join(ref)) == want
+
+
+def test_lcs_of_identical_and_disjoint_sides():
+    assert _lcs_length(_LONG, _LONG) == 200
+    assert _lcs_length(_LONG, ["x"] * 200) == 0
+    assert _lcs_length(["a"], _LONG) == 1
+    assert _lcs_length(_LONG, ["c"]) == 1
