@@ -202,7 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rasterize", help="rasterize one annotation disc to a P5 mask")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--center", required=True, metavar="X,Y")
+    p.add_argument(
+        "--center",
+        required=True,
+        metavar="X,Y",
+        help="disc centre in pixels; write --center=X,Y when X is negative",
+    )
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_rasterize)
 

@@ -62,9 +62,10 @@ def cc(pred: SaliencyMap, truth: SaliencyMap) -> float:
 def sim(pred: SaliencyMap, truth: SaliencyMap) -> float:
     """Histogram intersection of the sum-normalized maps."""
     p, g = _float64_pair(pred, truth)
-    if p.sum() <= 0.0 or g.sum() <= 0.0:
+    psum, gsum = p.sum(), g.sum()
+    if psum <= 0.0 or gsum <= 0.0:
         raise ValueError("sim undefined for a zero-sum map")
-    return float(np.minimum(p / p.sum(), g / g.sum()).sum())
+    return float(np.minimum(p / psum, g / gsum).sum())
 
 
 def kld(pred: SaliencyMap, truth: SaliencyMap, epsilon: float = 1e-7) -> float:
@@ -74,15 +75,18 @@ def kld(pred: SaliencyMap, truth: SaliencyMap, epsilon: float = 1e-7) -> float:
 
 
 def nss(pred: SaliencyMap, fix: FixationSet) -> float:
-    """Mean z-scored saliency at fixation points (population std)."""
+    """Mean z-scored saliency at fixation points (population std). A
+    repeated fixation counts once per occurrence, so it weighs its pixel
+    more; `auc_judd` counts it once."""
     if len(fix) == 0:
         raise ValueError("nss needs at least one fixation")
     fix.validate_bounds(pred.width, pred.height)
     p = pred.float64
-    sigma = p.std()  # population std
+    mu = p.mean()
+    # the population std, bit-equal to p.std(), which would sum p again
+    sigma = np.sqrt(((p - mu) ** 2).sum() / p.size)
     if sigma == 0.0:
         raise ValueError("nss undefined for a constant map")
-    mu = p.mean()
     vals = [(p[y, x] - mu) / sigma for x, y in fix.points]
     return float(np.mean(vals))
 
@@ -90,15 +94,16 @@ def nss(pred: SaliencyMap, fix: FixationSet) -> float:
 def auc_judd(pred: SaliencyMap, fix: FixationSet) -> float:
     """ROC area with fixated pixels as positives, all other pixels as
     negatives; ties get half credit (Mann-Whitney convention), so a
-    constant map scores 0.5. Duplicate fixations count once.
+    constant map scores 0.5. A repeated fixation counts once; `nss`
+    counts it once per occurrence.
 
-    O(N log P) for N pixels and P fixated pixels: only the fixated values
-    are sorted, and each negative is ranked among them with two binary
-    searches. A negative that ties `right - left` positives and lies below
-    `P - right` of them adds `2*(P - right) + (right - left)` to twice the
-    Mann-Whitney count, so the count is `2*P*nneg - sum(right) -
-    sum(left)`. It is an integer and the result a single correctly-rounded
-    division, bit-equal to the pairwise statistic."""
+    One sort of the N pixel values, then each of the P fixated values is
+    ranked in it with two binary searches. The negatives strictly below a
+    positive are the pixels below it less the positives below it, and
+    likewise for those at or below it; their sum is what the positive adds
+    to twice the Mann-Whitney count. That count is an integer and the
+    result a single correctly-rounded division, bit-equal to the pairwise
+    statistic."""
     if len(fix) == 0:
         raise ValueError("auc_judd needs at least one fixation")
     fix.validate_bounds(pred.width, pred.height)
@@ -107,14 +112,14 @@ def auc_judd(pred: SaliencyMap, fix: FixationSet) -> float:
     is_pos = np.zeros(values.size, dtype=bool)
     is_pos[[y * pred.width + x for x, y in fix.points]] = True
     pos = np.sort(values[is_pos])
-    neg = values[~is_pos]
-    npos, nneg = pos.size, neg.size
+    npos = pos.size
+    nneg = values.size - npos
     if nneg == 0:
         raise ValueError("auc_judd needs at least one non-fixated pixel")
-    left = np.searchsorted(pos, neg, side="left")
-    right = np.searchsorted(pos, neg, side="right")
-    num = 2 * npos * nneg - int(right.sum()) - int(left.sum())
-    return num / (2 * npos * nneg)
+    ranked = np.sort(values)
+    below = np.searchsorted(ranked, pos, "left") - np.searchsorted(pos, pos, "left")
+    at_or_below = np.searchsorted(ranked, pos, "right") - np.searchsorted(pos, pos, "right")
+    return (int(below.sum()) + int(at_or_below.sum())) / (2 * npos * nneg)
 
 
 def evaluate_all(

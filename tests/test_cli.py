@@ -529,3 +529,41 @@ def test_evaluate_saliency_missing_prediction_prints_no_partial_table(tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "[Errno 2] No such file or directory: %r\n" % str(pred_dir / "img1.fsal")
+
+
+def write_seeded_predictions(pred_dir):
+    """One FSAL1 prediction per image of synthetic50.jsonl, seeded by its
+    line number: continuous float32 values for even lines; for odd lines
+    4 levels (heavy ties) with a first row of -0.0."""
+    for i, line in enumerate((DATA / "synthetic50.jsonl").read_text().splitlines()):
+        rec = json.loads(line)
+        arr = np.random.default_rng(i).random((rec["height"], rec["width"]), dtype=np.float32)
+        if i % 2:
+            arr = np.floor(arr * 4) / 4
+            arr[0] = -0.0
+        grid = FloatGrid.from_array(arr)
+        (pred_dir / ("%s.fsal" % rec["image_id"])).write_bytes(write_float_grid(grid))
+
+
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        ([], "evaluate_saliency_synthetic50.tsv"),
+        (["--blur-sigma", "2"], "evaluate_saliency_synthetic50_blur2.tsv"),
+    ],
+    ids=["no_blur", "blur_sigma_2"],
+)
+def test_evaluate_saliency_output_matches_the_golden_bytes(tmp_path, capsys, args, golden):
+    # the golden files were written by an earlier implementation of the
+    # five metrics from these same predictions
+    write_seeded_predictions(tmp_path)
+    rc = main(["evaluate-saliency", str(DATA / "synthetic50.jsonl"), "--pred-dir", str(tmp_path), *args])
+    assert rc == 0
+    assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+
+def test_rasterize_help_shows_the_form_for_a_negative_x(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rasterize", "--help"])
+    assert exc.value.code == 0
+    assert "--center=X,Y" in " ".join(capsys.readouterr().out.split())

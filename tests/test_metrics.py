@@ -324,6 +324,158 @@ def test_auc_with_almost_every_pixel_fixated(levels, nneg):
     assert auc_judd(smap(arr), fix) == mann_whitney(*pairwise(arr, flat))
 
 
+def reference_auc_judd(pred, fix):
+    """The O(N log P) body this module had before the single sort of the
+    map: the P fixated values are sorted, and each negative is ranked
+    among them with a left and a right binary search."""
+    if len(fix) == 0:
+        raise ValueError("auc_judd needs at least one fixation")
+    fix.validate_bounds(pred.width, pred.height)
+    values = pred.to_array().ravel()
+    is_pos = np.zeros(values.size, dtype=bool)
+    is_pos[[y * pred.width + x for x, y in fix.points]] = True
+    pos = np.sort(values[is_pos])
+    neg = values[~is_pos]
+    npos, nneg = pos.size, neg.size
+    if nneg == 0:
+        raise ValueError("auc_judd needs at least one non-fixated pixel")
+    left = np.searchsorted(pos, neg, side="left")
+    right = np.searchsorted(pos, neg, side="right")
+    num = 2 * npos * nneg - int(right.sum()) - int(left.sum())
+    return num / (2 * npos * nneg)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def auc_oracle_cases(draw):
+    """(map, flat fixations): 1xN, Nx1 and 2-D maps, either 1-4 value
+    levels with 0.0 and -0.0 side by side or continuous values; fixations
+    that may repeat, cover every pixel but one, or cover every pixel."""
+    shape = draw(st.sampled_from(["row", "column", "grid"]))
+    n = draw(st.integers(2, 40))
+    if shape == "row":
+        h, w = 1, n
+    elif shape == "column":
+        h, w = n, 1
+    else:
+        h, w = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    n = h * w
+    if draw(st.booleans()):
+        levels = draw(st.integers(1, 4))
+        codes = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+        signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        values = [
+            (-0.0 if neg else 0.0) if c == 0 else c / max(levels - 1, 1)
+            for c, neg in zip(codes, signs)
+        ]
+        arr = np.array(values, dtype=np.float32).reshape(h, w)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        arr = rng.random((h, w), dtype=np.float32)
+    kind = draw(st.sampled_from(["some", "all_but_one", "all"]))
+    if kind == "all_but_one":
+        skip = draw(st.integers(0, n - 1))
+        flat = [i for i in range(n) if i != skip]
+    elif kind == "all":
+        flat = list(range(n))
+    else:
+        flat = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    flat += draw(st.lists(st.sampled_from(flat), max_size=4))  # repeats
+    return arr, flat
+
+
+@given(auc_oracle_cases())
+@settings(max_examples=400, deadline=None)
+def test_auc_equals_the_previous_implementation(case):
+    arr, flat = case
+    w = arr.shape[1]
+    m, fix = smap(arr), FixationSet((i % w, i // w) for i in flat)
+    assert outcome(auc_judd, m, fix) == outcome(reference_auc_judd, m, fix)
+
+
+@pytest.mark.parametrize(
+    "arr, points, message",
+    [
+        ([[0.1, 0.9]], [], "auc_judd needs at least one fixation"),
+        # out of bounds is reported before "every pixel fixated"
+        ([[0.1, 0.9]], [(0, 0), (1, 0), (2, 0)], r"fixation \(2, 0\) outside 2x1 map"),
+        ([[0.1], [0.9]], [(0, 1), (0, 0), (0, 1)], "auc_judd needs at least one non-fixated pixel"),
+    ],
+)
+def test_auc_error_messages_in_order(arr, points, message):
+    m, fix = smap(arr), FixationSet(points)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        auc_judd(m, fix)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        reference_auc_judd(m, fix)
+
+
+def test_repeated_fixation_counts_once_in_auc_and_each_time_in_nss():
+    m = smap([[0.0, 0.2], [0.5, 1.0]])
+    once = FixationSet([(0, 0), (1, 1)])
+    twice = FixationSet([(0, 0), (1, 1), (1, 1)])
+    assert nss(m, once) == pytest.approx(0.199117, abs=1e-6)
+    assert nss(m, twice) == pytest.approx(0.641599, abs=1e-6)
+    # 1.0 beats both negatives (0.2, 0.5), 0.0 beats neither: 2 of 4 pairs
+    assert auc_judd(m, once) == auc_judd(m, twice) == 0.5
+
+
+def reference_nss(pred, fix):
+    """nss with numpy's own p.std() and p.mean()."""
+    if len(fix) == 0:
+        raise ValueError("nss needs at least one fixation")
+    fix.validate_bounds(pred.width, pred.height)
+    p = pred.float64
+    sigma = p.std()
+    if sigma == 0.0:
+        raise ValueError("nss undefined for a constant map")
+    mu = p.mean()
+    return float(np.mean([(p[y, x] - mu) / sigma for x, y in fix.points]))
+
+
+def reference_sim(pred, truth):
+    """sim with each map summed once for the check and once to normalize."""
+    p, g = pred.float64, truth.float64
+    if p.sum() <= 0.0 or g.sum() <= 0.0:
+        raise ValueError("sim undefined for a zero-sum map")
+    return float(np.minimum(p / p.sum(), g / g.sum()).sum())
+
+
+@st.composite
+def map_pairs(draw):
+    """Two maps of one shape, from 1x1 to 96x96: continuous, few-level,
+    constant or all-zero."""
+    h, w = draw(st.integers(1, 96)), draw(st.integers(1, 96))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def one():
+        kind = draw(st.sampled_from(["continuous", "levels", "constant", "zero"]))
+        if kind == "continuous":
+            return rng.random((h, w), dtype=np.float32)
+        if kind == "levels":
+            return (rng.integers(0, 4, (h, w)) / 3.0).astype(np.float32)
+        return np.full((h, w), 0.3 if kind == "constant" else 0.0, dtype=np.float32)
+
+    flat = draw(st.lists(st.integers(0, h * w - 1), min_size=1, max_size=8))
+    return one(), one(), [(i % w, i // w) for i in flat]
+
+
+@given(map_pairs())
+@settings(max_examples=200, deadline=None)
+def test_nss_and_sim_equal_their_reference_forms(case):
+    p_arr, g_arr, points = case
+    p, g, fix = smap(p_arr), smap(g_arr), FixationSet(points)
+    assert outcome(nss, p, fix) == outcome(reference_nss, p, fix)
+    assert outcome(sim, p, g) == outcome(reference_sim, p, g)
+
+
 # --- evaluate_all / aggregation -----------------------------------------
 
 def test_evaluate_all_equals_the_single_metrics():
