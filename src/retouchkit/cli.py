@@ -24,11 +24,7 @@ from .saliency import SaliencyMap, propose_masks
 
 
 def _cmd_dataset_stats(args) -> int:
-    records = ds.parse_dataset(Path(args.file).read_bytes())
-    if not records:
-        print("empty dataset", file=sys.stderr)
-        return 1
-    stats = ds.compute_stats(records)
+    stats = ds.compute_stats(ds.parse_dataset(Path(args.file).read_bytes()))
     if args.json:
         print(json.dumps(dataclasses.asdict(stats), sort_keys=True, indent=2))
     else:
@@ -116,7 +112,11 @@ def _cmd_rasterize(args) -> int:
 def _cmd_propose_masks(args) -> int:
     smap = SaliencyMap(read_float_grid(Path(args.map).read_bytes()))
     regions = propose_masks(smap, args.tau, args.dilation_radius, args.min_area)
-    print(loop_mod.regions_to_json(regions))
+    out = [
+        {"bbox": list(r.bbox), "area": r.area, "peak_saliency": round(r.peak_saliency, 9)}
+        for r in regions
+    ]
+    print(json.dumps(out, indent=2))
     return 0
 
 

@@ -275,26 +275,6 @@ _REGION = _at_level(
 }""",
     4,
 )
-# `propose-masks` never sorted its keys, so its regions keep this order
-_PROPOSAL = _at_level(
-    """{
-  "bbox": [
-    %d,
-    %d,
-    %d,
-    %d
-  ],
-  "area": %d,
-  "peak_saliency": %s
-}""",
-    1,
-)
-
-
-def regions_to_json(regions: Sequence[RegionProposal]) -> str:
-    """The `propose-masks` output: one {bbox, area, peak_saliency} object
-    per region, as json.dumps(..., indent=2) lays the list out."""
-    return _list([_PROPOSAL % (*r.bbox, r.area, _number(r.peak_saliency)) for r in regions], 0)
 
 
 def _record_json(rec: IterationRecord) -> str:

@@ -17,7 +17,7 @@ import requests
 
 from .dataset import DistortionCategory
 from .media_io import ImageBuffer, read_float_grid, read_pnm, write_float_grid, write_pnm
-from .saliency import CONN8, RegionProposal, SaliencyMap
+from .saliency import CONN8, RegionProposal, SaliencyMap, union_mask
 from .textmetrics import Diagnosis
 
 MASK_GUIDED = "mask-guided"
@@ -261,7 +261,7 @@ def mask_from_bytes(data: bytes) -> np.ndarray:
     return img.to_array()[:, :, 0] > 127
 
 
-@dataclass
+@dataclass(frozen=True)
 class HttpConfig:
     timeout_s: float = 30.0
     retries: int = 3
@@ -341,7 +341,7 @@ class HttpReasoningProvider:
             {
                 "id": "r%d" % i,
                 "bbox": list(r.bbox),
-                "mask_b64": _b64(mask_to_bytes(r.full_mask(image.height, image.width))),
+                "mask_b64": _b64(mask_to_bytes(union_mask([r], image.height, image.width))),
             }
             for i, r in enumerate(regions)
         ]

@@ -68,7 +68,7 @@ class HybridLossConfig:
 class RegionProposal:
     """One candidate distortion region: mask, tight bbox, peak score, area.
 
-    `mask` is stored at the size of the bbox; `full_mask` builds the frame.
+    `mask` is stored at the size of the bbox; `union_mask` builds a frame.
     A full-frame mask, as a region decoded from the wire arrives, is also
     accepted and cropped to the bbox."""
 
@@ -94,10 +94,6 @@ class RegionProposal:
         object.__setattr__(self, "mask", mask)
         if self.area < 1 or self.area != np.count_nonzero(mask):
             raise ValueError("area must equal the set-pixel count (>= 1)")
-
-    def full_mask(self, height: int, width: int) -> np.ndarray:
-        """The region as a bool mask of a height x width frame."""
-        return union_mask((self,), height, width)
 
 
 def union_mask(regions: Sequence[RegionProposal], height: int, width: int) -> np.ndarray:

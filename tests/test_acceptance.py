@@ -4,13 +4,10 @@ Each test covers one numbered acceptance criterion and prints a single
 PASS/FAIL line so the whole gate can be read off the test output.
 """
 
-import base64
-import json
 import math
 import os
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +24,7 @@ from retouchkit.dataset import (
     reconcile_majority,
     region_radius,
 )
-from retouchkit.loop import LoopConfig, LoopInput, LoopProviders, run_batch, run_loop, trace_to_json
+from retouchkit.loop import LoopConfig, LoopInput, run_batch, run_loop, trace_to_json
 from retouchkit.media_io import (
     FloatGrid,
     ImageBuffer,
@@ -38,15 +35,13 @@ from retouchkit.media_io import (
     write_pnm,
 )
 from retouchkit.metrics import FixationSet, auc_judd, cc, kld, nss, sim
-from retouchkit.providers import (
-    HttpConfig,
-    HttpPerceptionProvider,
-    MockInpaintTool,
-    MockPerceptionProvider,
-    MockReasoningProvider,
-    SyntheticScene,
-)
-from retouchkit.saliency import HybridLossConfig, SaliencyMap, hybrid_loss, hybrid_loss_gradient
+from retouchkit.providers import HttpConfig, HttpPerceptionProvider
+from retouchkit.saliency import HybridLossConfig, hybrid_loss, hybrid_loss_gradient
+from fake_backend import Delay, FakeBackend, LoopbackServer
+from test_alignment import gaussian_elimination_rank
+from test_dataset import lattice_count
+from test_loop import bump_scene, closed_form_iterations, providers_for
+from test_saliency import smap
 
 DATA = Path(__file__).parent / "data"
 
@@ -54,10 +49,6 @@ DATA = Path(__file__).parent / "data"
 def _report(num: int, name: str, passed: bool) -> None:
     print("criterion %02d %-38s %s" % (num, name, "PASS" if passed else "FAIL"))
     assert passed, "criterion %d (%s) failed" % (num, name)
-
-
-def smap(arr):
-    return SaliencyMap.from_array(np.asarray(arr, dtype=np.float32))
 
 
 # --- 1: saliency-metric oracle equivalence -------------------------------
@@ -211,31 +202,6 @@ def test_criterion_04_policy_objective_suite():
 
 # --- 5: low-rank adapter rank bound --------------------------------------
 
-def gaussian_elimination_rank(m, tol=1e-9):
-    m = [list(map(float, row)) for row in np.asarray(m)]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        best = tol
-        for r in range(rank, rows):
-            if abs(m[r][c]) > best:
-                best = abs(m[r][c])
-                pivot = r
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][c]
-        for r in range(rank + 1, rows):
-            f = m[r][c] / pv
-            for cc2 in range(c, cols):
-                m[r][cc2] -= f * m[rank][cc2]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def test_criterion_05_lora_rank_bound():
     rng = np.random.default_rng(500)
     ok = True
@@ -251,16 +217,6 @@ def test_criterion_05_lora_rank_bound():
 
 
 # --- 6: disc rasterization lattice counts --------------------------------
-
-def lattice_count(r):
-    rr = int(math.ceil(r))
-    return sum(
-        1
-        for dx in range(-rr, rr + 1)
-        for dy in range(-rr, rr + 1)
-        if dx * dx + dy * dy <= r * r
-    )
-
 
 def test_criterion_06_disc_lattice_counts():
     ok = True
@@ -324,27 +280,6 @@ def test_criterion_07_majority_vote():
 
 # --- 8: loop convergence closed form -------------------------------------
 
-def bump_scene(height, decay, size=8):
-    image = ImageBuffer.from_array(np.full((size, size), 100, dtype=np.uint8))
-    field = np.zeros((size, size), dtype=np.float32)
-    field[3:5, 3:5] = height
-    return SyntheticScene(image=image, distortion_field=field, decay=decay)
-
-
-def providers_for(scene):
-    return LoopProviders(
-        perception=MockPerceptionProvider(scene),
-        reasoning=MockReasoningProvider(0),
-        tools=[MockInpaintTool(scene)],
-    )
-
-
-def closed_form_iterations(h, d, tau, max_iter):
-    if h < tau:
-        return 1
-    return min(math.ceil(math.log(tau / h) / math.log(d)) + 1, max_iter)
-
-
 def test_criterion_08_loop_closed_form():
     start = time.monotonic()
     ok = True
@@ -361,55 +296,6 @@ def test_criterion_08_loop_closed_form():
 
 # --- 9: determinism and concurrency --------------------------------------
 
-class _CountingBackend:
-    """Minimal perception backend that records peak concurrent requests."""
-
-    def __init__(self, delay):
-        self.delay = delay
-        self.in_flight = 0
-        self.max_in_flight = 0
-        self.lock = threading.Lock()
-        backend = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *args):
-                pass
-
-            def do_POST(self):
-                with backend.lock:
-                    backend.in_flight += 1
-                    backend.max_in_flight = max(backend.max_in_flight, backend.in_flight)
-                try:
-                    time.sleep(backend.delay)
-                    self.rfile.read(int(self.headers["Content-Length"]))
-                    grid = FloatGrid.from_array(np.zeros((4, 4), np.float32))
-                    body = json.dumps(
-                        {
-                            "saliency_b64": base64.b64encode(write_float_grid(grid)).decode(),
-                            "width": 4,
-                            "height": 4,
-                        }
-                    ).encode()
-                    self.send_response(200)
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                finally:
-                    with backend.lock:
-                        backend.in_flight -= 1
-
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=self.server.serve_forever, daemon=True).start()
-
-    @property
-    def url(self):
-        return "http://127.0.0.1:%d" % self.server.server_address[1]
-
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
-
-
 def test_criterion_09_determinism_and_concurrency():
     cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
 
@@ -424,9 +310,9 @@ def test_criterion_09_determinism_and_concurrency():
     parallel = [trace_to_json(t) for t in run_batch(items(), cfg, parallelism=8)]
     ok = serial == parallel
 
-    backend = _CountingBackend(delay=0.1)
-    try:
-        provider = HttpPerceptionProvider(backend.url, HttpConfig(retries=0, max_in_flight=2))
+    backend = FakeBackend(outcomes=[Delay(0.1)] * 4)
+    with LoopbackServer(backend) as server:
+        provider = HttpPerceptionProvider(server.url, HttpConfig(retries=0, max_in_flight=2))
         image = ImageBuffer.from_array(np.full((4, 4), 100, dtype=np.uint8))
         threads = [
             threading.Thread(target=provider.perceive, args=(image, "p")) for _ in range(4)
@@ -435,9 +321,7 @@ def test_criterion_09_determinism_and_concurrency():
             t.start()
         for t in threads:
             t.join()
-        ok = ok and backend.max_in_flight <= 2
-    finally:
-        backend.close()
+    ok = ok and backend.calls == 4 and backend.max_in_flight <= 2
     _report(9, "determinism and concurrency", ok)
 
 

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from retouchkit import checks
 from retouchkit.alignment import (
     CategoricalPolicy,
     GrpoConfig,
     GrpoGroup,
     LoraFactors,
     ZeroVarianceError,
+    _surrogate_terms,
     categorical_kl,
     compose_reward,
     group_advantages,
@@ -156,7 +158,18 @@ def test_action_out_of_range():
 # --- gradient ------------------------------------------------------------
 
 def test_gradient_inside_clip_matches_fd():
-    assert check_gradient_fd(trials=100, seed=4).passed
+    assert check_gradient_fd().passed
+
+
+def test_gradient_check_differentiates_the_shipped_objective(monkeypatch):
+    # a KL penalty of the wrong sign in the objective no longer matches the
+    # analytic gradient, so the check must see it
+    def wrong_sign_kl(theta, ref, old, group, cfg):
+        terms, _, _ = _surrogate_terms(theta, old, group, cfg)
+        return float(terms.mean() + cfg.beta * categorical_kl(theta, ref))
+
+    monkeypatch.setattr(checks, "grpo_objective", wrong_sign_kl)
+    assert not check_gradient_fd().passed
 
 
 def test_gradient_kl_only():
@@ -179,7 +192,7 @@ def test_gradient_kl_only():
 
 
 def test_kl_properties():
-    assert check_kl_nonnegative(trials=1000).passed
+    assert check_kl_nonnegative().passed
 
 
 # --- compose_reward ------------------------------------------------------

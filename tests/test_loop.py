@@ -20,7 +20,6 @@ from retouchkit.loop import (
     LoopInput,
     LoopProviders,
     LoopTrace,
-    regions_to_json,
     run_batch,
     run_loop,
     trace_to_json,
@@ -38,7 +37,7 @@ from retouchkit.providers import (
     ToolDescriptor,
     select_tool,
 )
-from retouchkit.saliency import RegionProposal, SaliencyMap, propose_masks
+from retouchkit.saliency import RegionProposal, SaliencyMap, propose_masks, union_mask
 from retouchkit.textmetrics import Diagnosis
 
 
@@ -248,7 +247,7 @@ def replay(image, field, decay, records):
         ids = [d.region_id for d in rec.diagnoses]
         for action in rec.actions:
             region = rec.regions[ids.index(action.region_id)]
-            image = tool.inpaint(image, mask=region.full_mask(image.height, image.width))
+            image = tool.inpaint(image, mask=union_mask([region], image.height, image.width))
     return image, scene.distortion_field
 
 
@@ -417,7 +416,7 @@ def test_one_inpaint_call_per_tool_and_instruction(pattern, want):
     trace = run_loop(image, "p", provs, cfg)
     assert trace.stop_reason == STOP_MAX_ITERATIONS
     [rec] = trace.records
-    frames = [r.full_mask(16, 16) for r in rec.regions]
+    frames = [union_mask([r], 16, 16) for r in rec.regions]
     assert [(name, instruction) for name, instruction, _ in calls] == [(n, i) for n, i, _ in want]
     for (_, _, mask), (_, _, members) in zip(calls, want):
         assert np.array_equal(mask, np.logical_or.reduce([frames[i] for i in members]))
@@ -826,10 +825,3 @@ def test_trace_to_json_equals_json_dumps(trace, image_ref):
     assert trace_to_json(trace, image_ref) == json.dumps(
         reference_dict(trace, image_ref), sort_keys=True, indent=2
     )
-
-
-@settings(max_examples=100, deadline=None)
-@given(regions=st.lists(_regions(), max_size=4))
-def test_regions_to_json_equals_json_dumps(regions):
-    # propose-masks output: the keys are not sorted
-    assert regions_to_json(regions) == json.dumps([region_dict(r) for r in regions], indent=2)

@@ -17,10 +17,7 @@ from retouchkit.metrics import (
     sim,
 )
 from retouchkit.saliency import SaliencyMap
-
-
-def smap(arr):
-    return SaliencyMap.from_array(np.asarray(arr, dtype=np.float32))
+from test_saliency import smap
 
 
 def mann_whitney(pos, neg):

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import threading
 
 import numpy as np
@@ -225,6 +226,14 @@ def test_http_config_rejects(field, value, message):
     # raise a bare AssertionError and timeout_s=0 a ValueError from requests
     with pytest.raises(ValueError, match=message):
         HttpConfig(**{field: value})
+
+
+def test_http_config_is_frozen():
+    # an assignment would skip the checks above, and a client sizes its
+    # in-flight gate from max_in_flight when it is built
+    cfg = HttpConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.retries = -1
 
 
 def test_http_retry_then_success():

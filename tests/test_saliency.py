@@ -417,7 +417,7 @@ def test_propose_single_bump_contains_argmax():
     arr[4, 4] = 0.9
     regions = propose_masks(smap(arr), tau=0.5, dilation_radius=1, min_area=4)
     assert len(regions) == 1
-    assert regions[0].full_mask(9, 9)[4, 4]
+    assert union_mask(regions, 9, 9)[4, 4]
     assert regions[0].peak_saliency == pytest.approx(0.9)
 
 
@@ -443,7 +443,7 @@ def test_propose_masks_disjoint_union_property():
         regions = propose_masks(m, tau=0.6, dilation_radius=1, min_area=3)
         total = np.zeros((10, 10), int)
         for r in regions:
-            total += r.full_mask(10, 10).astype(int)
+            total += union_mask([r], 10, 10).astype(int)
         assert total.max() <= 1  # pairwise disjoint
         dilated = dilate(binarize(m, 0.6), 1)
         union = total.astype(bool)
@@ -491,8 +491,8 @@ def test_full_frame_mask_is_cropped_to_the_bbox():
     from_crop = RegionProposal(frame[1:4, 2:5].copy(), (2, 1, 4, 3), peak_saliency=0.7, area=3)
     assert np.array_equal(from_frame.mask, np.eye(3, dtype=bool))
     assert np.array_equal(from_crop.mask, from_frame.mask)
-    assert np.array_equal(from_frame.full_mask(6, 8), frame)
-    assert np.array_equal(from_crop.full_mask(6, 8), frame)
+    assert np.array_equal(union_mask([from_frame], 6, 8), frame)
+    assert np.array_equal(union_mask([from_crop], 6, 8), frame)
     frame[2, 3] = False  # the region keeps its own copy of the crop
     assert from_frame.mask[1, 1]
 
@@ -505,7 +505,9 @@ def test_union_mask_ors_regions_whose_bboxes_overlap():
     ell[:, 0] = ell[3, :] = True
     a = RegionProposal(ell, (0, 0, 3, 3), peak_saliency=0.9, area=7)
     b = RegionProposal(np.ones((1, 1), bool), (2, 1, 2, 1), peak_saliency=0.8, area=1)
-    want = a.full_mask(5, 6) | b.full_mask(5, 6)
+    want = np.zeros((5, 6), bool)
+    want[:4, :4] = ell
+    want[1, 2] = True
     assert want.sum() == 8
     assert np.array_equal(union_mask([a, b], 5, 6), want)
     assert np.array_equal(union_mask([b, a], 5, 6), want)
