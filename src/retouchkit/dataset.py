@@ -337,6 +337,29 @@ def compute_stats(records: Sequence[AnnotationRecord]) -> DatasetStats:
     )
 
 
+def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
+    """`scipy.ndimage.gaussian_filter(image, sigma)` of a 2-D float32 array,
+    bit for bit: its kernel, its `reflect` border, and its float64 sums in
+    its order (the centre tap, then each mirrored pair from the outermost
+    inward), cast to float32 after each axis."""
+    radius = int(4.0 * sigma + 0.5)
+    if not radius:
+        # sigma < 0.125: one tap of weight 1 changes no pixel, and a tiny
+        # sigma would square to 0 and be divided by
+        return image
+    x = np.arange(-radius, radius + 1)
+    taps = np.exp(-0.5 / (sigma * sigma) * x**2)
+    taps = taps / taps.sum()
+    for _ in range(2):  # axis 0, then axis 1; each pass transposes
+        n = image.shape[0]
+        padded = np.pad(image.astype(np.float64), ((radius, radius), (0, 0)), "symmetric")
+        acc = padded[radius : radius + n] * taps[radius]
+        for j in range(radius, 0, -1):
+            acc += (padded[radius - j : radius - j + n] + padded[radius + j : radius + j + n]) * taps[radius - j]
+        image = acc.astype(np.float32).T
+    return image
+
+
 def ground_truth_map(
     record: AnnotationRecord, blur_sigma: float = 0.0
 ) -> tuple[SaliencyMap, FixationSet]:
@@ -351,9 +374,7 @@ def ground_truth_map(
         mask[window] |= disc
     dense = mask.astype(np.float32)
     if blur_sigma > 0.0 and mask.any():
-        from scipy.ndimage import gaussian_filter
-
-        dense = gaussian_filter(dense, sigma=blur_sigma)
+        dense = gaussian_blur(dense, blur_sigma)
         dense = dense / dense.max()
     fixations = FixationSet(reg.center for reg in record.regions)
     return SaliencyMap.from_array(dense), fixations

@@ -17,7 +17,7 @@ import requests
 
 from .dataset import DistortionCategory
 from .media_io import ImageBuffer, read_float_grid, read_pnm, write_float_grid, write_pnm
-from .saliency import CONN8, RegionProposal, SaliencyMap, union_mask
+from .saliency import RegionProposal, SaliencyMap, label_set_pixels, union_mask
 from .textmetrics import Diagnosis
 
 MASK_GUIDED = "mask-guided"
@@ -160,9 +160,6 @@ class MockInpaintTool:
     def inpaint(
         self, image: ImageBuffer, mask: np.ndarray, instruction: Optional[str] = None
     ) -> ImageBuffer:
-        # scipy is imported where it is used, as in saliency.extract_regions
-        from scipy import ndimage
-
         if self.descriptor.kind == INSTRUCTION_DRIVEN and instruction is None:
             raise ValueError("instruction-driven tool requires an instruction")
         mask = np.asarray(mask, dtype=bool)
@@ -176,10 +173,9 @@ class MockInpaintTool:
         box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
         hole = mask[box]
         self.scene.distortion_field[box][hole] *= self.scene.decay
-        labels, n = ndimage.label(hole, structure=CONN8)
+        lbl, n = label_set_pixels(hole)
         px = image.to_array().copy()
         window = px[box]
-        lbl = labels[hole]
         counts = np.bincount(lbl, minlength=n + 1)[1:]
         for c in range(image.channels):
             # uint8 sums are exact in float64, so each mean equals the mean
@@ -233,7 +229,8 @@ def _b64(data: bytes) -> str:
 
 def _decode_answer(body: dict, key: str, read, image: ImageBuffer):
     """Decode the base64 PNM or FSAL1 field `key` of a backend answer with
-    `read`; the result must have the request image's width and height."""
+    `read`; the result must have the request image's width and height, and
+    an image answer its channel count too (an FSAL1 grid has no channels)."""
     try:
         out = read(base64.b64decode(body[key], validate=True))
     except KeyError:
@@ -244,6 +241,10 @@ def _decode_answer(body: dict, key: str, read, image: ImageBuffer):
         raise SchemaError(
             "%s dims %dx%d != image dims %dx%d"
             % (key, out.width, out.height, image.width, image.height)
+        )
+    if isinstance(out, ImageBuffer) and out.channels != image.channels:
+        raise SchemaError(
+            "%s has %d channel(s) != image's %d" % (key, out.channels, image.channels)
         )
     return out
 

@@ -256,6 +256,12 @@ def test_http_dim_mismatch_is_schema_error():
     backend = FakeBackend(answers={"/v1/perceive": {"saliency_b64": _GRID_2X2}})
     with pytest.raises(SchemaError):
         _http("perception", backend, retries=0).perceive(gray_image(), "p")
+    # a gray answer of the right size to an RGB request would carry the loop
+    # on in gray
+    rgb = ImageBuffer.from_array(np.full((4, 5, 3), 128, dtype=np.uint8))
+    backend = FakeBackend(answers={"/v1/inpaint": {"image_b64": _b64(write_pnm(gray_image(5, 4)))}})
+    with pytest.raises(SchemaError, match="channel"):
+        _http("inpaint", backend, retries=0).inpaint(rgb, np.ones((4, 5), bool))
 
 
 def test_http_in_flight_bound():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import retouchkit
+from retouchkit.dataset import gaussian_blur
 from retouchkit.saliency import (
     HybridLossConfig,
     RegionProposal,
@@ -18,9 +19,13 @@ from retouchkit.saliency import (
     extract_regions,
     hybrid_loss,
     hybrid_loss_gradient,
+    label_set_pixels,
     propose_masks,
     union_mask,
 )
+
+# the 8-connectivity structuring element of the scipy references
+CONN8 = np.ones((3, 3), dtype=bool)
 
 
 def smap(arr):
@@ -320,8 +325,6 @@ def full_frame_extract_regions(mask, source, min_area):
     # find_objects over the whole frame
     from scipy import ndimage
 
-    from retouchkit.saliency import CONN8
-
     mask = np.asarray(mask, dtype=bool)
     src = source.to_array()
     labels, n = ndimage.label(mask, structure=CONN8)
@@ -401,6 +404,98 @@ def test_extract_matches_the_full_frame_reference_on_large_maps():
             got = extract_regions(mask, smap(values), min_area)
             want = full_frame_extract_regions(mask, smap(values), min_area)
             assert region_fields(got) == region_fields(want), (shape, min_area)
+
+
+# --- label_set_pixels and gaussian_blur, against scipy --------------------
+
+def assert_labels_match_scipy(mask):
+    from scipy import ndimage
+
+    labels, n = ndimage.label(mask, structure=CONN8)
+    got, got_n = label_set_pixels(mask)
+    assert got.dtype == np.int32
+    assert got_n == n
+    assert np.array_equal(got, labels[mask])
+
+
+@given(st.integers(1, 39), st.integers(1, 39), st.integers(0, 10), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_labels_match_scipy(h, w, density, seed):
+    # densities from empty to full; about half set gives the most runs that
+    # touch two or more runs above
+    assert_labels_match_scipy(np.random.default_rng(seed).random((h, w)) < density / 10)
+
+
+def spiral(side):
+    # a square spiral one pixel wide with one-pixel gaps: one component
+    # whose runs join through long chains of hooks and extra unions
+    mask = np.zeros((side, side), bool)
+    y = x = 0
+    dy, dx = 0, 1
+    for length in [side - 1] + [n for n in range(side - 1, 0, -2) for _ in range(2)]:
+        for _ in range(length):
+            mask[y, x] = True
+            y, x = y + dy, x + dx
+        dy, dx = dx, -dy  # turn clockwise
+    mask[y, x] = True
+    return mask
+
+
+def comb(teeth, gap, depth):
+    # teeth above a spine: the spine's run touches every tooth
+    mask = np.zeros((depth + 1, teeth * (gap + 1)), bool)
+    mask[:-1, :: gap + 1] = True
+    mask[-1] = True
+    return mask
+
+
+_U = np.array([[1, 0, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1]], bool)
+_LABEL_SHAPES = {
+    "empty": np.zeros((5, 7), bool),
+    "full": np.ones((5, 7), bool),
+    "row": np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], bool),
+    "column": np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], bool).T,
+    "checkerboard": np.indices((9, 12)).sum(axis=0) % 2 == 0,
+    "U": _U,
+    "W": np.array(
+        [[1, 0, 0, 0, 1, 0, 0, 0, 1], [0, 1, 0, 1, 0, 1, 0, 1, 0], [0, 0, 1, 0, 0, 0, 1, 0, 0]], bool
+    ),
+    "comb": comb(8, 2, 3),
+    "comb-upside-down": comb(8, 1, 4)[::-1],
+    # a chain of 40 runs, each hooked to the one above; the dot is the 2nd
+    # root, so a jump that stops short of the chain's root relabels it
+    "diagonal-and-dot": np.eye(40, dtype=bool) | (np.arange(40) == 39) * (np.arange(40) == 0)[:, None],
+    "antidiagonal": np.eye(40, dtype=bool)[:, ::-1],
+    "spiral": spiral(41),
+}
+
+
+@pytest.mark.parametrize("name", list(_LABEL_SHAPES))
+def test_labels_match_scipy_on_shapes(name):
+    assert_labels_match_scipy(_LABEL_SHAPES[name])
+
+
+@given(
+    st.integers(1, 99),
+    st.integers(1, 99),
+    st.floats(0.5, 25.0),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(7, 5, 0.1, False, 0)  # radius 0: one tap
+@example(7, 5, 1e-200, False, 0)  # sigma squared is 0
+@settings(max_examples=100, deadline=None)
+def test_gaussian_blur_matches_scipy_bit_for_bit(h, w, sigma, binary, seed):
+    from scipy.ndimage import gaussian_filter
+
+    rng = np.random.default_rng(seed)
+    image = rng.random((h, w), dtype=np.float32)
+    if binary:
+        image = (image < 0.2).astype(np.float32)
+    got = gaussian_blur(image, sigma)
+    want = gaussian_filter(image, sigma)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # --- propose_masks -------------------------------------------------------
@@ -538,41 +633,60 @@ def test_region_mask_is_read_only(crop):
         r.mask[0, 0] = False
 
 
-# --- scipy stays out of the evaluation path --------------------------------
+# --- scipy stays out of the runtime ---------------------------------------
 
-_EVAL_WITHOUT_SCIPY = """
-import sys
+_RUNTIME_WITHOUT_SCIPY = """
+import importlib, pkgutil, sys
 import numpy as np
-import retouchkit.cli, retouchkit.dataset, retouchkit.metrics, retouchkit.textmetrics
+import retouchkit
 from retouchkit.dataset import parse_dataset, ground_truth_map
+from retouchkit.loop import LoopConfig, LoopProviders, run_loop
+from retouchkit.media_io import ImageBuffer
 from retouchkit.metrics import evaluate_all
+from retouchkit.providers import (
+    MockInpaintTool, MockPerceptionProvider, MockReasoningProvider, SyntheticScene,
+)
 from retouchkit.saliency import SaliencyMap, propose_masks
+
+for module in pkgutil.iter_modules(retouchkit.__path__):
+    importlib.import_module("retouchkit." + module.name)
 
 (rec,) = parse_dataset(open(sys.argv[1], "rb").readline())
 truth, fix = ground_truth_map(rec)
 evaluate_all(truth, truth, fix)
-assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+blurred, _ = ground_truth_map(rec, blur_sigma=2)
 
 field = np.zeros((16, 16), np.float32)
 field[2:5, 2:5] = 0.9
 field[10:12, 9:13] = 0.7
 regions = propose_masks(SaliencyMap.from_array(field), 0.5, 1, 4)
 print([(r.bbox, r.area) for r in regions])
+
+scene = SyntheticScene(ImageBuffer.from_array(np.full((16, 16), 100, np.uint8)), field, decay=0.5)
+providers = LoopProviders(
+    MockPerceptionProvider(scene), MockReasoningProvider(0), [MockInpaintTool(scene)]
+)
+trace = run_loop(scene.image, "p", providers, LoopConfig(max_iterations=2))
+print(trace.stop_reason, len(trace.records), float(blurred.to_array().max()))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_evaluation_imports_no_scipy():
-    # scipy.ndimage is loaded only by region proposals (and blurred ground
-    # truth); importing it costs ~18 MB of RSS in every evaluation process
+def test_runtime_loads_no_scipy():
+    # importing scipy.ndimage costs ~18 MB of RSS in every process; no
+    # module, region proposal, loop or blurred ground truth needs it
     src = str(Path(retouchkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     data = Path(__file__).parent / "data" / "synthetic50.jsonl"
     proc = subprocess.run(
-        [sys.executable, "-c", _EVAL_WITHOUT_SCIPY, str(data)],
+        [sys.executable, "-c", _RUNTIME_WITHOUT_SCIPY, str(data)],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[((1, 1, 5, 5), 25), ((8, 9, 13, 12), 24)]"
+    regions, loop, scipy_modules = proc.stdout.splitlines()
+    assert regions == "[((1, 1, 5, 5), 25), ((8, 9, 13, 12), 24)]"
+    assert loop.split()[1:] == ["2", "1.0"]
+    assert scipy_modules == "[]"
