@@ -71,17 +71,17 @@ def _prediction(obj: dict) -> textmetrics.Diagnosis:
     return textmetrics.Diagnosis(
         region_id=str(obj["region_id"]),
         category=ds.DistortionCategory(obj["category"]),
-        description=str(obj["description"]),
-        severity=float(obj.get("severity", 0.0)),
+        description=ds.typed(obj["description"], str, "description"),
+        severity=float(ds.typed(obj.get("severity", 0.0), float, "severity")),
     )
 
 
 def _truth_region(obj: dict) -> ds.RegionAnnotation:
     return ds.RegionAnnotation(
-        center=(int(obj.get("x", 0)), int(obj.get("y", 0))),
+        center=(ds.typed(obj.get("x", 0), int, "x"), ds.typed(obj.get("y", 0), int, "y")),
         category=ds.DistortionCategory(obj["category"]),
-        description=str(obj["description"]),
-        annotator=str(obj.get("annotator", "truth")),
+        description=ds.typed(obj["description"], str, "description"),
+        annotator=ds.typed(obj.get("annotator", "truth"), str, "annotator"),
         region_id=str(obj["region_id"]),
     )
 

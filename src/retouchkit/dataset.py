@@ -152,6 +152,24 @@ def read_jsonl(data: bytes, parse: Callable[[dict], T]) -> list[T]:
     return items
 
 
+# the types json.loads gives a JSON integer, number and string
+_JSON_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def typed(value, kind: type, name: str):
+    """`value`, the field `name` of a JSON record, which must be a JSON
+    integer (kind int), number (float) or string (str), else TypeError. A
+    JSON true or false is a bool, an int subclass, so type() is tested."""
+    types, noun = _JSON_KINDS[kind]
+    if type(value) not in types:
+        raise TypeError("%s must be %s, not %s" % (name, noun, json.dumps(value)))
+    return value
+
+
 def _parse_record(obj: dict) -> AnnotationRecord:
     regions = []
     for reg in obj.get("regions", []):
@@ -161,10 +179,10 @@ def _parse_record(obj: dict) -> AnnotationRecord:
             raise ValueError("unknown category code %r" % reg.get("category"))
         regions.append(
             RegionAnnotation(
-                center=(int(reg["x"]), int(reg["y"])),
+                center=(typed(reg["x"], int, "x"), typed(reg["y"], int, "y")),
                 category=category,
-                description=str(reg["description"]),
-                annotator=str(reg["annotator"]),
+                description=typed(reg["description"], str, "description"),
+                annotator=typed(reg["annotator"], str, "annotator"),
                 region_id=str(reg["id"]) if "id" in reg else None,
             )
         )
@@ -172,8 +190,8 @@ def _parse_record(obj: dict) -> AnnotationRecord:
         image_id=str(obj["image_id"]),
         image_ref=str(obj["image"]),
         prompt=str(obj["prompt"]),
-        width=int(obj["width"]),
-        height=int(obj["height"]),
+        width=typed(obj["width"], int, "width"),
+        height=typed(obj["height"], int, "height"),
         regions=tuple(regions),
     )
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
-from .dataset import DistortionCategory
 from .media_io import ImageBuffer
 from .providers import (
     INSTRUCTION_DRIVEN,
@@ -127,34 +126,26 @@ def run_loop(
                         % (len(diagnosed), len(regions))
                     )
                 diagnoses = diagnosed
-                # regions come back in peak-saliency order already; every tool
-                # is chosen before the first edit, once per category: with the
-                # registry and the policy fixed, the choice depends on nothing else
-                chosen: dict[DistortionCategory, InpaintTool] = {}
-                for d in diagnoses:
-                    if d.category not in chosen:
-                        chosen[d.category] = select_tool(providers.tools, d, cfg.tool_policy)
-                tools = [chosen[d.category] for d in diagnoses]
-                planned = [
-                    Action(
-                        d.region_id,
-                        tool.descriptor.name,
-                        "fix %s: %s" % (d.category.value, d.description)
-                        if tool.descriptor.kind == INSTRUCTION_DRIVEN
-                        else None,
-                    )
-                    for d, tool in zip(diagnoses, tools)
-                ]
-                # one call per (tool, instruction), in the order of each
-                # group's first region; its mask is the union of the group's
-                # regions, which one labelling leaves disjoint and not
-                # 8-adjacent
-                groups: dict[tuple[int, Optional[str]], list[int]] = {}
-                for i, (tool, action) in enumerate(zip(tools, planned)):
-                    groups.setdefault((id(tool), action.instruction), []).append(i)
-                for members in groups.values():
+                # every tool is chosen before the first edit, once per category
+                # in the order of its first region (regions come in peak order):
+                # with the registry and the policy fixed, nothing else matters
+                tools = {
+                    c: select_tool(providers.tools, c, cfg.tool_policy)
+                    for c in dict.fromkeys(d.category for d in diagnoses)
+                }
+                # one call per (tool, instruction), in the order of each group's
+                # first region, on the union of the group's regions: one
+                # labelling leaves them disjoint and not 8-adjacent
+                groups: dict[tuple[int, Optional[str]], tuple[InpaintTool, list[int]]] = {}
+                for i, d in enumerate(diagnoses):
+                    tool = tools[d.category]
+                    instruction = None
+                    if tool.descriptor.kind == INSTRUCTION_DRIVEN:
+                        instruction = "fix %s: %s" % (d.category.value, d.description)
+                    planned.append(Action(d.region_id, tool.descriptor.name, instruction))
+                    groups.setdefault((id(tool), instruction), (tool, []))[1].append(i)
+                for (_, instruction), (tool, members) in groups.items():
                     mask = union_mask([regions[i] for i in members], current.height, current.width)
-                    tool, instruction = tools[members[0]], planned[members[0]].instruction
                     current = tool.inpaint(current, mask=mask, instruction=instruction)
                     done.extend(members)
         except NoEligibleToolError as exc:
@@ -195,9 +186,9 @@ def trace_to_report(trace: LoopTrace) -> dict:
 
 # The trace is written with its fixed schema, not by json.dumps(indent=2),
 # which gives up json's C encoder for a pure-Python one. Each object has one
-# `%`-template, laid out at its nesting level; keys are in sorted order and
-# strings go through json's own ASCII escaper, so the bytes are those of
-# json.dumps(..., sort_keys=True, indent=2) on the same dict.
+# `%`-template, built once from its keys at its nesting level; keys are in
+# sorted order and strings go through json's own ASCII escaper, so the bytes
+# are those of json.dumps(..., sort_keys=True, indent=2) on the same dict.
 _string = encode_basestring_ascii
 
 
@@ -224,57 +215,24 @@ def _list(items: list[str], level: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
 
 
-def _at_level(template: str, level: int) -> str:
-    """An object's template, written at nesting level 0, moved to `level`."""
-    return template.replace("\n", "\n" + "  " * level)
+def _object(fields: dict[str, str], level: int) -> str:
+    """An object's `%`-template, laid out as `_list` lays out a list: one
+    `"key": value-template` item per key of `fields`, in sorted order."""
+    items = ["%s: %s" % (_string(key), fields[key]) for key in sorted(fields)]
+    return "{%s}" % _list(items, level)[1:-1]
 
 
-_TRACE = """{
-  "error": %s,
-  "final_image": %s,
-  "records": %s,
-  "stop_reason": %s
-}"""
-_RECORD = _at_level(
-    """{
-  "actions": %s,
-  "diagnoses": %s,
-  "max_saliency": %s,
-  "regions": %s,
-  "t": %d
-}""",
-    2,
+# the trace sits at level 0, its records at 2, their actions, diagnoses
+# and regions at 4 and a region's bbox at 5
+_TRACE = _object({"error": "%s", "final_image": "%s", "records": "%s", "stop_reason": "%s"}, 0)
+_RECORD = _object(
+    {"actions": "%s", "diagnoses": "%s", "max_saliency": "%s", "regions": "%s", "t": "%d"}, 2
 )
-_ACTION = _at_level(
-    """{
-  "instruction": %s,
-  "region_id": %s,
-  "tool": %s
-}""",
-    4,
+_ACTION = _object({"instruction": "%s", "region_id": "%s", "tool": "%s"}, 4)
+_DIAGNOSIS = _object(
+    {"category": "%s", "description": "%s", "region_id": "%s", "severity": "%s"}, 4
 )
-_DIAGNOSIS = _at_level(
-    """{
-  "category": %s,
-  "description": %s,
-  "region_id": %s,
-  "severity": %s
-}""",
-    4,
-)
-_REGION = _at_level(
-    """{
-  "area": %d,
-  "bbox": [
-    %d,
-    %d,
-    %d,
-    %d
-  ],
-  "peak_saliency": %s
-}""",
-    4,
-)
+_REGION = _object({"area": "%d", "bbox": _list(["%d"] * 4, 5), "peak_saliency": "%s"}, 4)
 
 
 def _record_json(rec: IterationRecord) -> str:

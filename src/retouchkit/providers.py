@@ -15,7 +15,7 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 import requests
 
-from .dataset import DistortionCategory
+from .dataset import DistortionCategory, typed
 from .media_io import ImageBuffer, read_float_grid, read_pnm, write_float_grid, write_pnm
 from .saliency import RegionProposal, SaliencyMap, label_set_pixels, union_mask
 from .textmetrics import Diagnosis
@@ -194,21 +194,16 @@ class NoEligibleToolError(ValueError):
 
 
 def select_tool(
-    registry: Sequence[InpaintTool], diagnosis: Diagnosis, policy: ToolPolicy
+    registry: Sequence[InpaintTool], category: DistortionCategory, policy: ToolPolicy
 ) -> InpaintTool:
-    """Cheapest tool of the preferred kind within max_cost; with "auto",
-    instruction-driven for text anomalies (the instruction carries the
-    semantics), mask-guided otherwise. Ties keep registry order."""
+    """Cheapest tool of the preferred kind within max_cost for `category`;
+    with "auto", instruction-driven for text anomalies (the instruction
+    carries the semantics), mask-guided otherwise. Ties keep registry order."""
     if not registry:
         raise NoEligibleToolError("empty tool registry")
-    if policy.prefer == "auto":
-        want = (
-            INSTRUCTION_DRIVEN
-            if diagnosis.category is DistortionCategory.TEXT_ANOMALY
-            else MASK_GUIDED
-        )
-    else:
-        want = policy.prefer
+    want = policy.prefer
+    if want == "auto":
+        want = INSTRUCTION_DRIVEN if category is DistortionCategory.TEXT_ANOMALY else MASK_GUIDED
     candidates = [
         t
         for t in registry
@@ -262,11 +257,14 @@ def mask_from_bytes(data: bytes) -> np.ndarray:
     return img.to_array()[:, :, 0] > 127
 
 
+# retry k of a call waits BACKOFF_BASE_S * 2**(k-1) seconds first
+BACKOFF_BASE_S = 0.1
+
+
 @dataclass(frozen=True)
 class HttpConfig:
     timeout_s: float = 30.0
     retries: int = 3
-    backoff_base_s: float = 0.1
     max_in_flight: int = 4
 
     def __post_init__(self):
@@ -274,8 +272,6 @@ class HttpConfig:
             raise ValueError("timeout_s must be > 0")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if not self.backoff_base_s >= 0.0:
-            raise ValueError("backoff_base_s must be >= 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
 
@@ -294,7 +290,7 @@ class _HttpClient:
         last: Exception | None = None
         for attempt in range(self.cfg.retries + 1):
             if attempt:
-                time.sleep(self.cfg.backoff_base_s * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
             with self._gate:
                 try:
                     resp = self._session.post(
@@ -359,12 +355,10 @@ class HttpReasoningProvider:
             if d is None:
                 raise SchemaError("missing diagnosis for region r%d" % i)
             try:
-                description, severity = d["description"], d["severity"]
-                # type(), not isinstance: a JSON `true` is no severity
-                if not isinstance(description, str) or type(severity) not in (int, float):
-                    raise TypeError("description must be a string and severity a number")
+                description = typed(d["description"], str, "description")
+                severity = float(typed(d["severity"], float, "severity"))
                 category = DistortionCategory(d["category"])
-                out.append(Diagnosis("r%d" % i, category, description, float(severity)))
+                out.append(Diagnosis("r%d" % i, category, description, severity))
             # float() of a JSON integer too large for a float raises OverflowError
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError("bad diagnosis for r%d: %s" % (i, exc))

@@ -112,16 +112,21 @@ def _float64_pair(a: SaliencyMap, b: SaliencyMap) -> tuple[np.ndarray, np.ndarra
     return a.float64, b.float64
 
 
-def _kld_term(pred: np.ndarray, truth: np.ndarray, epsilon: float) -> float:
-    # Both maps sum-normalized; KL(truth || pred) with epsilon stabilization.
-    if not epsilon > 0.0:  # also rejects NaN
-        raise ValueError("epsilon must be positive, got %r" % epsilon)
+def _normalized(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """truth / sum(truth), pred / sum(pred) (zeros when that sum is not
+    positive) and sum(pred); a truth map that sums to 0 has no KLD."""
     gsum = truth.sum()
     if gsum <= 0.0:
         raise ValueError("truth map sums to 0; KLD undefined")
     psum = pred.sum()
-    g = truth / gsum
-    s = pred / psum if psum > 0.0 else np.zeros_like(pred)
+    return truth / gsum, (pred / psum if psum > 0.0 else np.zeros_like(pred)), psum
+
+
+def _kld_term(pred: np.ndarray, truth: np.ndarray, epsilon: float) -> float:
+    # Both maps sum-normalized; KL(truth || pred) with epsilon stabilization.
+    if not epsilon > 0.0:  # also rejects NaN
+        raise ValueError("epsilon must be positive, got %r" % epsilon)
+    g, s, _ = _normalized(pred, truth)
     return float(np.sum(g * np.log(g / (s + epsilon) + epsilon)))
 
 
@@ -141,14 +146,9 @@ def hybrid_loss_gradient(pred: SaliencyMap, truth: SaliencyMap, cfg: HybridLossC
     n = p.size
     grad = cfg.alpha * 2.0 * (p - g) / n
     if cfg.alpha < 1.0:
-        gsum = g.sum()
-        if gsum <= 0.0:
-            raise ValueError("truth map sums to 0; KLD undefined")
-        psum = p.sum()
+        gn, sn, psum = _normalized(p, g)
         eps = cfg.epsilon
-        gn = g / gsum
         if psum > 0.0:
-            sn = p / psum
             u = gn / (sn + eps) + eps
             # d/dp_i of sum_j gn_j ln(u_j) with sn_j = p_j / sum(p)
             c = gn**2 / (u * (sn + eps) ** 2)

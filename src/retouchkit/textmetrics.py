@@ -12,6 +12,8 @@ from typing import Sequence
 from .dataset import DistortionCategory, RegionAnnotation
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_EMPTY = "empty tokenization"
+_NO_TOKEN = "region %r: %s description %r has no a-z or 0-9 token"
 
 
 @dataclass(frozen=True)
@@ -64,17 +66,17 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return len(b) - v.bit_count()
 
 
-def _nonempty_tokens(candidate: str, reference: str) -> tuple[list[str], list[str]]:
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
-    if not cand or not ref:
-        raise ValueError("empty tokenization")
-    return cand, ref
+def _tokens(text: str, message: str, *args) -> list[str]:
+    """tokenize(text), which must not be empty; else ValueError(message % args)."""
+    tokens = tokenize(text)
+    if not tokens:
+        raise ValueError(message % args)
+    return tokens
 
 
 def rouge_l(candidate: str, reference: str) -> float:
     """LCS F-measure: 2PR/(P+R) with P = LCS/|cand|, R = LCS/|ref|."""
-    return _rouge_l(*_nonempty_tokens(candidate, reference))
+    return _rouge_l(_tokens(candidate, _EMPTY), _tokens(reference, _EMPTY))
 
 
 def _rouge_l(cand: Sequence[str], ref: Sequence[str]) -> float:
@@ -90,7 +92,7 @@ def meteor_lite(candidate: str, reference: str) -> float:
     """Exact-unigram METEOR: greedy left-to-right alignment (each reference
     token used at most once), F = 10PR/(R+9P), fragmentation penalty
     0.5*(chunks/matches)^3."""
-    return _meteor_lite(*_nonempty_tokens(candidate, reference))
+    return _meteor_lite(_tokens(candidate, _EMPTY), _tokens(reference, _EMPTY))
 
 
 def _meteor_lite(cand: Sequence[str], ref: Sequence[str]) -> float:
@@ -154,15 +156,6 @@ def _accuracy(pairs: Sequence[tuple[Diagnosis, RegionAnnotation]]) -> float:
     return sum(pred.category is truth.category for pred, truth in pairs) / len(pairs)
 
 
-def _description_tokens(text: str, side: str, region_id: str) -> list[str]:
-    tokens = tokenize(text)
-    if not tokens:
-        raise ValueError(
-            "region %r: %s description %r has no a-z or 0-9 token" % (region_id, side, text)
-        )
-    return tokens
-
-
 def category_accuracy(preds: Sequence[Diagnosis], truths: Sequence[RegionAnnotation]) -> float:
     """Fraction of predictions whose category matches the truth region with
     the same region_id."""
@@ -179,8 +172,9 @@ def evaluate_reasoning(
     rouges = []
     meteors = []
     for pred, truth in pairs:
-        cand = _description_tokens(pred.description, "prediction", pred.region_id)
-        ref = _description_tokens(truth.description, "truth", pred.region_id)
+        rid = pred.region_id
+        cand = _tokens(pred.description, _NO_TOKEN, rid, "prediction", pred.description)
+        ref = _tokens(truth.description, _NO_TOKEN, rid, "truth", truth.description)
         rouges.append(_rouge_l(cand, ref))
         meteors.append(_meteor_lite(cand, ref))
     return ReasoningReport(

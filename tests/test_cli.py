@@ -47,6 +47,36 @@ def test_dataset_stats_empty(tmp_path, capsys):
     assert "empty dataset" in captured.err
 
 
+# a JSON integer, number or string stands for itself: a float, a bool, a
+# string or a null in its place is an error, never coerced
+@pytest.mark.parametrize(
+    "where, field, value, message",
+    [
+        ("region", "x", 5.7, "x must be an integer, not 5.7"),
+        ("region", "y", True, "y must be an integer, not true"),
+        ("record", "width", "100", 'width must be an integer, not "100"'),
+        ("record", "height", 100.9, "height must be an integer, not 100.9"),
+        ("region", "description", 123, "description must be a string, not 123"),
+        ("region", "annotator", None, "annotator must be a string, not null"),
+    ],
+)
+def test_dataset_stats_rejects_a_mistyped_field(tmp_path, capsys, where, field, value, message):
+    region = {"x": 5, "y": 1, "category": "face_distortion", "description": "d", "annotator": "a"}
+    record = {"image_id": "a", "image": "a", "prompt": "p", "width": 100, "height": 100}
+    good = json.dumps({**record, "regions": [region]})
+    if where == "region":
+        region = {**region, field: value}
+    else:
+        record = {**record, field: value}
+    path = tmp_path / "data.jsonl"
+    path.write_text(good + "\n" + json.dumps({**record, "regions": [region]}) + "\n")
+    rc = main(["dataset-stats", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "line 2: %s\n" % message
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as ei:
         main(["no-such-subcommand"])
@@ -398,6 +428,33 @@ def test_evaluate_reasoning_huge_integer_severity(tmp_path, capsys):
     assert rc == 1
     assert captured.out == ""
     assert captured.err == "%s: line 2: int too large to convert to float\n" % pred
+
+
+@pytest.mark.parametrize(
+    "bad_input, field, value, message",
+    [
+        ("pred", "severity", True, "severity must be a number, not true"),
+        ("pred", "severity", "0.5", 'severity must be a number, not "0.5"'),
+        ("pred", "description", 123, "description must be a string, not 123"),
+        ("truth", "description", 123, "description must be a string, not 123"),
+        ("truth", "x", 5.7, "x must be an integer, not 5.7"),
+        ("truth", "y", False, "y must be an integer, not false"),
+        ("truth", "annotator", None, "annotator must be a string, not null"),
+    ],
+)
+def test_evaluate_reasoning_mistyped_field(tmp_path, capsys, bad_input, field, value, message):
+    good = {"region_id": "r0", "category": "face_distortion", "description": "d"}
+    paths = {name: tmp_path / ("%s.jsonl" % name) for name in ("pred", "truth")}
+    for name, path in paths.items():
+        lines = [good, {**good, "region_id": "r1"}]
+        if name == bad_input:
+            lines[1][field] = value
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    rc = main(["evaluate-reasoning", str(paths["pred"]), str(paths["truth"])])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "%s: line 2: %s\n" % (paths[bad_input], message)
 
 
 def write_reasoning_files(tmp_path, preds, truths):

@@ -638,9 +638,9 @@ def select_tool_calls(monkeypatch):
     """The category of every select_tool call made by run_loop."""
     calls = []
 
-    def counting(registry, diagnosis, policy):
-        calls.append(diagnosis.category)
-        return select_tool(registry, diagnosis, policy)
+    def counting(registry, category, policy):
+        calls.append(category)
+        return select_tool(registry, category, policy)
 
     monkeypatch.setattr(loop_module, "select_tool", counting)
     return calls
@@ -675,7 +675,7 @@ def test_no_eligible_tool_stops_at_the_first_diagnosis_without_a_tool(select_too
     regions = tuple(propose_masks(smap, 0.5, 0, 1))
     diagnoses = tuple(CategoryReasoner(cats).diagnose(scene.image, "p", regions))
     with pytest.raises(NoEligibleToolError) as exc:
-        [select_tool(tools, d, cfg.tool_policy) for d in diagnoses]
+        [select_tool(tools, d.category, cfg.tool_policy) for d in diagnoses]
     assert trace.error == "no tool satisfies policy (kind=instruction-driven, max_cost=inf)"
     record = IterationRecord(1, float(np.float32(0.9)), regions, diagnoses, ())
     want = LoopTrace((record,), STOP_NO_ELIGIBLE_TOOL, scene.image, str(exc.value))

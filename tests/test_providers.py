@@ -1,11 +1,13 @@
 import base64
 import dataclasses
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import requests
 
+from retouchkit import providers as providers_module
 from retouchkit.dataset import DistortionCategory
 from retouchkit.loop import STOP_PROVIDER_ERROR, LoopConfig, LoopProviders, run_loop
 from retouchkit.media_io import FloatGrid, ImageBuffer, write_float_grid, write_pnm
@@ -29,7 +31,6 @@ from retouchkit.providers import (
     select_tool,
 )
 from retouchkit.saliency import RegionProposal
-from retouchkit.textmetrics import Diagnosis
 from fake_backend import URL, Delay, FakeBackend, mount
 from test_saliency import flood_fill_components
 
@@ -166,8 +167,7 @@ class _FakeTool:
         return image
 
 
-def _diag(cat=DistortionCategory.FACE_DISTORTION):
-    return Diagnosis(region_id="r0", category=cat, description="d", severity=0.5)
+FACE = DistortionCategory.FACE_DISTORTION
 
 
 def test_select_prefers_cheapest_of_kind():
@@ -176,33 +176,43 @@ def test_select_prefers_cheapest_of_kind():
         _FakeTool("m1", MASK_GUIDED, 1.0),
         _FakeTool("i1", INSTRUCTION_DRIVEN, 0.5),
     ]
-    got = select_tool(tools, _diag(), ToolPolicy(prefer=MASK_GUIDED))
+    got = select_tool(tools, FACE, ToolPolicy(prefer=MASK_GUIDED))
     assert got.descriptor.name == "m1"
 
 
 def test_select_auto_text_anomaly_instruction():
     tools = [_FakeTool("m", MASK_GUIDED, 1.0), _FakeTool("i", INSTRUCTION_DRIVEN, 5.0)]
-    got = select_tool(tools, _diag(DistortionCategory.TEXT_ANOMALY), ToolPolicy(prefer="auto"))
+    got = select_tool(tools, DistortionCategory.TEXT_ANOMALY, ToolPolicy(prefer="auto"))
     assert got.descriptor.kind == INSTRUCTION_DRIVEN
-    got = select_tool(tools, _diag(), ToolPolicy(prefer="auto"))
+    got = select_tool(tools, FACE, ToolPolicy(prefer="auto"))
     assert got.descriptor.kind == MASK_GUIDED
 
 
 def test_select_max_cost_unsatisfiable():
     tools = [_FakeTool("m", MASK_GUIDED, 3.0)]
     with pytest.raises(NoEligibleToolError):
-        select_tool(tools, _diag(), ToolPolicy(prefer=MASK_GUIDED, max_cost=1.0))
+        select_tool(tools, FACE, ToolPolicy(prefer=MASK_GUIDED, max_cost=1.0))
 
 
 def test_select_tie_keeps_registry_order():
     tools = [_FakeTool("first", MASK_GUIDED, 1.0), _FakeTool("second", MASK_GUIDED, 1.0)]
-    assert select_tool(tools, _diag(), ToolPolicy(prefer=MASK_GUIDED)).descriptor.name == "first"
+    assert select_tool(tools, FACE, ToolPolicy(prefer=MASK_GUIDED)).descriptor.name == "first"
 
 
 # --- HTTP providers ------------------------------------------------------
 
 def _b64(data):
     return base64.b64encode(data).decode()
+
+
+@pytest.fixture(autouse=True)
+def sleeps(monkeypatch):
+    """The backoff sleeps of this module's HTTP clients, recorded and not
+    slept. Only `providers` sees the stub: a fake backend's Delay still
+    sleeps for real."""
+    slept = []
+    monkeypatch.setattr(providers_module, "time", SimpleNamespace(sleep=slept.append))
+    return slept
 
 
 def _http(role, backend, **cfg):
@@ -217,7 +227,6 @@ def _http(role, backend, **cfg):
         ("timeout_s", -1.0, "timeout_s must be > 0"),
         ("timeout_s", float("nan"), "timeout_s must be > 0"),
         ("retries", -1, "retries must be >= 0"),
-        ("backoff_base_s", -0.1, "backoff_base_s must be >= 0"),
         ("max_in_flight", 0, "max_in_flight must be >= 1"),
     ],
 )
@@ -238,7 +247,7 @@ def test_http_config_is_frozen():
 
 def test_http_retry_then_success():
     backend = FakeBackend(outcomes=[500, 500])
-    provider = _http("perception", backend, retries=3, backoff_base_s=0.01)
+    provider = _http("perception", backend, retries=3)
     out = provider.perceive(gray_image(), "p")
     assert out.width == 4
     assert backend.calls == 3
@@ -246,10 +255,17 @@ def test_http_retry_then_success():
 
 def test_http_retry_budget_exhausted():
     backend = FakeBackend(outcomes=[500] * 100)
-    provider = _http("perception", backend, retries=2, backoff_base_s=0.01)
+    provider = _http("perception", backend, retries=2)
     with pytest.raises(HttpStatusError):
         provider.perceive(gray_image(), "p")
     assert backend.calls == 3  # initial try + 2 retries
+
+
+def test_http_backoff_doubles_before_each_retry(sleeps):
+    backend = FakeBackend(outcomes=[500] * 100)
+    with pytest.raises(HttpStatusError):
+        _http("perception", backend, retries=2).perceive(gray_image(), "p")
+    assert sleeps == [0.1, 0.2]
 
 
 def test_http_dim_mismatch_is_schema_error():
@@ -336,9 +352,9 @@ _PNM_3X3 = _b64(write_pnm(gray_image(3, 3)))
 
 
 def _call(role, backend):
-    """One call of `role` on a 4x4 gray image, with two retries and no
-    backoff; diagnose sends two regions."""
-    provider = _http(role, backend, retries=2, backoff_base_s=0)
+    """One call of `role` on a 4x4 gray image, with two retries; diagnose
+    sends two regions."""
+    provider = _http(role, backend, retries=2)
     image = gray_image()
     if role == "perception":
         return provider.perceive(image, "p")
@@ -465,7 +481,7 @@ def test_run_loop_stops_provider_error_on_a_transport_failure():
         FakeBackend(outcomes=[fault] * 2),
     ]
     perception, reasoning, tool = (
-        _http(role, backend, retries=1, backoff_base_s=0)
+        _http(role, backend, retries=1)
         for role, backend in zip(_PATHS, backends)
     )
     provs = LoopProviders(perception=perception, reasoning=reasoning, tools=[tool])
