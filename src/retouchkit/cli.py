@@ -69,7 +69,7 @@ def _load_jsonl(path: str, parse) -> list:
 
 def _prediction(obj: dict) -> textmetrics.Diagnosis:
     return textmetrics.Diagnosis(
-        region_id=str(obj["region_id"]),
+        region_id=ds.typed(obj["region_id"], str, "region_id"),
         category=ds.DistortionCategory(obj["category"]),
         description=ds.typed(obj["description"], str, "description"),
         severity=float(ds.typed(obj.get("severity", 0.0), float, "severity")),
@@ -82,7 +82,7 @@ def _truth_region(obj: dict) -> ds.RegionAnnotation:
         category=ds.DistortionCategory(obj["category"]),
         description=ds.typed(obj["description"], str, "description"),
         annotator=ds.typed(obj.get("annotator", "truth"), str, "annotator"),
-        region_id=str(obj["region_id"]),
+        region_id=ds.typed(obj["region_id"], str, "region_id"),
     )
 
 

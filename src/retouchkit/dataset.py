@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -24,52 +25,36 @@ T = TypeVar("T")
 
 
 class DistortionCategory(Enum):
-    """12 fine-grained categories under 6 high-level dimensions.
+    """12 fine-grained categories, declared in pairs: pair i is under `_DIMENSIONS[i]`.
 
     Declaration order is the fixed category-code order used for vote
     tiebreaks.
     """
 
-    # human anatomical distortion
     LIMB_HAND_DEFORMITY = "limb_hand_deformity"
     FACE_DISTORTION = "face_distortion"
-    # attribute inconsistency
     COLOR_ATTRIBUTE_MISMATCH = "color_attribute_mismatch"
     COUNT_MISMATCH = "count_mismatch"
-    # spatial errors
     PERSPECTIVE_ERROR = "perspective_error"
     OCCLUSION_ERROR = "occlusion_error"
-    # object deformation or redundancy
     OBJECT_DEFORMATION = "object_deformation"
     OBJECT_REDUNDANCY = "object_redundancy"
-    # action and interaction distortion
     ACTION_IMPLAUSIBILITY = "action_implausibility"
     INTERACTION_ERROR = "interaction_error"
-    # miscellaneous
     TEXT_ANOMALY = "text_anomaly"
     OTHER_ARTIFACT = "other_artifact"
 
-    @property
-    def code_order(self) -> int:
-        return _CATEGORY_ORDER[self]
 
+_DIMENSIONS = (
+    "human anatomical distortion",
+    "attribute inconsistency",
+    "spatial errors",
+    "object deformation or redundancy",
+    "action and interaction distortion",
+    "miscellaneous",
+)
 
-_CATEGORY_ORDER = {c: i for i, c in enumerate(DistortionCategory)}
-
-DIMENSION_OF = {
-    DistortionCategory.LIMB_HAND_DEFORMITY: "human anatomical distortion",
-    DistortionCategory.FACE_DISTORTION: "human anatomical distortion",
-    DistortionCategory.COLOR_ATTRIBUTE_MISMATCH: "attribute inconsistency",
-    DistortionCategory.COUNT_MISMATCH: "attribute inconsistency",
-    DistortionCategory.PERSPECTIVE_ERROR: "spatial errors",
-    DistortionCategory.OCCLUSION_ERROR: "spatial errors",
-    DistortionCategory.OBJECT_DEFORMATION: "object deformation or redundancy",
-    DistortionCategory.OBJECT_REDUNDANCY: "object deformation or redundancy",
-    DistortionCategory.ACTION_IMPLAUSIBILITY: "action and interaction distortion",
-    DistortionCategory.INTERACTION_ERROR: "action and interaction distortion",
-    DistortionCategory.TEXT_ANOMALY: "miscellaneous",
-    DistortionCategory.OTHER_ARTIFACT: "miscellaneous",
-}
+DIMENSION_OF = {c: _DIMENSIONS[i // 2] for i, c in enumerate(DistortionCategory)}
 
 
 class DatasetError(ValueError):
@@ -119,7 +104,7 @@ class DatasetStats:
     region_count: int
     regions_per_image: float
     mean_description_words: float
-    category_histogram: dict[str, float] = field(default_factory=dict)
+    category_histogram: dict[str, float]
 
 
 def read_jsonl(data: bytes, parse: Callable[[dict], T]) -> list[T]:
@@ -152,18 +137,21 @@ def read_jsonl(data: bytes, parse: Callable[[dict], T]) -> list[T]:
     return items
 
 
-# the types json.loads gives a JSON integer, number and string
+# the types json.loads gives a JSON integer, number, string, array and object
 _JSON_KINDS = {
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
     str: ((str,), "a string"),
+    list: ((list,), "a list"),
+    dict: ((dict,), "an object"),
 }
 
 
 def typed(value, kind: type, name: str):
     """`value`, the field `name` of a JSON record, which must be a JSON
-    integer (kind int), number (float) or string (str), else TypeError. A
-    JSON true or false is a bool, an int subclass, so type() is tested."""
+    integer (kind int), number (float), string (str), array (list) or
+    object (dict), else TypeError. A JSON true or false is a bool, an int
+    subclass, so type() is tested."""
     types, noun = _JSON_KINDS[kind]
     if type(value) not in types:
         raise TypeError("%s must be %s, not %s" % (name, noun, json.dumps(value)))
@@ -172,7 +160,8 @@ def typed(value, kind: type, name: str):
 
 def _parse_record(obj: dict) -> AnnotationRecord:
     regions = []
-    for reg in obj.get("regions", []):
+    for reg in typed(obj.get("regions", []), list, "regions"):
+        typed(reg, dict, "region")
         try:
             category = DistortionCategory(reg["category"])
         except ValueError:
@@ -183,13 +172,13 @@ def _parse_record(obj: dict) -> AnnotationRecord:
                 category=category,
                 description=typed(reg["description"], str, "description"),
                 annotator=typed(reg["annotator"], str, "annotator"),
-                region_id=str(reg["id"]) if "id" in reg else None,
+                region_id=typed(reg["id"], str, "id") if "id" in reg else None,
             )
         )
     return AnnotationRecord(
-        image_id=str(obj["image_id"]),
-        image_ref=str(obj["image"]),
-        prompt=str(obj["prompt"]),
+        image_id=typed(obj["image_id"], str, "image_id"),
+        image_ref=typed(obj["image"], str, "image"),
+        prompt=typed(obj["prompt"], str, "prompt"),
         width=typed(obj["width"], int, "width"),
         height=typed(obj["height"], int, "height"),
         regions=tuple(regions),
@@ -257,6 +246,15 @@ def _disc(
     return (slice(y0, y1), slice(x0, x1)), xs**2 + ys**2 <= r * r
 
 
+def _discs(centers: Iterable[tuple[int, int]], image_height: int, image_width: int) -> np.ndarray:
+    """The union of the discs around `centers` as a bool frame mask."""
+    mask = np.zeros((image_height, image_width), dtype=bool)
+    for center in centers:
+        window, disc = _disc(center, image_height, image_width)
+        mask[window] |= disc
+    return mask
+
+
 def rasterize_region(center: tuple[int, int], image_height: int, image_width: int) -> np.ndarray:
     """Disc mask of radius height/20 around `center`, clipped at borders.
 
@@ -265,10 +263,7 @@ def rasterize_region(center: tuple[int, int], image_height: int, image_width: in
     """
     if image_height < 1 or image_width < 1:
         raise ValueError("image dimensions must be >= 1")
-    mask = np.zeros((image_height, image_width), dtype=bool)
-    window, disc = _disc(center, image_height, image_width)
-    mask[window] = disc
-    return mask
+    return _discs([center], image_height, image_width)
 
 
 def reconcile_majority(
@@ -277,59 +272,49 @@ def reconcile_majority(
     """Cluster regions across annotators (single linkage on center distance
     <= match_radius); keep clusters backed by a strict majority of
     annotators. Category = modal (ties to the lower category-code), center =
-    coordinate-wise median, description = longest contributed."""
+    coordinate-wise median, description = longest contributed (ties to the
+    lowest in code-point order)."""
     n_annotators = len(per_annotator)
     if n_annotators < 2:
         raise ValueError("need at least 2 annotators")
+    if not match_radius >= 0.0:  # also rejects NaN
+        raise ValueError("match_radius must be >= 0, got %r" % match_radius)
     items = [
         (ann_idx, region)
         for ann_idx, regions in enumerate(per_annotator)
         for region in regions
     ]
-    # single-linkage clustering via union-find
-    parent = list(range(len(items)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    # single linkage: every item carries its cluster's label, and a merge
+    # relabels the whole of one cluster
+    label = list(range(len(items)))
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
             (x1, y1), (x2, y2) = items[i][1].center, items[j][1].center
-            if math.hypot(x1 - x2, y1 - y2) <= match_radius:
-                parent[find(i)] = find(j)
-
-    clusters: dict[int, list[tuple[int, RegionAnnotation]]] = {}
-    for idx, item in enumerate(items):
-        clusters.setdefault(find(idx), []).append(item)
+            if label[i] != label[j] and math.hypot(x1 - x2, y1 - y2) <= match_radius:
+                old, new = label[j], label[i]
+                label = [new if k == old else k for k in label]
 
     survivors = []
-    for members in clusters.values():
-        voters = {ann_idx for ann_idx, _ in members}
-        if len(voters) * 2 <= n_annotators:  # strict majority required
+    for cluster in set(label):
+        voters, regions = zip(*(item for item, k in zip(items, label) if k == cluster))
+        if len(set(voters)) * 2 <= n_annotators:  # strict majority required
             continue
-        regions = [r for _, r in members]
-        counts: dict[DistortionCategory, int] = {}
-        for r in regions:
-            counts[r.category] = counts.get(r.category, 0) + 1
-        best = max(counts.values())
-        category = min(
-            (c for c, k in counts.items() if k == best), key=lambda c: c.code_order
-        )
+        votes = Counter(r.category for r in regions)
         cx = statistics.median(r.center[0] for r in regions)
         cy = statistics.median(r.center[1] for r in regions)
-        description = max((r.description for r in regions), key=len)
         survivors.append(
             RegionAnnotation(
                 center=(int(round(cx)), int(round(cy))),
-                category=category,
-                description=description,
+                # declaration order is the code order, and max keeps the first
+                category=max(DistortionCategory, key=votes.__getitem__),
+                description=max(sorted(r.description for r in regions), key=len),
                 annotator="consensus",
             )
         )
-    survivors.sort(key=lambda r: (r.center[1], r.center[0], r.category.code_order))
+    codes = list(DistortionCategory)
+    survivors.sort(
+        key=lambda r: (r.center[1], r.center[0], codes.index(r.category), r.description)
+    )
     return survivors
 
 
@@ -339,19 +324,13 @@ def compute_stats(records: Sequence[AnnotationRecord]) -> DatasetStats:
         raise ValueError("empty dataset")
     region_count = sum(len(r.regions) for r in records)
     word_total = sum(len(reg.description.split()) for r in records for reg in r.regions)
-    histogram: dict[str, int] = {}
-    for rec in records:
-        for reg in rec.regions:
-            histogram[reg.category.value] = histogram.get(reg.category.value, 0) + 1
-    shares = {
-        cat: count / region_count for cat, count in sorted(histogram.items())
-    } if region_count else {}
+    histogram = Counter(reg.category.value for r in records for reg in r.regions)
     return DatasetStats(
         image_count=len(records),
         region_count=region_count,
         regions_per_image=region_count / len(records),
         mean_description_words=word_total / region_count if region_count else 0.0,
-        category_histogram=shares,
+        category_histogram={cat: n / region_count for cat, n in sorted(histogram.items())},
     )
 
 
@@ -386,10 +365,7 @@ def ground_truth_map(
     Gaussian-blurred and renormalized to peak 1."""
     if not blur_sigma >= 0.0:  # also rejects NaN
         raise ValueError("blur_sigma must be >= 0, got %r" % blur_sigma)
-    mask = np.zeros((record.height, record.width), dtype=bool)
-    for reg in record.regions:
-        window, disc = _disc(reg.center, record.height, record.width)
-        mask[window] |= disc
+    mask = _discs((reg.center for reg in record.regions), record.height, record.width)
     dense = mask.astype(np.float32)
     if blur_sigma > 0.0 and mask.any():
         dense = gaussian_blur(dense, blur_sigma)

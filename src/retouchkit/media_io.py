@@ -12,6 +12,7 @@ All codecs are pure functions over byte strings and round-trip byte-exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,43 +96,25 @@ class FloatGrid:
         return cls(width=w, height=h, data=arr.tobytes())
 
 
-def _read_pnm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    # PNM tokens are separated by whitespace; '#' starts a comment to EOL.
-    n = len(buf)
-    while pos < n:
-        c = buf[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < n and buf[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise MalformedHeaderError("unexpected end of header")
-    start = pos
-    while pos < n and not buf[pos : pos + 1].isspace():
-        pos += 1
-    return buf[start:pos], pos
+# one header token after any whitespace and '#' comments (each to the end
+# of its line); the token is empty only at the end of the input
+_PNM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 def read_pnm(data: bytes) -> ImageBuffer:
     """Decode a binary PNM (P5/P6, maxval 255) byte string. An ImageBuffer
     is full-range 8-bit, so any other maxval is an UnsupportedMaxvalError:
     its samples would be re-labelled maxval 255 by every writer."""
-    if len(data) < 2:
-        raise MalformedHeaderError("too short for a PNM header")
-    magic = data[:2]
-    if magic == b"P5":
-        channels = 1
-    elif magic == b"P6":
-        channels = 3
-    else:
-        raise MalformedHeaderError("bad magic %r (want P5 or P6)" % magic)
+    channels = {b"P5": 1, b"P6": 3}.get(data[:2])
+    if channels is None:
+        raise MalformedHeaderError("bad magic %r (want P5 or P6)" % data[:2])
     pos = 2
     fields = []
     for _ in range(3):
-        tok, pos = _read_pnm_token(data, pos)
+        match = _PNM_TOKEN.match(data, pos)
+        tok, pos = match[1], match.end()
+        if not tok:
+            raise MalformedHeaderError("unexpected end of header")
         if not tok.isdigit():
             raise MalformedHeaderError("non-numeric header field %r" % tok)
         fields.append(int(tok))
@@ -140,7 +123,7 @@ def read_pnm(data: bytes) -> ImageBuffer:
         raise MalformedHeaderError("bad dimensions %dx%d" % (width, height))
     if maxval != 255:
         raise UnsupportedMaxvalError("maxval %d is not 255" % maxval)
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
+    if not data[pos : pos + 1].isspace():  # b"", the end of the input, is no whitespace
         raise MalformedHeaderError("missing whitespace after maxval")
     pos += 1  # exactly one whitespace byte before the raster
     need = width * height * channels

@@ -23,19 +23,19 @@ def write_gray_image(path, size=8):
     path.write_bytes(write_pnm(img))
 
 
+# the golden files were written by an earlier implementation of
+# parse_dataset and compute_stats
 def test_dataset_stats_text(capsys):
     rc = main(["dataset-stats", str(DATA / "synthetic50.jsonl")])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "image_count:             50" in out
-    assert "region_count:            250" in out
+    assert out.encode() == (DATA / "dataset_stats_synthetic50.txt").read_bytes()
 
 
 def test_dataset_stats_json(capsys):
     rc = main(["dataset-stats", str(DATA / "synthetic50.jsonl"), "--json"])
     assert rc == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["regions_per_image"] == 5.0
+    assert capsys.readouterr().out.encode() == (DATA / "dataset_stats_synthetic50.json").read_bytes()
 
 
 def test_dataset_stats_empty(tmp_path, capsys):
@@ -58,18 +58,26 @@ def test_dataset_stats_empty(tmp_path, capsys):
         ("record", "height", 100.9, "height must be an integer, not 100.9"),
         ("region", "description", 123, "description must be a string, not 123"),
         ("region", "annotator", None, "annotator must be a string, not null"),
+        ("region", "id", 3, "id must be a string, not 3"),
+        ("record", "image_id", 7, "image_id must be a string, not 7"),
+        ("record", "image", None, "image must be a string, not null"),
+        ("record", "prompt", False, "prompt must be a string, not false"),
+        ("record", "regions", {}, "regions must be a list, not {}"),
+        ("record", "regions", "", 'regions must be a list, not ""'),
+        ("record", "regions", [5], "region must be an object, not 5"),
     ],
 )
 def test_dataset_stats_rejects_a_mistyped_field(tmp_path, capsys, where, field, value, message):
     region = {"x": 5, "y": 1, "category": "face_distortion", "description": "d", "annotator": "a"}
     record = {"image_id": "a", "image": "a", "prompt": "p", "width": 100, "height": 100}
     good = json.dumps({**record, "regions": [region]})
+    bad = {**record, "regions": [region]}
     if where == "region":
-        region = {**region, field: value}
+        bad["regions"] = [{**region, field: value}]
     else:
-        record = {**record, field: value}
+        bad[field] = value
     path = tmp_path / "data.jsonl"
-    path.write_text(good + "\n" + json.dumps({**record, "regions": [region]}) + "\n")
+    path.write_text(good + "\n" + json.dumps(bad) + "\n")
     rc = main(["dataset-stats", str(path)])
     captured = capsys.readouterr()
     assert rc == 1
@@ -440,6 +448,8 @@ def test_evaluate_reasoning_huge_integer_severity(tmp_path, capsys):
         ("truth", "x", 5.7, "x must be an integer, not 5.7"),
         ("truth", "y", False, "y must be an integer, not false"),
         ("truth", "annotator", None, "annotator must be a string, not null"),
+        ("pred", "region_id", 7, "region_id must be a string, not 7"),
+        ("truth", "region_id", None, "region_id must be a string, not null"),
     ],
 )
 def test_evaluate_reasoning_mistyped_field(tmp_path, capsys, bad_input, field, value, message):

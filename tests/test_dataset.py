@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -292,22 +293,135 @@ def test_median_center():
 
 
 def test_permutation_invariance():
-    base = [
-        [region(10, 10, HAND, "h", "a0"), region(50, 50, FACE, "f", "a0")],
-        [region(11, 11, HAND, "hh", "a1")],
-        [region(9, 10, FACE, "fff", "a2"), region(51, 50, FACE, "ff", "a2")],
+    bases = [
+        [
+            [region(10, 10, HAND, "h", "a0"), region(50, 50, FACE, "f", "a0")],
+            [region(11, 11, HAND, "hh", "a1")],
+            [region(9, 10, FACE, "fff", "a2"), region(51, 50, FACE, "ff", "a2")],
+        ],
+        # two descriptions of the same length: the lower in code-point order
+        # is kept, whichever annotator comes first
+        [[region(10, 10, HAND, "cd", "a1")], [region(10, 10, HAND, "ab", "a0")]],
     ]
-    want = reconcile_majority(base, match_radius=5.0)
     rng = random.Random(0)
-    for _ in range(100):
-        shuffled = base[:]
-        rng.shuffle(shuffled)
-        assert reconcile_majority(shuffled, match_radius=5.0) == want
+    for base in bases:
+        want = reconcile_majority(base, match_radius=5.0)
+        for _ in range(100):
+            shuffled = base[:]
+            rng.shuffle(shuffled)
+            assert reconcile_majority(shuffled, match_radius=5.0) == want
+    assert reconcile_majority(bases[1], match_radius=5.0)[0].description == "ab"
 
 
 def test_requires_two_annotators():
     with pytest.raises(ValueError):
         reconcile_majority([[region(1, 1)]], match_radius=5.0)
+
+
+@pytest.mark.parametrize("radius", [-1.0, float("nan")])
+def test_reconcile_rejects_a_match_radius_below_zero(radius):
+    per = [[region(10, 10)], [region(10, 10)]]
+    with pytest.raises(ValueError, match="match_radius must be >= 0"):
+        reconcile_majority(per, match_radius=radius)
+
+
+_CODE_ORDER = {c: i for i, c in enumerate(DistortionCategory)}
+
+
+# reference oracle: the union-find implementation reconcile_majority
+# replaced, with its category order spelled out
+def reference_reconcile_majority(per_annotator, match_radius):
+    n_annotators = len(per_annotator)
+    if n_annotators < 2:
+        raise ValueError("need at least 2 annotators")
+    items = [
+        (ann_idx, region)
+        for ann_idx, regions in enumerate(per_annotator)
+        for region in regions
+    ]
+    # single-linkage clustering via union-find
+    parent = list(range(len(items)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            (x1, y1), (x2, y2) = items[i][1].center, items[j][1].center
+            if math.hypot(x1 - x2, y1 - y2) <= match_radius:
+                parent[find(i)] = find(j)
+
+    clusters = {}
+    for idx, item in enumerate(items):
+        clusters.setdefault(find(idx), []).append(item)
+
+    survivors = []
+    for members in clusters.values():
+        voters = {ann_idx for ann_idx, _ in members}
+        if len(voters) * 2 <= n_annotators:  # strict majority required
+            continue
+        regions = [r for _, r in members]
+        counts = {}
+        for r in regions:
+            counts[r.category] = counts.get(r.category, 0) + 1
+        best = max(counts.values())
+        category = min((c for c, k in counts.items() if k == best), key=_CODE_ORDER.get)
+        cx = statistics.median(r.center[0] for r in regions)
+        cy = statistics.median(r.center[1] for r in regions)
+        description = max((r.description for r in regions), key=len)
+        survivors.append(
+            RegionAnnotation(
+                center=(int(round(cx)), int(round(cy))),
+                category=category,
+                description=description,
+                annotator="consensus",
+            )
+        )
+    survivors.sort(key=lambda r: (r.center[1], r.center[0], _CODE_ORDER[r.category]))
+    return survivors
+
+
+@st.composite
+def annotations(draw):
+    """2-5 annotators' regions and a radius in [0, 20]; every description
+    has its own length. Some centres form chains along x whose steps are
+    exactly the radius (linked) or one pixel more (not linked)."""
+    radius = draw(st.one_of(st.integers(0, 20), st.floats(0, 20), st.sampled_from([0.0, 5.0])))
+    centres = []
+    for _ in range(draw(st.integers(0, 12))):
+        if centres and draw(st.booleans()):
+            x, y = draw(st.sampled_from(centres))
+            step = int(radius) + draw(st.sampled_from([0, 0, 1]))
+            centres.append((x + step, y))
+        elif centres and draw(st.booleans()):
+            x, y = draw(st.sampled_from(centres))
+            centres.append((x + draw(st.sampled_from([-4, 4])), y + draw(st.sampled_from([-3, 3]))))
+        else:
+            centres.append((draw(st.integers(0, 60)), draw(st.integers(0, 60))))
+    lengths = draw(st.permutations(range(1, len(centres) + 1)))
+    n_annotators = draw(st.integers(2, 5))
+    per = [[] for _ in range(n_annotators)]
+    for (x, y), n in zip(centres, lengths):
+        ann = draw(st.integers(0, n_annotators - 1))
+        cat = draw(st.sampled_from(list(DistortionCategory)[:4]))
+        per[ann].append(region(x, y, cat, "d" * n, "a%d" % ann))
+    return per, radius
+
+
+@given(annotations())
+@example(([[region(10, 10, HAND, "a")], [region(15, 10, FACE, "bb")], [region(20, 10, FACE, "ccc")]], 5))
+@example(([[region(10, 10, HAND, "a")], [region(16, 10, FACE, "bb")], [region(20, 10, FACE, "ccc")]], 5))
+@settings(max_examples=300, deadline=None)
+def test_reconcile_equals_the_previous_implementation(case):
+    per, radius = case
+    want = reference_reconcile_majority(per, radius)
+    # the reference leaves survivors with the same centre and category in
+    # cluster order; the new order also sorts on the description
+    want.sort(key=lambda r: (r.center[1], r.center[0], _CODE_ORDER[r.category], r.description))
+    assert reconcile_majority(per, radius) == want
 
 
 # --- compute_stats -------------------------------------------------------

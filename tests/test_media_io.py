@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from retouchkit.media_io import (
     FloatGrid,
@@ -85,6 +85,116 @@ def test_pnm_fuzz_never_crashes(blob):
         read_pnm(blob)
     except MediaFormatError:
         pass
+
+
+# reference oracle: the byte-by-byte header scanner read_pnm replaced
+def reference_read_pnm_token(buf, pos):
+    n = len(buf)
+    while pos < n:
+        c = buf[pos : pos + 1]
+        if c.isspace():
+            pos += 1
+        elif c == b"#":
+            while pos < n and buf[pos : pos + 1] != b"\n":
+                pos += 1
+        else:
+            break
+    if pos >= n:
+        raise MalformedHeaderError("unexpected end of header")
+    start = pos
+    while pos < n and not buf[pos : pos + 1].isspace():
+        pos += 1
+    return buf[start:pos], pos
+
+
+def reference_read_pnm(data):
+    if len(data) < 2:
+        raise MalformedHeaderError("too short for a PNM header")
+    magic = data[:2]
+    if magic == b"P5":
+        channels = 1
+    elif magic == b"P6":
+        channels = 3
+    else:
+        raise MalformedHeaderError("bad magic %r (want P5 or P6)" % magic)
+    pos = 2
+    fields = []
+    for _ in range(3):
+        tok, pos = reference_read_pnm_token(data, pos)
+        if not tok.isdigit():
+            raise MalformedHeaderError("non-numeric header field %r" % tok)
+        fields.append(int(tok))
+    width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise MalformedHeaderError("bad dimensions %dx%d" % (width, height))
+    if maxval != 255:
+        raise UnsupportedMaxvalError("maxval %d is not 255" % maxval)
+    if pos >= len(data) or not data[pos : pos + 1].isspace():
+        raise MalformedHeaderError("missing whitespace after maxval")
+    pos += 1
+    need = width * height * channels
+    payload = data[pos : pos + need]
+    if len(payload) < need:
+        raise TruncatedPayloadError("payload has %d of %d expected bytes" % (len(payload), need))
+    return ImageBuffer(width=width, height=height, channels=channels, data=payload)
+
+
+def pnm_outcome(read, data):
+    try:
+        return read(data)
+    except MediaFormatError as exc:
+        return type(exc), str(exc)
+
+
+_WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+
+
+@st.composite
+def pnm_headers(draw):
+    """A magic, three fields after whitespace and comments, one separator
+    and a short payload; any part may be malformed, and the header may stop
+    after any field."""
+    magic = draw(st.one_of(st.just(b"P5"), st.just(b"P6"), st.sampled_from([b"P3", b"P", b"", b"p5"])))
+    comment = st.binary(max_size=6).filter(lambda b: b"\n" not in b).map(lambda b: b"#" + b)
+    # a '#' inside a token is part of it, so a gap starts with whitespace
+    gap = st.tuples(
+        st.sampled_from(_WHITESPACE),
+        st.lists(st.one_of(st.sampled_from(_WHITESPACE), comment.map(lambda c: c + b"\n")), max_size=2),
+    ).map(lambda g: g[0] + b"".join(g[1]))
+    non_digits = st.sampled_from([b"x", b"1x", b"-1", b"+2", b"2#3", b"\xff", b"\xd9\xa3"])
+    dims = st.one_of(
+        st.sampled_from([b"1", b"2", b"3", b"01", b"0"]),
+        st.from_regex(rb"\A[0-9]{1,3}\Z"),
+        non_digits,
+    )
+    maxvals = st.one_of(
+        st.just(b"255"),
+        st.sampled_from([b"255", b"0255", b"254", b"256", b"0", b"1", b"65535"]),
+        non_digits,
+    )
+    parts = [magic]
+    for field in (dims, dims, maxvals)[: draw(st.sampled_from([3, 3, 3, 3, 2, 1, 0]))]:
+        parts += [draw(gap), draw(field)]
+    if draw(st.integers(0, 5)) == 0:  # a comment at the end of the input, with no newline
+        return b"".join(parts) + b" " + draw(comment)
+    parts.append(draw(st.sampled_from([b"", b"#", b"x"] + _WHITESPACE * 3)))
+    parts.append(draw(st.binary(max_size=30)))
+    return b"".join(parts)
+
+
+@given(data=st.one_of(pnm_headers(), st.binary(max_size=24)))
+@example(data=b"P5 1 1 255\n\x00")
+@example(data=b"P6#c\n2\t1\r255\x0b" + bytes(6))
+@example(data=b"P5 1 1 255#")
+@example(data=b"P5 1 1 # no newline")
+@example(data=b"P")
+@settings(max_examples=500, deadline=None)
+def test_pnm_equals_the_previous_reader(data):
+    got, want = pnm_outcome(read_pnm, data), pnm_outcome(reference_read_pnm, data)
+    if len(data) < 2:  # only their messages may differ
+        assert got[0] is want[0] is MalformedHeaderError
+    else:
+        assert got == want
 
 
 def test_fsal_single_value():
