@@ -3,12 +3,13 @@ clipped-surrogate objective with a KL penalty toward a reference policy,
 reward composition, and low-rank adapter algebra, all on toy categorical
 policies with full distributions exposed.
 
-The surrogate is an objective to MAXIMIZE; use `grpo_loss` for the
-negated value.
+The surrogate is an objective to MAXIMIZE.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,9 +29,9 @@ class CategoricalPolicy:
 
     def __init__(self, probs: Sequence[float]):
         probs = tuple(float(p) for p in probs)
-        if abs(sum(probs) - 1.0) > 1e-9:
+        if not abs(sum(probs) - 1.0) <= 1e-9:  # also rejects NaN and inf
             raise ValueError("probabilities must sum to 1")
-        if any(p <= 0.0 for p in probs):
+        if not all(p > 0.0 for p in probs):
             raise ValueError("probabilities must be strictly positive")
         object.__setattr__(self, "probs", probs)
 
@@ -40,6 +41,8 @@ class CategoricalPolicy:
     @classmethod
     def from_logits(cls, logits: Sequence[float]) -> "CategoricalPolicy":
         z = np.asarray(logits, dtype=np.float64)
+        if not np.isfinite(z).all():
+            raise ValueError("logits must be finite")
         z = z - z.max()
         e = np.exp(z)
         return cls(e / e.sum())
@@ -51,10 +54,10 @@ class GrpoConfig:
     beta: float = 0.04
 
     def __post_init__(self):
-        if self.epsilon_clip <= 0.0:
+        if not self.epsilon_clip > 0.0:  # also rejects NaN
             raise ValueError("epsilon_clip must be > 0")
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,12 @@ class GrpoGroup:
     rewards: tuple[float, ...]
 
     def __init__(self, actions: Sequence[int], rewards: Sequence[float]):
-        actions = tuple(int(a) for a in actions)
+        actions = tuple(operator.index(a) for a in actions)  # a float is a TypeError
         rewards = tuple(float(r) for r in rewards)
         if len(actions) < 2 or len(actions) != len(rewards):
             raise ValueError("group needs >= 2 (action, reward) pairs of equal length")
+        if not all(math.isfinite(r) for r in rewards):
+            raise ValueError("rewards must be finite")
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "rewards", rewards)
 
@@ -88,12 +93,8 @@ class LoraFactors:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def rank(self) -> int:
-        return self.a.shape[1]
 
-
-def group_advantages(rewards: Sequence[float]) -> list[float]:
+def group_advantages(rewards: Sequence[float]) -> np.ndarray:
     """(r_i - mean) / population std; raises ZeroVarianceError if all
     rewards are equal."""
     r = np.asarray(rewards, dtype=np.float64)
@@ -102,7 +103,7 @@ def group_advantages(rewards: Sequence[float]) -> list[float]:
     std = r.std()
     if std == 0.0:
         raise ZeroVarianceError("all rewards equal; zero variance")
-    return list((r - r.mean()) / std)
+    return (r - r.mean()) / std
 
 
 def categorical_kl(p: CategoricalPolicy, q: CategoricalPolicy) -> float:
@@ -125,7 +126,7 @@ def _surrogate_terms(
     for a in group.actions:
         if not 0 <= a < len(theta):
             raise ValueError("action index %d out of range" % a)
-    adv = np.asarray(group_advantages(group.rewards))
+    adv = group_advantages(group.rewards)
     ratios = np.asarray([theta.probs[a] / old.probs[a] for a in group.actions])
     clipped = np.clip(ratios, 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip)
     terms = np.minimum(ratios * adv, clipped * adv)
@@ -141,20 +142,8 @@ def grpo_objective(
 ) -> float:
     """mean_t min(r_t * A_t, clip(r_t, 1-eps, 1+eps) * A_t)
     - beta * KL(theta || ref), to be maximized."""
-    if len(theta) != len(ref):
-        raise ValueError("policies over different action sets")
     terms, _, _ = _surrogate_terms(theta, old, group, cfg)
     return float(terms.mean() - cfg.beta * categorical_kl(theta, ref))
-
-
-def grpo_loss(
-    theta: CategoricalPolicy,
-    ref: CategoricalPolicy,
-    old: CategoricalPolicy,
-    group: GrpoGroup,
-    cfg: GrpoConfig,
-) -> float:
-    return -grpo_objective(theta, ref, old, group, cfg)
 
 
 def grpo_gradient(
@@ -163,7 +152,7 @@ def grpo_gradient(
     old: CategoricalPolicy,
     group: GrpoGroup,
     cfg: GrpoConfig,
-) -> list[float]:
+) -> np.ndarray:
     """Analytic d(objective)/d(logits) with theta = softmax(logits).
 
     Advantages are treated as constants; the clipped branch has zero
@@ -171,31 +160,22 @@ def grpo_gradient(
     """
     theta = CategoricalPolicy.from_logits(logits)
     pi = np.asarray(theta.probs)
-    n = len(pi)
     terms, ratios, adv = _surrogate_terms(theta, old, group, cfg)
-    grad = np.zeros(n)
-    for t, action in enumerate(group.actions):
-        unclipped = ratios[t] * adv[t]
-        # min selects the clipped branch strictly only when the clip is
-        # active, and an active clip is constant in theta: zero gradient.
-        if unclipped <= terms[t]:
-            # d(r*A)/dlogit_k = r*A*(1[k=a] - pi_k)
-            onehot = np.zeros(n)
-            onehot[action] = 1.0
-            grad += unclipped * (onehot - pi)
-    grad /= len(group.actions)
-    if cfg.beta > 0.0:
-        kl = categorical_kl(theta, ref)
-        ref_p = np.asarray(ref.probs)
-        grad -= cfg.beta * pi * (np.log(pi / ref_p) - kl)
-    return list(grad)
+    unclipped = ratios * adv
+    # min selects the clipped branch strictly only when the clip is active,
+    # and an active clip is constant in theta: zero gradient. Otherwise
+    # d(r*A)/dlogit_k = r*A*(1[k=a] - pi_k), summed over the samples.
+    w = np.where(unclipped <= terms, unclipped, 0.0)
+    grad = (np.bincount(group.actions, w, len(pi)) - pi * w.sum()) / len(w)
+    kl = categorical_kl(theta, ref)
+    return grad - cfg.beta * pi * (np.log(pi / np.asarray(ref.probs)) - kl)
 
 
 def compose_reward(
     pred: Diagnosis, truth: RegionAnnotation, w_cat: float = 0.5, w_txt: float = 0.5
 ) -> float:
     """w_cat * [category match] + w_txt * rouge_l(descriptions)."""
-    if w_cat < 0.0 or w_txt < 0.0 or abs(w_cat + w_txt - 1.0) > 1e-9:
+    if not (w_cat >= 0.0 and w_txt >= 0.0 and abs(w_cat + w_txt - 1.0) <= 1e-9):
         raise ValueError("weights must be non-negative and sum to 1")
     cat = 1.0 if pred.category is truth.category else 0.0
     return w_cat * cat + w_txt * rouge_l(pred.description, truth.description)

@@ -96,6 +96,15 @@ class FloatGrid:
         return cls(width=w, height=h, data=arr.tobytes())
 
 
+def _header_int(tok: bytes) -> int:
+    """A header field of ASCII digits as an int; int() refuses more than
+    sys.get_int_max_str_digits() digits (4,300 by default)."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise MalformedHeaderError("header field of %d digits" % len(tok)) from None
+
+
 # one header token after any whitespace and '#' comments (each to the end
 # of its line); the token is empty only at the end of the input
 _PNM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
@@ -117,7 +126,7 @@ def read_pnm(data: bytes) -> ImageBuffer:
             raise MalformedHeaderError("unexpected end of header")
         if not tok.isdigit():
             raise MalformedHeaderError("non-numeric header field %r" % tok)
-        fields.append(int(tok))
+        fields.append(_header_int(tok))
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise MalformedHeaderError("bad dimensions %dx%d" % (width, height))
@@ -155,7 +164,7 @@ def read_float_grid(data: bytes) -> FloatGrid:
         raise MalformedHeaderError("bad FSAL1 header %r" % data[:nl])
     if not (parts[1].isdigit() and parts[2].isdigit()):
         raise MalformedHeaderError("non-numeric FSAL1 dimensions")
-    width, height = int(parts[1]), int(parts[2])
+    width, height = _header_int(parts[1]), _header_int(parts[2])
     if width < 1 or height < 1:
         raise MalformedHeaderError("bad FSAL1 dimensions %dx%d" % (width, height))
     payload = data[nl + 1 :]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from retouchkit import checks
 from retouchkit.alignment import (
@@ -15,7 +16,6 @@ from retouchkit.alignment import (
     compose_reward,
     group_advantages,
     grpo_gradient,
-    grpo_loss,
     grpo_objective,
     lora_apply,
     lora_delta,
@@ -74,7 +74,7 @@ def test_advantages_zero_variance():
 def test_advantages_normalized():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        adv = np.asarray(group_advantages(rng.random(int(rng.integers(2, 12)))))
+        adv = group_advantages(rng.random(int(rng.integers(2, 12))))
         assert abs(adv.mean()) <= 1e-10
         assert abs(adv.std() - 1.0) <= 1e-10
 
@@ -86,7 +86,6 @@ def test_objective_identity_is_zero():
     group = GrpoGroup([0, 1, 2], [1.0, 2.0, 4.0])
     cfg = GrpoConfig(epsilon_clip=0.2, beta=1.0)
     assert abs(grpo_objective(pi, pi, pi, group, cfg)) <= 1e-12
-    assert grpo_loss(pi, pi, pi, group, cfg) == -grpo_objective(pi, pi, pi, group, cfg)
 
 
 def test_objective_reduces_to_minus_kl():
@@ -185,7 +184,7 @@ def test_gradient_kl_only():
         # the same action, cancelling the surrogate gradient exactly
         group = GrpoGroup([0, 0], [0.0, 2.0])
         cfg = GrpoConfig(epsilon_clip=0.2, beta=5.0)
-        analytic = np.asarray(grpo_gradient(logits, ref, old, group, cfg))
+        analytic = grpo_gradient(logits, ref, old, group, cfg)
         fd = finite_difference_gradient(np.asarray(logits), ref, old, group, cfg)
         scale = max(np.abs(fd).max(), 1e-8)
         assert np.abs(analytic - fd).max() / scale <= 1e-4
@@ -193,6 +192,118 @@ def test_gradient_kl_only():
 
 def test_kl_properties():
     assert check_kl_nonnegative().passed
+
+
+def reference_grpo_gradient(logits, ref, old, group, cfg):
+    # oracle: the per-sample loop that grpo_gradient replaced, one one-hot
+    # vector per sample on the unclipped branch, and no KL term at beta = 0
+    theta = CategoricalPolicy.from_logits(logits)
+    pi = np.asarray(theta.probs)
+    n = len(pi)
+    terms, ratios, adv = _surrogate_terms(theta, old, group, cfg)
+    grad = np.zeros(n)
+    for t, action in enumerate(group.actions):
+        unclipped = ratios[t] * adv[t]
+        if unclipped <= terms[t]:
+            onehot = np.zeros(n)
+            onehot[action] = 1.0
+            grad += unclipped * (onehot - pi)
+    grad /= len(group.actions)
+    if cfg.beta > 0.0:
+        kl = categorical_kl(theta, ref)
+        grad -= cfg.beta * pi * (np.log(pi / np.asarray(ref.probs)) - kl)
+    return grad
+
+
+@st.composite
+def gradient_cases(draw):
+    """Logits, ref, old, a group and a config, with beta = 0 and very narrow
+    and very wide clips among them. In about half the cases every sample is
+    on the clipped branch: the reward is a function of the action, and old
+    moves mass from the actions of positive advantage to those of negative
+    advantage."""
+    n = draw(st.integers(2, 6))
+    weights = st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)
+    policies = weights.map(lambda w: CategoricalPolicy(np.divide(w, sum(w))))
+    logits = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    ref = draw(policies)
+    actions = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=8))
+    unit = st.floats(0.0, 1.0)
+    clip_all = draw(st.booleans())
+    if clip_all:
+        value = draw(st.lists(unit, min_size=n, max_size=n))
+        rewards = [value[a] for a in actions]
+    else:
+        rewards = draw(st.lists(unit, min_size=len(actions), max_size=len(actions)))
+    assume(np.std(rewards) > 1e-3)
+    group = GrpoGroup(actions, rewards)
+    narrow, wide = [1e-9, 1e-3], [0.2, 0.5, 1e9]
+    eps = draw(st.sampled_from(narrow if clip_all else narrow + wide))
+    cfg = GrpoConfig(epsilon_clip=eps, beta=draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))))
+    if clip_all:
+        sign = np.zeros(n)
+        sign[list(group.actions)] = np.sign(group_advantages(rewards))
+        m = np.asarray(CategoricalPolicy.from_logits(logits).probs) * 2.0**-sign
+        old = CategoricalPolicy(m / m.sum())
+    else:
+        old = draw(policies)
+    terms, ratios, adv = _surrogate_terms(CategoricalPolicy.from_logits(logits), old, group, cfg)
+    assume(not clip_all or (ratios * adv > terms).all())
+    return logits, ref, old, group, cfg
+
+
+@given(case=gradient_cases())
+@settings(max_examples=300, deadline=None)
+def test_gradient_equals_the_per_sample_loop(case):
+    got, want = grpo_gradient(*case), reference_grpo_gradient(*case)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_gradient_checks_the_reference_action_set_at_beta_zero():
+    with pytest.raises(ValueError, match="different action sets"):
+        grpo_gradient(
+            [0.1, 0.2],
+            CategoricalPolicy([0.2, 0.3, 0.5]),
+            CategoricalPolicy([0.5, 0.5]),
+            GrpoGroup([0, 1], [0.0, 1.0]),
+            GrpoConfig(beta=0.0),
+        )
+
+
+# --- input validation ----------------------------------------------------
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CategoricalPolicy([0.5, math.nan]),
+        lambda: CategoricalPolicy.from_logits([math.inf, 0.0]),
+        lambda: GrpoConfig(epsilon_clip=math.nan),
+        lambda: GrpoConfig(beta=math.nan),
+        lambda: GrpoConfig(beta=math.inf),
+        lambda: GrpoGroup([0, 1], [0.0, math.nan]),
+        lambda: GrpoGroup([0, 1], [0.0, math.inf]),
+        lambda: compose_reward(_diag(), _truth(), math.nan, 1.0),
+    ],
+    ids=[
+        "policy-nan",
+        "logits-inf",
+        "epsilon-nan",
+        "beta-nan",
+        "beta-inf",
+        "reward-nan",
+        "reward-inf",
+        "weight-nan",
+    ],
+)
+def test_non_finite_inputs_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_group_actions_are_integers():
+    with pytest.raises(TypeError):
+        GrpoGroup([0.7, 1.9], [0.0, 1.0])
+    assert GrpoGroup(np.array([0, 1]), [0.0, 1.0]).actions == (0, 1)
 
 
 # --- compose_reward ------------------------------------------------------

@@ -55,6 +55,8 @@ def test_pnm_comments_and_whitespace():
         (b"P6\n1 1\n254\n\x00\x00\x00", UnsupportedMaxvalError),
         (b"P5\n2 2\n255\n\x00", TruncatedPayloadError),
         (b"", MalformedHeaderError),
+        # int() refuses more than 4,300 digits
+        pytest.param(b"P5 " + b"1" * 5000 + b" 1 255\n", MalformedHeaderError, id="digit-limit"),
     ],
 )
 def test_pnm_errors_classified(data, err):
@@ -237,7 +239,13 @@ def test_fsal_fuzz_never_crashes(blob):
 
 @pytest.mark.parametrize(
     "data",
-    [b"FSAL2 1 1\n" + bytes(4), b"FSAL1 1\n", b"FSAL1 2 2\n" + bytes(4), b"FSAL1 1 1"],
+    [
+        b"FSAL2 1 1\n" + bytes(4),
+        b"FSAL1 1\n",
+        b"FSAL1 2 2\n" + bytes(4),
+        b"FSAL1 1 1",
+        pytest.param(b"FSAL1 " + b"1" * 5000 + b" 1\n", id="digit-limit"),
+    ],
 )
 def test_fsal_errors(data):
     with pytest.raises(MediaFormatError):
