@@ -96,14 +96,20 @@ class LoraFactors:
 
 def group_advantages(rewards: Sequence[float]) -> np.ndarray:
     """(r_i - mean) / population std; raises ZeroVarianceError if all
-    rewards are equal."""
+    rewards are equal, and ValueError for a reward, mean or std that is
+    not finite (rewards near the float range overflow the std)."""
     r = np.asarray(rewards, dtype=np.float64)
     if r.size < 2:
         raise ValueError("need at least 2 rewards")
-    std = r.std()
+    if not np.isfinite(r).all():
+        raise ValueError("rewards must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = r.mean(), r.std()
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        raise ValueError("reward mean or std overflows")
     if std == 0.0:
         raise ZeroVarianceError("all rewards equal; zero variance")
-    return (r - r.mean()) / std
+    return (r - mean) / std
 
 
 def categorical_kl(p: CategoricalPolicy, q: CategoricalPolicy) -> float:

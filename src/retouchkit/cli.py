@@ -14,17 +14,26 @@ import dataclasses
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import checks, dataset as ds, loop as loop_mod, metrics, providers, textmetrics
 from .media_io import ImageBuffer, read_float_grid, read_pnm, write_pnm
-from .saliency import SaliencyMap, propose_masks
+from .saliency import KLD_EPSILON, SaliencyMap, propose_masks
+
+
+def _load(path: str, parse=ds.parse_dataset) -> list:
+    """`parse` of the bytes of the file at `path`; a DatasetError names the file."""
+    try:
+        return parse(Path(path).read_bytes())
+    except ds.DatasetError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def _cmd_dataset_stats(args) -> int:
-    stats = ds.compute_stats(ds.parse_dataset(Path(args.file).read_bytes()))
+    stats = ds.compute_stats(_load(args.file))
     if args.json:
         print(json.dumps(dataclasses.asdict(stats), sort_keys=True, indent=2))
     else:
@@ -38,7 +47,7 @@ def _cmd_dataset_stats(args) -> int:
 
 
 def _cmd_evaluate_saliency(args) -> int:
-    records = ds.parse_dataset(Path(args.dataset).read_bytes())
+    records = _load(args.dataset)
     if not records:
         print("empty dataset", file=sys.stderr)
         return 1
@@ -48,23 +57,14 @@ def _cmd_evaluate_saliency(args) -> int:
     lines = [metrics.TSV_HEADER]
     reports = []
     for rec in records:
-        pred_path = pred_dir / ("%s.fsal" % rec.image_id)
-        pred = SaliencyMap(read_float_grid(pred_path.read_bytes()))
+        pred = SaliencyMap(read_float_grid((pred_dir / ("%s.fsal" % rec.image_id)).read_bytes()))
         truth, fix = ds.ground_truth_map(rec, blur_sigma=args.blur_sigma)
         report = metrics.evaluate_all(pred, truth, fix, epsilon=args.epsilon)
         reports.append(report)
         lines.append("%s\t%s" % (rec.image_id, report.as_tsv_row()))
-    agg = metrics.aggregate_reports(reports)
-    lines.append("aggregate\t%s" % agg.as_tsv_row())
+    lines.append("aggregate\t%s" % metrics.aggregate_reports(reports).as_tsv_row())
     print("\n".join(lines))
     return 0
-
-
-def _load_jsonl(path: str, parse) -> list:
-    try:
-        return ds.read_jsonl(Path(path).read_bytes(), parse)
-    except ds.DatasetError as exc:
-        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def _prediction(obj: dict) -> textmetrics.Diagnosis:
@@ -87,8 +87,8 @@ def _truth_region(obj: dict) -> ds.RegionAnnotation:
 
 
 def _cmd_evaluate_reasoning(args) -> int:
-    preds = _load_jsonl(args.pred, _prediction)
-    truths = _load_jsonl(args.truth, _truth_region)
+    preds = _load(args.pred, partial(ds.read_jsonl, parse=_prediction))
+    truths = _load(args.truth, partial(ds.read_jsonl, parse=_truth_region))
     report = textmetrics.evaluate_reasoning(preds, truths)
     print(report.as_tsv())
     return 0
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="JSON-lines annotation dataset (ground truth)")
     p.add_argument("--pred-dir", required=True, help="directory of <image_id>.fsal predictions")
     p.add_argument("--blur-sigma", type=float, default=0.0)
-    p.add_argument("--epsilon", type=float, default=1e-7)
+    p.add_argument("--epsilon", type=float, default=KLD_EPSILON)
     p.set_defaults(func=_cmd_evaluate_saliency)
 
     p = sub.add_parser("evaluate-reasoning", help="accuracy / ROUGE-L / METEOR-lite (TSV)")
@@ -213,23 +213,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("propose-masks", help="threshold+dilate+label an FSAL1 saliency map")
     p.add_argument("map", help="FSAL1 saliency map file")
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--dilation-radius", type=int, default=1)
-    p.add_argument("--min-area", type=int, default=4)
+    p.add_argument("--tau", type=float, default=loop_mod.LoopConfig.tau_s)
+    p.add_argument("--dilation-radius", type=int, default=loop_mod.LoopConfig.dilation_radius)
+    p.add_argument("--min-area", type=int, default=loop_mod.LoopConfig.min_area)
     p.set_defaults(func=_cmd_propose_masks)
 
     p = sub.add_parser("run-loop", help="run the retouching loop on one image")
     p.add_argument("--image", required=True, help="input PNM image")
     p.add_argument("--prompt", default="")
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--max-iter", type=int, default=3)
-    p.add_argument("--dilation-radius", type=int, default=1)
-    p.add_argument("--min-area", type=int, default=4)
+    p.add_argument("--tau", type=float, default=loop_mod.LoopConfig.tau_s)
+    p.add_argument("--max-iter", type=int, default=loop_mod.LoopConfig.max_iterations)
+    p.add_argument("--dilation-radius", type=int, default=loop_mod.LoopConfig.dilation_radius)
+    p.add_argument("--min-area", type=int, default=loop_mod.LoopConfig.min_area)
     p.add_argument("--mock", action="store_true", help="use deterministic mock providers")
     p.add_argument("--mock-field", help="FSAL1 hidden distortion field for the mock scene")
-    p.add_argument("--mock-decay", type=float, default=0.5)
+    p.add_argument("--mock-decay", type=float, default=providers.SyntheticScene.decay)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout-ms", type=int, default=30000)
+    p.add_argument("--timeout-ms", type=int, default=round(providers.HttpConfig.timeout_s * 1000))
     p.add_argument("--trace", help="write the loop trace as JSON to this path")
     p.add_argument("-o", "--output", help="write the final image to this path")
     p.set_defaults(func=_cmd_run_loop)

@@ -7,6 +7,7 @@ applies, producing a full audit trace.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -46,11 +47,12 @@ class LoopConfig:
     def __post_init__(self):
         if not 0.0 <= self.tau_s <= 1.0:
             raise ValueError("tau_s must lie in [0, 1]")
-        if self.max_iterations < 1:
+        # each count is read with operator.index, so a float is a TypeError
+        if operator.index(self.max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.dilation_radius < 0:
+        if operator.index(self.dilation_radius) < 0:
             raise ValueError("dilation_radius must be >= 0")
-        if self.min_area < 1:
+        if operator.index(self.min_area) < 1:
             raise ValueError("min_area must be >= 1")
 
 

@@ -7,12 +7,12 @@ rasterized region mask, optionally Gaussian-blurred.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .saliency import SaliencyMap, _float64_pair, _kld_term
+from .saliency import KLD_EPSILON, SaliencyMap, _float64_pair, _kld_term
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,10 @@ class MetricReport:
     kld: float
 
     def as_tsv_row(self) -> str:
-        return "\t".join(
-            "%.6f" % v for v in (self.auc_judd, self.nss, self.cc, self.sim, self.kld)
-        )
+        return "\t".join("%.6f" % v for v in astuple(self))
 
 
-TSV_HEADER = "image\tauc_judd\tnss\tcc\tsim\tkld"
+TSV_HEADER = "\t".join(["image", *(f.name for f in fields(MetricReport))])
 
 
 def cc(pred: SaliencyMap, truth: SaliencyMap) -> float:
@@ -68,27 +66,32 @@ def sim(pred: SaliencyMap, truth: SaliencyMap) -> float:
     return float(np.minimum(p / psum, g / gsum).sum())
 
 
-def kld(pred: SaliencyMap, truth: SaliencyMap, epsilon: float = 1e-7) -> float:
+def kld(pred: SaliencyMap, truth: SaliencyMap, epsilon: float = KLD_EPSILON) -> float:
     """KL(truth || pred) over sum-normalized maps; shared with the hybrid
     training loss so evaluation and training agree exactly."""
     return _kld_term(*_float64_pair(pred, truth), epsilon)
+
+
+def _flat_indices(pred: SaliencyMap, fix: FixationSet, metric: str) -> list[int]:
+    """The raster index of each fixation, in order and with repeats."""
+    if len(fix) == 0:
+        raise ValueError("%s needs at least one fixation" % metric)
+    fix.validate_bounds(pred.width, pred.height)
+    return [y * pred.width + x for x, y in fix.points]
 
 
 def nss(pred: SaliencyMap, fix: FixationSet) -> float:
     """Mean z-scored saliency at fixation points (population std). A
     repeated fixation counts once per occurrence, so it weighs its pixel
     more; `auc_judd` counts it once."""
-    if len(fix) == 0:
-        raise ValueError("nss needs at least one fixation")
-    fix.validate_bounds(pred.width, pred.height)
+    flat = _flat_indices(pred, fix, "nss")
     p = pred.float64
     mu = p.mean()
     # the population std, bit-equal to p.std(), which would sum p again
     sigma = np.sqrt(((p - mu) ** 2).sum() / p.size)
     if sigma == 0.0:
         raise ValueError("nss undefined for a constant map")
-    vals = [(p[y, x] - mu) / sigma for x, y in fix.points]
-    return float(np.mean(vals))
+    return float(np.mean((p.ravel()[flat] - mu) / sigma))
 
 
 def auc_judd(pred: SaliencyMap, fix: FixationSet) -> float:
@@ -104,13 +107,11 @@ def auc_judd(pred: SaliencyMap, fix: FixationSet) -> float:
     to twice the Mann-Whitney count. That count is an integer and the
     result a single correctly-rounded division, bit-equal to the pairwise
     statistic."""
-    if len(fix) == 0:
-        raise ValueError("auc_judd needs at least one fixation")
-    fix.validate_bounds(pred.width, pred.height)
+    flat = _flat_indices(pred, fix, "auc_judd")
     # float32 orders exactly as its float64 widening would; -0.0 == 0.0
     values = pred.to_array().ravel()
     is_pos = np.zeros(values.size, dtype=bool)
-    is_pos[[y * pred.width + x for x, y in fix.points]] = True
+    is_pos[flat] = True
     pos = np.sort(values[is_pos])
     npos = pos.size
     nneg = values.size - npos
@@ -123,7 +124,7 @@ def auc_judd(pred: SaliencyMap, fix: FixationSet) -> float:
 
 
 def evaluate_all(
-    pred: SaliencyMap, truth: SaliencyMap, fix: FixationSet, epsilon: float = 1e-7
+    pred: SaliencyMap, truth: SaliencyMap, fix: FixationSet, epsilon: float = KLD_EPSILON
 ) -> MetricReport:
     """The five metrics for one image. Each map is widened to float64 once,
     by its cached `SaliencyMap.float64`, and shared by NSS, CC, SIM and KLD."""
@@ -140,10 +141,4 @@ def aggregate_reports(reports: Sequence[MetricReport]) -> MetricReport:
     """Unweighted mean of per-image reports."""
     if not reports:
         raise ValueError("nothing to aggregate")
-    return MetricReport(
-        auc_judd=float(np.mean([r.auc_judd for r in reports])),
-        nss=float(np.mean([r.nss for r in reports])),
-        cc=float(np.mean([r.cc for r in reports])),
-        sim=float(np.mean([r.sim for r in reports])),
-        kld=float(np.mean([r.kld for r in reports])),
-    )
+    return MetricReport(*(float(np.mean(column)) for column in zip(*map(astuple, reports))))

@@ -6,6 +6,7 @@ HTTP/JSON backend client with retries and a bounded in-flight count.
 from __future__ import annotations
 
 import base64
+import operator
 import threading
 import time
 import zlib
@@ -64,7 +65,7 @@ class ToolDescriptor:
     def __post_init__(self):
         if self.kind not in (MASK_GUIDED, INSTRUCTION_DRIVEN):
             raise ValueError("kind must be %r or %r" % (MASK_GUIDED, INSTRUCTION_DRIVEN))
-        if self.cost_hint < 0.0:
+        if not self.cost_hint >= 0.0:  # also rejects NaN
             raise ValueError("cost_hint must be >= 0")
 
 
@@ -87,6 +88,8 @@ class ToolPolicy:
     def __post_init__(self):
         if self.prefer not in ("auto", MASK_GUIDED, INSTRUCTION_DRIVEN):
             raise ValueError("bad prefer value %r" % self.prefer)
+        if not self.max_cost >= 0.0:  # also rejects NaN
+            raise ValueError("max_cost must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +271,15 @@ class HttpConfig:
     max_in_flight: int = 4
 
     def __post_init__(self):
-        if not self.timeout_s > 0.0:
+        if not self.timeout_s > 0.0:  # also rejects NaN
             raise ValueError("timeout_s must be > 0")
-        if self.retries < 0:
+        # a longer timeout, inf too, overflows the socket's time_t deadline
+        if self.timeout_s > threading.TIMEOUT_MAX:
+            raise ValueError("timeout_s must be <= %g" % threading.TIMEOUT_MAX)
+        # each count is read with operator.index, so a float is a TypeError
+        if operator.index(self.retries) < 0:
             raise ValueError("retries must be >= 0")
-        if self.max_in_flight < 1:
+        if operator.index(self.max_in_flight) < 1:
             raise ValueError("max_in_flight must be >= 1")
 
 

@@ -13,6 +13,8 @@ import numpy as np
 
 from .media_io import FloatGrid
 
+KLD_EPSILON = 1e-7  # the stabilizer of KL(truth || pred) in the hybrid loss and metrics.kld
+
 
 @dataclass(frozen=True)
 class SaliencyMap:
@@ -52,7 +54,7 @@ class SaliencyMap:
 @dataclass(frozen=True)
 class HybridLossConfig:
     alpha: float = 0.5
-    epsilon: float = 1e-7
+    epsilon: float = KLD_EPSILON
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -248,7 +250,7 @@ def label_set_pixels(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return np.repeat(count[parent], stops - starts), int(count[-1])
 
 
-def extract_regions(mask: np.ndarray, source: SaliencyMap, min_area: int = 4) -> list[RegionProposal]:
+def extract_regions(mask: np.ndarray, source: SaliencyMap, min_area: int) -> list[RegionProposal]:
     """8-connected components of `mask` with area >= min_area, sorted by
     peak saliency descending (ties by (y0, x0) ascending)."""
     if min_area < 1:
@@ -305,8 +307,6 @@ def extract_regions(mask: np.ndarray, source: SaliencyMap, min_area: int = 4) ->
     ]
 
 
-def propose_masks(
-    smap: SaliencyMap, tau: float, dilation_radius: int = 1, min_area: int = 4
-) -> list[RegionProposal]:
+def propose_masks(smap: SaliencyMap, tau: float, dilation_radius: int, min_area: int) -> list[RegionProposal]:
     """binarize -> dilate -> extract_regions."""
     return extract_regions(dilate(binarize(smap, tau), dilation_radius), smap, min_area)

@@ -6,7 +6,7 @@ its absolute values are not comparable to resource-backed METEOR scores).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 from .dataset import DistortionCategory, RegionAnnotation
@@ -37,11 +37,8 @@ class ReasoningReport:
     meteor_lite: float
 
     def as_tsv(self) -> str:
-        return "accuracy\trouge_l\tmeteor_lite\n%.6f\t%.6f\t%.6f" % (
-            self.accuracy,
-            self.rouge_l,
-            self.meteor_lite,
-        )
+        header = "\t".join(f.name for f in fields(self))
+        return header + "\n" + "\t".join("%.6f" % v for v in astuple(self))
 
 
 def tokenize(text: str) -> list[str]:
@@ -169,16 +166,11 @@ def evaluate_reasoning(
     Each description is tokenized once, and one with no token is an error
     naming its region and side."""
     pairs = _matched_pairs(preds, truths)
-    rouges = []
-    meteors = []
+    rouge = meteor = 0.0
     for pred, truth in pairs:
         rid = pred.region_id
         cand = _tokens(pred.description, _NO_TOKEN, rid, "prediction", pred.description)
         ref = _tokens(truth.description, _NO_TOKEN, rid, "truth", truth.description)
-        rouges.append(_rouge_l(cand, ref))
-        meteors.append(_meteor_lite(cand, ref))
-    return ReasoningReport(
-        accuracy=_accuracy(pairs),
-        rouge_l=sum(rouges) / len(rouges),
-        meteor_lite=sum(meteors) / len(meteors),
-    )
+        rouge += _rouge_l(cand, ref)
+        meteor += _meteor_lite(cand, ref)
+    return ReasoningReport(_accuracy(pairs), rouge / len(pairs), meteor / len(pairs))

@@ -371,3 +371,60 @@ def test_lora_rank_bound_oracle():
                 for _ in range(100):
                     f = LoraFactors(rng.normal(size=(n, r)), rng.normal(size=(r, m)))
                     assert gaussian_elimination_rank(lora_delta(f)) <= r
+
+
+# --- every rejecting branch ----------------------------------------------
+
+_TWO, _THREE = CategoricalPolicy([0.5, 0.5]), CategoricalPolicy([0.2, 0.3, 0.5])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: CategoricalPolicy([1.0, 0.0]),
+            "strictly positive",
+            id="zero-probability",
+        ),
+        pytest.param(lambda: GrpoGroup([0], [1.0]), "group needs >= 2", id="group-size"),
+        pytest.param(
+            lambda: LoraFactors(np.zeros((2, 2)), np.zeros((3, 2))),
+            "factors must be n x r and r x m",
+            id="lora-shape",
+        ),
+        pytest.param(
+            lambda: LoraFactors(np.zeros((2, 0)), np.zeros((0, 2))),
+            "rank must be >= 1",
+            id="lora-rank",
+        ),
+        pytest.param(lambda: group_advantages([1.0]), "need at least 2 rewards", id="one-reward"),
+        pytest.param(
+            lambda: grpo_objective(_TWO, _TWO, _THREE, GrpoGroup([0, 1], [0.0, 1.0]), GrpoConfig()),
+            "policies over different action sets",
+            id="old-policy-size",
+        ),
+    ],
+)
+def test_rejecting_branches(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+# a NaN reward made every advantage NaN, and rewards near the float range
+# overflowed the std into advantages of 0, so the objective read 0.0
+@pytest.mark.parametrize(
+    "rewards, message",
+    [
+        ([0.0, math.nan], "rewards must be finite"),
+        ([1.0, math.inf], "rewards must be finite"),
+        ([1e308, -1e308], "reward mean or std overflows"),
+    ],
+)
+def test_advantages_reject_rewards_whose_statistics_are_not_finite(rewards, message):
+    with pytest.raises(ValueError, match=message):
+        group_advantages(rewards)
+
+
+def test_objective_rejects_a_group_whose_std_overflows():
+    with pytest.raises(ValueError, match="reward mean or std overflows"):
+        grpo_objective(_TWO, _TWO, _TWO, GrpoGroup([0, 1], [1e308, -1e308]), GrpoConfig())

@@ -82,7 +82,7 @@ def test_dataset_stats_rejects_a_mistyped_field(tmp_path, capsys, where, field, 
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert captured.err == "line 2: %s\n" % message
+    assert captured.err == "%s: line 2: %s\n" % (path, message)
 
 
 def test_usage_error_exit_code():
@@ -629,8 +629,34 @@ def test_evaluate_saliency_output_matches_the_golden_bytes(tmp_path, capsys, arg
     assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
 
 
+# the golden file was written by the two-list implementation of
+# evaluate_reasoning and the hand-written header of ReasoningReport.as_tsv
+def test_evaluate_reasoning_output_matches_the_golden_bytes(capsys):
+    pred, truth = DATA / "reasoning_pred.jsonl", DATA / "reasoning_truth.jsonl"
+    assert main(["evaluate-reasoning", str(pred), str(truth)]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / "evaluate_reasoning.tsv").read_bytes()
+
+
+def test_evaluate_saliency_names_the_dataset_file_of_a_bad_line(tmp_path, capsys):
+    ds_path, pred_dir = write_self_evaluation(tmp_path)
+    ds_path.write_text(ds_path.read_text() + "{bad\n")
+    assert main(["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("%s: line 2: malformed JSON: " % ds_path)
+
+
 def test_rasterize_help_shows_the_form_for_a_negative_x(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rasterize", "--help"])
     assert exc.value.code == 0
     assert "--center=X,Y" in " ".join(capsys.readouterr().out.split())
+
+
+def test_evaluate_saliency_empty_dataset(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["evaluate-saliency", str(empty), "--pred-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "empty dataset\n"

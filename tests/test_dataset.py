@@ -512,3 +512,34 @@ def test_ground_truth_union_of_overlapping():
     union = rasterize_region((50, 50), 100, 100) | rasterize_region((52, 50), 100, 100)
     assert np.array_equal(m.to_array() > 0, union)
     assert len(fix) == 2
+
+
+# --- every branch --------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: region(0, 0, desc=""),
+            "description must be non-empty",
+            id="description",
+        ),
+        pytest.param(lambda: make_record(width=0), "width/height must be >= 1", id="width"),
+    ],
+)
+def test_rejecting_branches(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_parse_skips_a_blank_line():
+    one, two = make_record(image_id="a"), make_record(image_id="b")
+    first, second = serialize_dataset([one]), serialize_dataset([two])
+    assert parse_dataset(first + b"  \n" + second) == [one, two]
+
+
+def test_serialize_writes_a_region_id():
+    rec = make_record([region(10, 20, region_id="r7")])
+    data = serialize_dataset([rec])
+    assert json.loads(data)["regions"][0]["id"] == "r7"
+    assert parse_dataset(data) == [rec]

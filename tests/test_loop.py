@@ -825,3 +825,34 @@ def test_trace_to_json_equals_json_dumps(trace, image_ref):
     assert trace_to_json(trace, image_ref) == json.dumps(
         reference_dict(trace, image_ref), sort_keys=True, indent=2
     )
+
+
+# --- every rejecting branch ----------------------------------------------
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: LoopConfig(tau_s=1.5), r"tau_s must lie in \[0, 1\]", id="tau"),
+        pytest.param(
+            lambda: LoopConfig(max_iterations=0),
+            "max_iterations must be >= 1",
+            id="max-iterations",
+        ),
+        pytest.param(
+            lambda: run_batch([], LoopConfig(), parallelism=0),
+            "parallelism must be >= 1",
+            id="parallelism",
+        ),
+    ],
+)
+def test_rejecting_branches(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+# a fractional count would reach run_loop, where range() raises out of a
+# loop that must never raise, or dilate stops the first iteration
+@pytest.mark.parametrize("field", ["max_iterations", "dilation_radius", "min_area"])
+def test_loop_config_rejects_a_fractional_count(field):
+    with pytest.raises(TypeError, match="float"):
+        LoopConfig(**{field: 2.5})

@@ -250,3 +250,57 @@ def test_fsal_fuzz_never_crashes(blob):
 def test_fsal_errors(data):
     with pytest.raises(MediaFormatError):
         read_float_grid(data)
+
+
+# --- every rejecting branch ----------------------------------------------
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: ImageBuffer(0, 1, 1, b""),
+            ValueError,
+            "image dimensions must be >= 1",
+            id="image-dims",
+        ),
+        pytest.param(
+            lambda: ImageBuffer(1, 1, 2, b"\0\0"),
+            ValueError,
+            "channels must be 1 or 3",
+            id="channels",
+        ),
+        pytest.param(
+            lambda: ImageBuffer(1, 1, 1, b""),
+            ValueError,
+            r"data length 0 != 1 \(w\*h\*c\)",
+            id="image-data",
+        ),
+        pytest.param(
+            lambda: FloatGrid(0, 1, b""),
+            ValueError,
+            "grid dimensions must be >= 1",
+            id="grid-dims",
+        ),
+        pytest.param(
+            lambda: FloatGrid(1, 1, b"\0\0"),
+            ValueError,
+            "data length mismatch for 1x1 float grid",
+            id="grid-data",
+        ),
+        pytest.param(
+            lambda: FloatGrid.from_array(np.zeros(3)),
+            ValueError,
+            "expected a 2-D array",
+            id="grid-1d",
+        ),
+        pytest.param(
+            lambda: read_float_grid(b"FSAL1 0 1\n"),
+            MalformedHeaderError,
+            "bad FSAL1 dimensions 0x1",
+            id="fsal-dims",
+        ),
+    ],
+)
+def test_rejecting_branches(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -530,3 +530,56 @@ def test_aggregate_is_unweighted_mean():
     agg = aggregate_reports([r1, r2])
     assert agg.cc == pytest.approx((r1.cc + r2.cc) / 2)
     assert agg.kld == pytest.approx((r1.kld + r2.kld) / 2)
+
+
+
+def test_aggregate_equals_a_per_field_mean():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 50):
+        reports = [MetricReport(*rng.normal(size=5) * 10.0 ** rng.integers(-3, 4)) for _ in range(n)]
+        want = {
+            f: float(np.mean([getattr(r, f) for r in reports]))
+            for f in ("auc_judd", "nss", "cc", "sim", "kld")
+        }
+        assert aggregate_reports(reports) == MetricReport(**want)
+
+
+@st.composite
+def maps_with_fixations(draw):
+    """A map of 1 to 39 px a side, continuous or of 1 to 4 levels, and 1 to
+    11 fixations drawn from at most 4 distinct pixels, so repeats are common."""
+    h, w = draw(st.integers(1, 39)), draw(st.integers(1, 39))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([0, 1, 2, 3, 4]))  # 0: continuous
+    if levels:
+        arr = (rng.integers(0, levels, (h, w)) / max(levels - 1, 1)).astype(np.float32)
+    else:
+        arr = rng.random((h, w), dtype=np.float32)
+    pool = draw(st.lists(st.integers(0, h * w - 1), min_size=1, max_size=4))
+    flat = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=11))
+    return arr, [(i % w, i // w) for i in flat]
+
+
+@given(maps_with_fixations())
+@settings(max_examples=300, deadline=None)
+def test_nss_equals_its_per_fixation_reference(case):
+    arr, points = case
+    m, fix = smap(arr), FixationSet(points)
+    assert outcome(nss, m, fix) == outcome(reference_nss, m, fix)
+
+# --- every rejecting branch ----------------------------------------------
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: nss(smap([[0.0, 1.0]]), FixationSet([])),
+            "nss needs at least one fixation",
+            id="nss",
+        ),
+        pytest.param(lambda: aggregate_reports([]), "nothing to aggregate", id="aggregate"),
+    ],
+)
+def test_rejecting_branches(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

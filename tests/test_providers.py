@@ -494,3 +494,121 @@ def test_run_loop_stops_provider_error_on_a_transport_failure():
     assert rec.actions == ()
     assert trace.final_image == scene.image
     assert [b.calls for b in backends] == [1, 1, 2]
+
+
+# --- every rejecting branch ----------------------------------------------
+
+_ABOVE_ONE = {"saliency_b64": _b64(write_float_grid(FloatGrid.from_array(np.full((4, 4), 2.0))))}
+_INSTRUCTED = ToolDescriptor(name="i", kind=INSTRUCTION_DRIVEN)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: ToolDescriptor("t", "paint"), ValueError, "kind must be", id="kind"),
+        pytest.param(
+            lambda: ToolDescriptor("t", MASK_GUIDED, cost_hint=-1.0),
+            ValueError,
+            "cost_hint must be >= 0",
+            id="cost-hint",
+        ),
+        pytest.param(
+            lambda: ToolPolicy(prefer="cheap"),
+            ValueError,
+            "bad prefer value",
+            id="prefer",
+        ),
+        pytest.param(
+            lambda: SyntheticScene(gray_image(), np.zeros((3, 4), np.float32)),
+            ValueError,
+            "field dims must equal image dims",
+            id="scene-dims",
+        ),
+        pytest.param(
+            lambda: scene_with_bump(decay=1.0),
+            ValueError,
+            r"decay must lie in \(0, 1\)",
+            id="decay",
+        ),
+        pytest.param(
+            lambda: MockInpaintTool(scene_with_bump(), _INSTRUCTED).inpaint(
+                gray_image(), np.ones((4, 4), bool)
+            ),
+            ValueError,
+            "instruction-driven tool requires an instruction",
+            id="mock-instruction",
+        ),
+        pytest.param(
+            lambda: http_provider(URL, "inpaint", descriptor=_INSTRUCTED).inpaint(
+                gray_image(), np.ones((4, 4), bool)
+            ),
+            ValueError,
+            "instruction-driven tool requires an instruction",
+            id="http-instruction",
+        ),
+        pytest.param(
+            lambda: mask_from_bytes(write_pnm(ImageBuffer.from_array(np.zeros((2, 2, 3), "u1")))),
+            SchemaError,
+            "mask must be a graymap",
+            id="mask-rgb",
+        ),
+        pytest.param(
+            lambda: _call("perception", FakeBackend(answers={"/v1/perceive": _ABOVE_ONE})),
+            SchemaError,
+            r"saliency values must lie in \[0, 1\]",
+            id="perceive-above-one",
+        ),
+    ],
+)
+def test_rejecting_branches(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+# NaN passes a plain comparison, an infinite or huge timeout overflows the
+# socket's deadline, and a fractional count slips through `<` and `range`
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda: ToolPolicy(max_cost=float("nan")),
+            ValueError,
+            "max_cost must be >= 0",
+            id="max-cost-nan",
+        ),
+        pytest.param(
+            lambda: ToolPolicy(max_cost=-1.0),
+            ValueError,
+            "max_cost must be >= 0",
+            id="max-cost-negative",
+        ),
+        pytest.param(
+            lambda: ToolDescriptor("t", MASK_GUIDED, cost_hint=float("nan")),
+            ValueError,
+            "cost_hint must be >= 0",
+            id="cost-hint-nan",
+        ),
+        pytest.param(
+            lambda: HttpConfig(timeout_s=float("inf")),
+            ValueError,
+            "timeout_s must be <=",
+            id="timeout-inf",
+        ),
+        pytest.param(
+            lambda: HttpConfig(timeout_s=1e12),
+            ValueError,
+            "timeout_s must be <=",
+            id="timeout-huge",
+        ),
+        pytest.param(lambda: HttpConfig(retries=1.5), TypeError, "float", id="retries-fraction"),
+        pytest.param(
+            lambda: HttpConfig(max_in_flight=1.5),
+            TypeError,
+            "float",
+            id="max-in-flight-fraction",
+        ),
+    ],
+)
+def test_configs_reject_nan_overflowing_and_fractional_values(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

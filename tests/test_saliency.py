@@ -501,7 +501,7 @@ def test_gaussian_blur_matches_scipy_bit_for_bit(h, w, sigma, binary, seed):
 # --- propose_masks -------------------------------------------------------
 
 def test_propose_zero_map():
-    assert propose_masks(smap(np.zeros((5, 5))), 0.5) == []
+    assert propose_masks(smap(np.zeros((5, 5))), 0.5, 1, 4) == []
 
 
 def test_propose_single_bump_contains_argmax():
@@ -690,3 +690,39 @@ def test_runtime_loads_no_scipy():
     assert regions == "[((1, 1, 5, 5), 25), ((8, 9, 13, 12), 24)]"
     assert loop.split()[1:] == ["2", "1.0"]
     assert scipy_modules == "[]"
+
+
+# --- every rejecting branch ----------------------------------------------
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: smap([[1.5]]),
+            r"saliency values must lie in \[0, 1\]",
+            id="map-above-one",
+        ),
+        pytest.param(
+            lambda: HybridLossConfig(alpha=1.5),
+            r"alpha must lie in \[0, 1\]",
+            id="alpha",
+        ),
+        pytest.param(lambda: binarize(smap([[0.5]]), 1.5), r"tau must lie in \[0, 1\]", id="tau"),
+        pytest.param(
+            lambda: extract_regions(np.zeros((2, 2), bool), smap(np.zeros((3, 3))), 1),
+            "mask and source dimensions differ",
+            id="extract-dims",
+        ),
+    ],
+)
+def test_rejecting_branches(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_hybrid_loss_gradient_of_a_zero_sum_prediction_is_the_mse_part():
+    # the KLD term has no gradient where the prediction sums to 0
+    pred, truth = smap(np.zeros((2, 3))), smap([[0.0, 0.5, 1.0], [0.25, 0.0, 0.75]])
+    got = hybrid_loss_gradient(pred, truth, HybridLossConfig(alpha=0.5)).to_array()
+    want = (0.5 * 2.0 * (0.0 - truth.float64) / 6).astype(np.float32)
+    assert got.tobytes() == want.tobytes()

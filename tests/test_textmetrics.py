@@ -272,3 +272,33 @@ def test_lcs_of_identical_and_disjoint_sides():
     assert _lcs_length(_LONG, ["x"] * 200) == 0
     assert _lcs_length(["a"], _LONG) == 1
     assert _lcs_length(_LONG, ["c"]) == 1
+
+
+# --- every rejecting branch ----------------------------------------------
+
+_TRUTH = RegionAnnotation((0, 0), DistortionCategory.FACE_DISTORTION, "warped face", "a", "r0")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: Diagnosis("r0", DistortionCategory.FACE_DISTORTION, "", 0.5),
+            "description must be non-empty",
+            id="description",
+        ),
+        pytest.param(
+            lambda: Diagnosis("r0", DistortionCategory.FACE_DISTORTION, "d", 1.5),
+            r"severity must lie in \[0, 1\]",
+            id="severity",
+        ),
+        pytest.param(
+            lambda: evaluate_reasoning([], [_TRUTH]),
+            "no predictions",
+            id="no-predictions",
+        ),
+    ],
+)
+def test_rejecting_branches(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
