@@ -190,11 +190,3 @@ def compose_reward(
 def lora_delta(f: LoraFactors) -> np.ndarray:
     """Weight update A @ B (rank <= r by construction)."""
     return f.a @ f.b
-
-
-def lora_apply(w: np.ndarray, f: LoraFactors) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    delta = lora_delta(f)
-    if w.shape != delta.shape:
-        raise ValueError("weight shape %s does not match delta %s" % (w.shape, delta.shape))
-    return w + delta

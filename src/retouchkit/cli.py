@@ -120,6 +120,12 @@ def _cmd_propose_masks(args) -> int:
     return 0
 
 
+# the instruction-driven tools that a text anomaly asks for, next to the
+# mask-guided "mock-inpaint" and "http-inpaint"
+_MOCK_INSTRUCT = providers.ToolDescriptor(name="mock-instruct", kind=providers.INSTRUCTION_DRIVEN)
+_HTTP_INSTRUCT = providers.ToolDescriptor(name="http-instruct", kind=providers.INSTRUCTION_DRIVEN)
+
+
 def _mock_providers_from_args(args, image: ImageBuffer) -> loop_mod.LoopProviders:
     if args.mock_field:
         field = read_float_grid(Path(args.mock_field).read_bytes()).to_array().copy()
@@ -129,7 +135,7 @@ def _mock_providers_from_args(args, image: ImageBuffer) -> loop_mod.LoopProvider
     return loop_mod.LoopProviders(
         perception=providers.MockPerceptionProvider(scene),
         reasoning=providers.MockReasoningProvider(args.seed),
-        tools=[providers.MockInpaintTool(scene)],
+        tools=[providers.MockInpaintTool(scene), providers.MockInpaintTool(scene, _MOCK_INSTRUCT)],
     )
 
 
@@ -147,7 +153,8 @@ def _http_providers_from_env(args) -> loop_mod.LoopProviders:
         providers.http_provider(url(role), role, cfg)
         for role in ("perception", "reasoning", "inpaint")
     )
-    return loop_mod.LoopProviders(perception=perception, reasoning=reasoning, tools=[tool])
+    text_tool = providers.http_provider(url("inpaint"), "inpaint", cfg, _HTTP_INSTRUCT)
+    return loop_mod.LoopProviders(perception=perception, reasoning=reasoning, tools=[tool, text_tool])
 
 
 def _cmd_run_loop(args) -> int:

@@ -190,34 +190,6 @@ def parse_dataset(data: bytes) -> list[AnnotationRecord]:
     return read_jsonl(data, _parse_record)
 
 
-def serialize_dataset(records: Iterable[AnnotationRecord]) -> bytes:
-    """Inverse of parse_dataset (unknown input fields are not preserved)."""
-    lines = []
-    for rec in records:
-        regions = []
-        for r in rec.regions:
-            reg = {
-                "x": r.center[0],
-                "y": r.center[1],
-                "category": r.category.value,
-                "description": r.description,
-                "annotator": r.annotator,
-            }
-            if r.region_id is not None:
-                reg["id"] = r.region_id
-            regions.append(reg)
-        obj = {
-            "image_id": rec.image_id,
-            "image": rec.image_ref,
-            "prompt": rec.prompt,
-            "width": rec.width,
-            "height": rec.height,
-            "regions": regions,
-        }
-        lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
-
-
 def region_radius(image_height: int) -> float:
     """Annotation disc radius: 1/20 of the image height."""
     return image_height / 20.0

@@ -7,6 +7,7 @@ rasterized region mask, optionally Gaussian-blurred.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Sequence
 
@@ -20,7 +21,9 @@ class FixationSet:
     points: tuple[tuple[int, int], ...]  # (x, y) pixel coordinates
 
     def __init__(self, points: Iterable[tuple[int, int]]):
-        object.__setattr__(self, "points", tuple((int(x), int(y)) for x, y in points))
+        # operator.index, so a float or a str coordinate is a TypeError
+        xy = tuple((operator.index(x), operator.index(y)) for x, y in points)
+        object.__setattr__(self, "points", xy)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -153,12 +153,6 @@ def _accuracy(pairs: Sequence[tuple[Diagnosis, RegionAnnotation]]) -> float:
     return sum(pred.category is truth.category for pred, truth in pairs) / len(pairs)
 
 
-def category_accuracy(preds: Sequence[Diagnosis], truths: Sequence[RegionAnnotation]) -> float:
-    """Fraction of predictions whose category matches the truth region with
-    the same region_id."""
-    return _accuracy(_matched_pairs(preds, truths))
-
-
 def evaluate_reasoning(
     preds: Sequence[Diagnosis], truths: Sequence[RegionAnnotation]
 ) -> ReasoningReport:

@@ -17,7 +17,6 @@ from retouchkit.alignment import (
     group_advantages,
     grpo_gradient,
     grpo_objective,
-    lora_apply,
     lora_delta,
 )
 from retouchkit.checks import (
@@ -346,19 +345,11 @@ def test_reward_weight_validation():
 def test_lora_zero_factor():
     f = LoraFactors(np.zeros((3, 2)), np.ones((2, 3)))
     assert np.all(lora_delta(f) == 0)
-    w = np.arange(9.0).reshape(3, 3)
-    assert np.array_equal(lora_apply(w, f), w)
 
 
 def test_lora_rank1_product():
     f = LoraFactors(np.array([[1.0], [2.0]]), np.array([[3.0, 4.0]]))
     assert np.array_equal(lora_delta(f), [[3.0, 4.0], [6.0, 8.0]])
-
-
-def test_lora_dimension_mismatch():
-    f = LoraFactors(np.ones((2, 1)), np.ones((1, 2)))
-    with pytest.raises(ValueError):
-        lora_apply(np.ones((3, 3)), f)
 
 
 def test_lora_rank_bound_oracle():

@@ -284,14 +284,15 @@ def test_run_loop_determinism(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_run_loop_no_eligible_tool_writes_trace(tmp_path, capsys):
-    # --mock registers one mask-guided tool; this bump is diagnosed as a
-    # text anomaly, which wants an instruction-driven one
+def test_run_loop_acts_on_a_text_anomaly(tmp_path, capsys):
+    # this bump is diagnosed as a text anomaly, which wants an
+    # instruction-driven tool; --mock registers one next to the mask-guided one
     img = tmp_path / "in.pnm"
     fsal = tmp_path / "field.fsal"
     trace_path = tmp_path / "trace.json"
     out_img = tmp_path / "out.pnm"
-    write_gray_image(img, size=64)
+    ramp = np.add.outer(np.arange(64) * 3, np.arange(64)) % 251  # so a fill shows
+    img.write_bytes(write_pnm(ImageBuffer.from_array(ramp.astype(np.uint8))))
     field = np.zeros((64, 64), dtype=np.float32)
     field[10:15, 16:21] = 0.9
     fsal.write_bytes(write_float_grid(FloatGrid.from_array(field)))
@@ -301,12 +302,16 @@ def test_run_loop_no_eligible_tool_writes_trace(tmp_path, capsys):
             "--trace", str(trace_path), "-o", str(out_img),
         ]
     )
-    assert rc == 1
-    assert json.loads(capsys.readouterr().out)["iterations"] == 1
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["actions_total"] == 1
     trace = json.loads(trace_path.read_text())
-    assert trace["stop_reason"] == "no_eligible_tool"
-    assert trace["records"][0]["diagnoses"][0]["category"] == "text_anomaly"
-    assert out_img.read_bytes() == img.read_bytes()
+    assert trace["stop_reason"] == "converged"
+    first = trace["records"][0]
+    assert first["diagnoses"][0]["category"] == "text_anomaly"
+    (action,) = first["actions"]
+    assert action["tool"] == "mock-instruct"
+    assert action["instruction"]
+    assert out_img.read_bytes() != img.read_bytes()
 
 
 @pytest.fixture
@@ -364,6 +369,30 @@ def test_run_loop_malformed_diagnosis_writes_the_trace(tmp_path, capsys, monkeyp
     assert len(rec["regions"]) == 1
     assert rec["actions"] == []
     assert json.loads(capsys.readouterr().out)["iterations"] == 1
+
+
+def test_run_loop_sends_a_text_anomaly_to_an_instruction_driven_endpoint(tmp_path, monkeypatch):
+    # without --mock the inpaint endpoint also serves the instruction-driven
+    # kind, and only its requests carry an instruction
+    field = np.zeros((8, 8), np.float32)
+    field[3:5, 3:5] = 0.9
+    grid = FloatGrid.from_array(field)
+    entry = {"id": "r0", "category": "text_anomaly", "description": "garbled sign", "severity": 0.5}
+    backend = FakeBackend(
+        answers={
+            "/v1/perceive": {"saliency_b64": base64.b64encode(write_float_grid(grid)).decode()},
+            "/v1/diagnose": {"diagnoses": [entry]},
+        }
+    )
+    img = tmp_path / "in.pnm"
+    write_gray_image(img)
+    with LoopbackServer(backend) as server:
+        for role in ("PERCEPTION", "REASONING", "INPAINT"):
+            monkeypatch.setenv("RETOUCH_BACKEND_%s_URL" % role, server.url)
+        rc = main(["run-loop", "--image", str(img), "--tau", "0.5", "--max-iter", "1"])
+    assert rc == 0
+    inpaints = [req for path, req in backend.requests if path == "/v1/inpaint"]
+    assert [req["instruction"] for req in inpaints] == ["fix text_anomaly: garbled sign"]
 
 
 def test_evaluate_reasoning(tmp_path, capsys):

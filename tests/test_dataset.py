@@ -18,7 +18,6 @@ from retouchkit.dataset import (
     rasterize_region,
     reconcile_majority,
     region_radius,
-    serialize_dataset,
 )
 
 HAND = DistortionCategory.LIMB_HAND_DEFORMITY
@@ -53,7 +52,7 @@ def test_taxonomy_size_and_dimensions():
         assert must in DIMENSION_OF
 
 
-# --- parse / serialize ---------------------------------------------------
+# --- parse ---------------------------------------------------------------
 
 def test_parse_empty():
     assert parse_dataset(b"") == []
@@ -63,11 +62,25 @@ def test_parse_one_record_round_trip():
     # U+2028, U+2029 and U+0085 are written raw (ensure_ascii=False); they
     # are line breaks to str.splitlines, not to the JSON-lines format
     for desc in ("six fingered hand", "line\u2028sep", "para\u2029sep", "next\x85line"):
-        rec = make_record([region(10, 20, desc=desc)])
-        data = serialize_dataset([rec])
-        back = parse_dataset(data)
-        assert back == [rec]
-        assert serialize_dataset(back) == data
+        obj = {
+            "image_id": "img0",
+            "image": "images/img0.pnm",
+            "prompt": "a prompt",
+            "width": 100,
+            "height": 100,
+            "regions": [
+                {
+                    "x": 10,
+                    "y": 20,
+                    "category": "limb_hand_deformity",
+                    "description": desc,
+                    "annotator": "a0",
+                }
+            ],
+        }
+        data = json.dumps(obj, ensure_ascii=False).encode()
+        assert desc.encode() in data
+        assert parse_dataset(data) == [make_record([region(10, 20, desc=desc)])]
 
 
 def test_parse_rejects_center_at_width():
@@ -533,13 +546,43 @@ def test_rejecting_branches(call, message):
 
 
 def test_parse_skips_a_blank_line():
-    one, two = make_record(image_id="a"), make_record(image_id="b")
-    first, second = serialize_dataset([one]), serialize_dataset([two])
-    assert parse_dataset(first + b"  \n" + second) == [one, two]
+    first, second = (
+        json.dumps(
+            {
+                "image_id": image_id,
+                "image": "images/%s.pnm" % image_id,
+                "prompt": "a prompt",
+                "width": 100,
+                "height": 100,
+                "regions": [],
+            },
+            ensure_ascii=False,
+        ).encode()
+        for image_id in "ab"
+    )
+    assert parse_dataset(first + b"\n  \n" + second) == [
+        make_record(image_id="a"),
+        make_record(image_id="b"),
+    ]
 
 
 def test_serialize_writes_a_region_id():
-    rec = make_record([region(10, 20, region_id="r7")])
-    data = serialize_dataset([rec])
-    assert json.loads(data)["regions"][0]["id"] == "r7"
-    assert parse_dataset(data) == [rec]
+    obj = {
+        "image_id": "img0",
+        "image": "images/img0.pnm",
+        "prompt": "a prompt",
+        "width": 100,
+        "height": 100,
+        "regions": [
+            {
+                "x": 10,
+                "y": 20,
+                "category": "limb_hand_deformity",
+                "description": "a hand issue",
+                "annotator": "a0",
+                "id": "r7",
+            }
+        ],
+    }
+    data = json.dumps(obj, ensure_ascii=False).encode()
+    assert parse_dataset(data) == [make_record([region(10, 20, region_id="r7")])]

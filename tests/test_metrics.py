@@ -567,6 +567,22 @@ def test_nss_equals_its_per_fixation_reference(case):
     m, fix = smap(arr), FixationSet(points)
     assert outcome(nss, m, fix) == outcome(reference_nss, m, fix)
 
+# --- fixation coordinates ------------------------------------------------
+
+@pytest.mark.parametrize(
+    "point", [(1.7, 0.2), (0, 1.0), ("2", 0)], ids=["fractional", "integral-float", "str"]
+)
+def test_fixation_set_rejects_a_coordinate_that_is_not_an_integer(point):
+    with pytest.raises(TypeError):
+        FixationSet([point])
+
+
+def test_fixation_set_reads_numpy_integers_as_ints():
+    (point,) = FixationSet([(np.int64(2), np.uint8(3))]).points
+    assert point == (2, 3)
+    assert [type(c) for c in point] == [int, int]
+
+
 # --- every rejecting branch ----------------------------------------------
 
 @pytest.mark.parametrize(

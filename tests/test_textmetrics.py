@@ -7,7 +7,6 @@ from retouchkit.textmetrics import (
     _lcs_length,
     _meteor_lite,
     _rouge_l,
-    category_accuracy,
     evaluate_reasoning,
     meteor_lite,
     rouge_l,
@@ -83,19 +82,19 @@ def test_meteor_penalty_bounds():
 
 def test_accuracy_all_and_none():
     truths = [truth("r0"), truth("r1", FACE)]
-    assert category_accuracy([diag("r0"), diag("r1", FACE)], truths) == 1.0
-    assert category_accuracy([diag("r0", FACE), diag("r1", HAND)], truths) == 0.0
+    assert evaluate_reasoning([diag("r0"), diag("r1", FACE)], truths).accuracy == 1.0
+    assert evaluate_reasoning([diag("r0", FACE), diag("r1", HAND)], truths).accuracy == 0.0
 
 
 def test_accuracy_4_of_5():
     truths = [truth("r%d" % i) for i in range(5)]
     preds = [diag("r%d" % i) for i in range(4)] + [diag("r4", FACE)]
-    assert category_accuracy(preds, truths) == 0.8
+    assert evaluate_reasoning(preds, truths).accuracy == 0.8
 
 
 def test_accuracy_unmatched_id_error():
     with pytest.raises(ValueError):
-        category_accuracy([diag("zz")], [truth("r0")])
+        evaluate_reasoning([diag("zz")], [truth("r0")])
 
 
 def test_evaluate_perfect():
@@ -120,14 +119,14 @@ def test_evaluate_single_pair_equals_pair_metrics():
     )
 
 
-@pytest.mark.parametrize("score", [category_accuracy, evaluate_reasoning])
+@pytest.mark.parametrize("score", [evaluate_reasoning])
 def test_duplicate_truth_id_is_an_error(score):
     truths = [truth("r0", desc="extra finger"), truth("r0", desc="blurry face")]
     with pytest.raises(ValueError, match="^duplicate truth region id 'r0'$"):
         score([diag("r0", desc="extra finger")], truths)
 
 
-@pytest.mark.parametrize("score", [category_accuracy, evaluate_reasoning])
+@pytest.mark.parametrize("score", [evaluate_reasoning])
 def test_duplicate_prediction_id_is_an_error(score):
     with pytest.raises(ValueError, match="^duplicate prediction region id 'r1'$"):
         score([diag("r1"), diag("r0"), diag("r1", FACE)], [truth("r0"), truth("r1")])
@@ -135,7 +134,7 @@ def test_duplicate_prediction_id_is_an_error(score):
 
 def test_truths_without_an_id_match_nothing():
     truths = [truth(None), truth(None, FACE), truth("r0")]
-    assert category_accuracy([diag("r0")], truths) == 1.0
+    assert evaluate_reasoning([diag("r0")], truths).accuracy == 1.0
 
 
 @pytest.mark.parametrize(
