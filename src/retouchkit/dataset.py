@@ -337,6 +337,9 @@ def ground_truth_map(
     Gaussian-blurred and renormalized to peak 1."""
     if not blur_sigma >= 0.0:  # also rejects NaN
         raise ValueError("blur_sigma must be >= 0, got %r" % blur_sigma)
+    # int() of gaussian_blur's kernel radius would overflow
+    if not math.isfinite(4.0 * blur_sigma + 0.5):
+        raise ValueError("blur_sigma gives an infinite kernel radius, got %r" % blur_sigma)
     mask = _discs((reg.center for reg in record.regions), record.height, record.width)
     dense = mask.astype(np.float32)
     if blur_sigma > 0.0 and mask.any():

@@ -167,7 +167,7 @@ def run_loop(
 def run_batch(items: Sequence[LoopInput], cfg: LoopConfig, parallelism: int = 1) -> list[LoopTrace]:
     """Order-preserving batch of independent loop runs; run_loop never
     raises, so one failing item never aborts the others."""
-    if parallelism < 1:
+    if operator.index(parallelism) < 1:  # a float is a TypeError
         raise ValueError("parallelism must be >= 1")
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(

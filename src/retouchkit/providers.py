@@ -1,6 +1,7 @@
 """Provider interfaces for the three neural roles (perception, diagnosis,
-inpainting), deterministic mock providers for model-free testing, and an
-HTTP/JSON backend client with retries and a bounded in-flight count.
+inpainting), deterministic mock providers for model-free testing, and
+HTTP/JSON backend providers, built by `http_provider`, with retries and a
+bounded in-flight count.
 """
 
 from __future__ import annotations
@@ -107,9 +108,11 @@ class SyntheticScene:
     decay: float = 0.5
 
     def __post_init__(self):
-        self.distortion_field = np.asarray(self.distortion_field, dtype=np.float32)
-        if self.distortion_field.shape != (self.image.height, self.image.width):
+        f = self.distortion_field = np.asarray(self.distortion_field, dtype=np.float32)
+        if f.shape != (self.image.height, self.image.width):
             raise ValueError("field dims must equal image dims")
+        if not (f.min() >= 0.0 and f.max() <= 1.0):  # also rejects NaN
+            raise ValueError("field values must lie in [0, 1]")
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must lie in (0, 1)")
 
@@ -202,8 +205,6 @@ def select_tool(
     """Cheapest tool of the preferred kind within max_cost for `category`;
     with "auto", instruction-driven for text anomalies (the instruction
     carries the semantics), mask-guided otherwise. Ties keep registry order."""
-    if not registry:
-        raise NoEligibleToolError("empty tool registry")
     want = policy.prefer
     if want == "auto":
         want = INSTRUCTION_DRIVEN if category is DistortionCategory.TEXT_ANOMALY else MASK_GUIDED
@@ -227,8 +228,9 @@ def _b64(data: bytes) -> str:
 
 def _decode_answer(body: dict, key: str, read, image: ImageBuffer):
     """Decode the base64 PNM or FSAL1 field `key` of a backend answer with
-    `read`; the result must have the request image's width and height, and
-    an image answer its channel count too (an FSAL1 grid has no channels)."""
+    `read`, whose ValueError is a SchemaError; the result must have the
+    request image's width and height, and an image answer its channel count
+    too (a saliency map has no channels)."""
     try:
         out = read(base64.b64decode(body[key], validate=True))
     except KeyError:
@@ -321,23 +323,17 @@ class _HttpClient:
         raise last
 
 
-class HttpPerceptionProvider:
-    def __init__(self, endpoint: str, cfg: HttpConfig | None = None):
-        self._client = _HttpClient(endpoint, cfg)
-
+class _HttpPerception(_HttpClient):
     def perceive(self, image: ImageBuffer, prompt: str) -> SaliencyMap:
-        body = self._client.post("/v1/perceive", image, format="pnm", prompt=prompt)
-        grid = _decode_answer(body, "saliency_b64", read_float_grid, image)
-        try:
-            return SaliencyMap(grid)
-        except ValueError as exc:
-            raise SchemaError(str(exc))
+        body = self.post("/v1/perceive", image, format="pnm", prompt=prompt)
+        # read_float_grid is looked up per call, so perfbench's tracer, which
+        # swaps the module attribute, sees the decode
+        return _decode_answer(
+            body, "saliency_b64", lambda data: SaliencyMap(read_float_grid(data)), image
+        )
 
 
-class HttpReasoningProvider:
-    def __init__(self, endpoint: str, cfg: HttpConfig | None = None):
-        self._client = _HttpClient(endpoint, cfg)
-
+class _HttpReasoning(_HttpClient):
     def diagnose(
         self, image: ImageBuffer, prompt: str, regions: Sequence[RegionProposal]
     ) -> list[Diagnosis]:
@@ -349,7 +345,7 @@ class HttpReasoningProvider:
             }
             for i, r in enumerate(regions)
         ]
-        body = self._client.post("/v1/diagnose", image, prompt=prompt, regions=req_regions)
+        body = self.post("/v1/diagnose", image, prompt=prompt, regions=req_regions)
         raw = body.get("diagnoses")
         if not isinstance(raw, list) or len(raw) != len(regions):
             raise SchemaError("diagnoses missing or not aligned with request regions")
@@ -372,10 +368,10 @@ class HttpReasoningProvider:
         return out
 
 
-class HttpInpaintTool:
-    def __init__(self, endpoint: str, descriptor: ToolDescriptor, cfg: HttpConfig | None = None):
+class _HttpInpaint(_HttpClient):
+    def __init__(self, endpoint: str, cfg: HttpConfig | None, descriptor: ToolDescriptor):
+        super().__init__(endpoint, cfg)
         self.descriptor = descriptor
-        self._client = _HttpClient(endpoint, cfg)
 
     def inpaint(
         self, image: ImageBuffer, mask: np.ndarray, instruction: Optional[str] = None
@@ -385,21 +381,21 @@ class HttpInpaintTool:
         fields = {"mask_b64": _b64(mask_to_bytes(mask))}
         if instruction is not None:
             fields["instruction"] = instruction
-        body = self._client.post("/v1/inpaint", image, **fields)
+        body = self.post("/v1/inpaint", image, **fields)
         return _decode_answer(body, "image_b64", read_pnm, image)
 
 
 def http_provider(
     endpoint: str, role: str, cfg: HttpConfig | None = None, descriptor: ToolDescriptor | None = None
 ):
-    """Factory for HTTP-backed providers: role in {perception, reasoning,
-    inpaint}; `descriptor` describes an inpaint tool (default: mask-guided
-    "http-inpaint")."""
+    """The one way to build an HTTP-backed provider: role in {perception,
+    reasoning, inpaint}; `descriptor` describes an inpaint tool (default:
+    mask-guided "http-inpaint")."""
     if role == "perception":
-        return HttpPerceptionProvider(endpoint, cfg)
+        return _HttpPerception(endpoint, cfg)
     if role == "reasoning":
-        return HttpReasoningProvider(endpoint, cfg)
+        return _HttpReasoning(endpoint, cfg)
     if role == "inpaint":
         descriptor = descriptor or ToolDescriptor(name="http-inpaint", kind=MASK_GUIDED)
-        return HttpInpaintTool(endpoint, descriptor, cfg)
+        return _HttpInpaint(endpoint, cfg, descriptor)
     raise ValueError("unknown role %r" % role)

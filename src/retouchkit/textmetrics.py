@@ -85,14 +85,10 @@ def _rouge_l(cand: Sequence[str], ref: Sequence[str]) -> float:
     return 2.0 * p * r / (p + r)
 
 
-def meteor_lite(candidate: str, reference: str) -> float:
-    """Exact-unigram METEOR: greedy left-to-right alignment (each reference
-    token used at most once), F = 10PR/(R+9P), fragmentation penalty
-    0.5*(chunks/matches)^3."""
-    return _meteor_lite(_tokens(candidate, _EMPTY), _tokens(reference, _EMPTY))
-
-
 def _meteor_lite(cand: Sequence[str], ref: Sequence[str]) -> float:
+    """Exact-unigram METEOR of two token lists: greedy left-to-right
+    alignment (each reference token used at most once), F = 10PR/(R+9P),
+    fragmentation penalty 0.5*(chunks/matches)^3."""
     # each token's reference positions, highest first, so pop() hands out
     # its first unused one: the greedy left-to-right alignment, in
     # O(len(cand) + len(ref))

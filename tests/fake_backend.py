@@ -2,11 +2,12 @@
 
 `FakeBackend.handle(path, body) -> (status, answer)` answers one POST. An
 answer is a JSON value, or bytes sent as they are. `mount` serves a backend
-in-process through a `requests` transport adapter on an Http* provider's
-session: `requests` still prepares every request and `resp.json()` still
-decodes every answer, so the providers' JSON and base64 code runs as it does
-over a socket. `LoopbackServer` serves the same `handle` on 127.0.0.1 for
-code that builds its own sessions, such as the `run-loop` command.
+in-process through a `requests` transport adapter on the session of a
+provider that `http_provider` built: `requests` still prepares every
+request and `resp.json()` still decodes every answer, so the providers' JSON
+and base64 code runs as it does over a socket. `LoopbackServer` serves the
+same `handle` on 127.0.0.1 for code that builds its own sessions, such as
+the `run-loop` command.
 
 A change to the wire protocol is made here, once, for every test.
 """
@@ -143,9 +144,9 @@ class FakeAdapter(BaseAdapter):
 
 
 def mount(provider, backend):
-    """Serve every request of an Http* provider from `backend`; returns
-    the provider."""
-    provider._client._session.mount("http://", FakeAdapter(backend))
+    """Serve every request of a provider built by `http_provider` from
+    `backend`, through the provider's own session; returns the provider."""
+    provider._session.mount("http://", FakeAdapter(backend))
     return provider
 
 

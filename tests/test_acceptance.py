@@ -35,7 +35,7 @@ from retouchkit.media_io import (
     write_pnm,
 )
 from retouchkit.metrics import FixationSet, auc_judd, cc, kld, nss, sim
-from retouchkit.providers import HttpConfig, HttpPerceptionProvider
+from retouchkit.providers import HttpConfig, http_provider
 from retouchkit.saliency import HybridLossConfig, hybrid_loss, hybrid_loss_gradient
 from fake_backend import Delay, FakeBackend, LoopbackServer
 from test_alignment import gaussian_elimination_rank
@@ -312,7 +312,7 @@ def test_criterion_09_determinism_and_concurrency():
 
     backend = FakeBackend(outcomes=[Delay(0.1)] * 4)
     with LoopbackServer(backend) as server:
-        provider = HttpPerceptionProvider(server.url, HttpConfig(retries=0, max_in_flight=2))
+        provider = http_provider(server.url, "perception", HttpConfig(retries=0, max_in_flight=2))
         image = ImageBuffer.from_array(np.full((4, 4), 100, dtype=np.uint8))
         threads = [
             threading.Thread(target=provider.perceive, args=(image, "p")) for _ in range(4)

@@ -8,6 +8,7 @@ import pytest
 from retouchkit.cli import main
 from retouchkit.media_io import FloatGrid, ImageBuffer, write_float_grid, write_pnm
 from fake_backend import FakeBackend, LoopbackServer
+from seeded_predictions import write_seeded_predictions
 
 DATA = Path(__file__).parent / "data"
 
@@ -267,6 +268,19 @@ def test_run_loop_rejects_an_out_of_range_option(tmp_path, capsys, args, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message + "\n"
+
+
+def test_run_loop_rejects_a_mock_field_out_of_range(tmp_path, capsys):
+    # rejected before the loop starts, not as an internal error at its
+    # first perception
+    img = tmp_path / "in.pnm"
+    fsal = tmp_path / "field.fsal"
+    write_gray_image(img)
+    write_bump_field(fsal, height=1.5)
+    assert main(["run-loop", "--image", str(img), "--mock", "--mock-field", str(fsal)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "field values must lie in [0, 1]\n"
 
 
 def test_run_loop_determinism(tmp_path, capsys):
@@ -605,6 +619,9 @@ def test_evaluate_saliency(tmp_path, capsys):
         (["--epsilon", "nan"], "epsilon must be positive, got nan"),
         (["--blur-sigma", "-3"], "blur_sigma must be >= 0, got -3.0"),
         (["--blur-sigma", "nan"], "blur_sigma must be >= 0, got nan"),
+        # int() of an infinite kernel radius raises OverflowError
+        (["--blur-sigma", "inf"], "blur_sigma gives an infinite kernel radius, got inf"),
+        (["--blur-sigma", "1e308"], "blur_sigma gives an infinite kernel radius, got 1e+308"),
     ],
 )
 def test_evaluate_saliency_rejects_an_out_of_range_option(tmp_path, capsys, args, message):
@@ -625,20 +642,6 @@ def test_evaluate_saliency_missing_prediction_prints_no_partial_table(tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "[Errno 2] No such file or directory: %r\n" % str(pred_dir / "img1.fsal")
-
-
-def write_seeded_predictions(pred_dir):
-    """One FSAL1 prediction per image of synthetic50.jsonl, seeded by its
-    line number: continuous float32 values for even lines; for odd lines
-    4 levels (heavy ties) with a first row of -0.0."""
-    for i, line in enumerate((DATA / "synthetic50.jsonl").read_text().splitlines()):
-        rec = json.loads(line)
-        arr = np.random.default_rng(i).random((rec["height"], rec["width"]), dtype=np.float32)
-        if i % 2:
-            arr = np.floor(arr * 4) / 4
-            arr[0] = -0.0
-        grid = FloatGrid.from_array(arr)
-        (pred_dir / ("%s.fsal" % rec["image_id"])).write_bytes(write_float_grid(grid))
 
 
 @pytest.mark.parametrize(

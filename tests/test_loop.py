@@ -856,3 +856,9 @@ def test_rejecting_branches(call, message):
 def test_loop_config_rejects_a_fractional_count(field):
     with pytest.raises(TypeError, match="float"):
         LoopConfig(**{field: 2.5})
+
+
+def test_run_batch_rejects_a_fractional_parallelism():
+    # a thread pool sized 1.5 runs on 2 threads
+    with pytest.raises(TypeError, match="float"):
+        run_batch([], LoopConfig(), parallelism=1.5)

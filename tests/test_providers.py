@@ -15,7 +15,6 @@ from retouchkit.providers import (
     INSTRUCTION_DRIVEN,
     MASK_GUIDED,
     HttpConfig,
-    HttpPerceptionProvider,
     HttpStatusError,
     MockInpaintTool,
     MockPerceptionProvider,
@@ -297,8 +296,11 @@ def test_http_in_flight_bound():
 
 
 def test_http_provider_factory():
-    p = http_provider("http://example.invalid", "perception")
-    assert isinstance(p, HttpPerceptionProvider)
+    methods = {"perception": "perceive", "reasoning": "diagnose", "inpaint": "inpaint"}
+    for role, method in methods.items():
+        p = http_provider("http://example.invalid", role)
+        assert [m for m in methods.values() if hasattr(p, m)] == [method]
+    assert p.descriptor == ToolDescriptor(name="http-inpaint", kind=MASK_GUIDED)
     with pytest.raises(ValueError):
         http_provider("http://example.invalid", "oracle")
 
@@ -402,7 +404,7 @@ def test_http_malformed_answer_is_schema_error(role, answer):
     assert backend.calls == 1  # a bad answer is not retried
 
 
-def test_http_client_error_is_not_retried():
+def test_http_4xx_status_is_not_retried():
     backend = FakeBackend(outcomes=[404])
     with pytest.raises(HttpStatusError) as err:
         _call("perception", backend)
@@ -523,6 +525,17 @@ _INSTRUCTED = ToolDescriptor(name="i", kind=INSTRUCTION_DRIVEN)
             ValueError,
             "field dims must equal image dims",
             id="scene-dims",
+        ),
+        *(
+            pytest.param(
+                lambda v=v: scene_with_bump(value=v),
+                ValueError,
+                r"field values must lie in \[0, 1\]",
+                id="scene-field-%s" % v,
+            )
+            # a field out of range would stop the loop at its first
+            # perception with an internal error
+            for v in (1.5, -0.25, float("nan"), float("inf"))
         ),
         pytest.param(
             lambda: scene_with_bump(decay=1.0),

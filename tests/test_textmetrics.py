@@ -8,7 +8,6 @@ from retouchkit.textmetrics import (
     _meteor_lite,
     _rouge_l,
     evaluate_reasoning,
-    meteor_lite,
     rouge_l,
     tokenize,
 )
@@ -56,16 +55,16 @@ def test_rouge_empty_error():
 def test_meteor_identical_n_tokens():
     for n in (1, 2, 5):
         text = " ".join("tok%d" % i for i in range(n))
-        assert meteor_lite(text, text) == pytest.approx(1.0 - 0.5 / n**3)
+        assert _meteor_lite(tokenize(text), tokenize(text)) == pytest.approx(1.0 - 0.5 / n**3)
 
 
 def test_meteor_no_overlap():
-    assert meteor_lite("alpha beta", "gamma delta") == 0.0
+    assert _meteor_lite(tokenize("alpha beta"), tokenize("gamma delta")) == 0.0
 
 
 def test_meteor_swapped_pair():
     # "a b" vs "b a": 2 matches in 2 chunks, penalty 0.5, F = 1
-    assert meteor_lite("a b", "b a") == pytest.approx(0.5)
+    assert _meteor_lite(["a", "b"], ["b", "a"]) == pytest.approx(0.5)
 
 
 def test_meteor_penalty_bounds():
@@ -74,9 +73,9 @@ def test_meteor_penalty_bounds():
     rng = np.random.default_rng(0)
     vocab = ["red", "blue", "hand", "face", "warped", "blurry", "extra"]
     for _ in range(200):
-        c = " ".join(rng.choice(vocab, size=rng.integers(1, 8)))
-        r = " ".join(rng.choice(vocab, size=rng.integers(1, 8)))
-        score = meteor_lite(c, r)
+        c = list(rng.choice(vocab, size=rng.integers(1, 8)))
+        r = list(rng.choice(vocab, size=rng.integers(1, 8)))
+        score = _meteor_lite(c, r)
         assert 0.0 <= score <= 1.0
 
 
@@ -115,7 +114,7 @@ def test_evaluate_single_pair_equals_pair_metrics():
         rouge_l("the hand looks odd", "six fingers on the hand")
     )
     assert rep.meteor_lite == pytest.approx(
-        meteor_lite("the hand looks odd", "six fingers on the hand")
+        _meteor_lite(tokenize("the hand looks odd"), tokenize("six fingers on the hand"))
     )
 
 
@@ -163,7 +162,7 @@ def test_evaluate_reasoning_equals_the_pair_metrics():
     pairs = [(p.description, t.description) for p, t in zip(preds, truths[::-1])]
     assert rep.accuracy == 0.5
     assert rep.rouge_l == sum(rouge_l(c, r) for c, r in pairs) / 2
-    assert rep.meteor_lite == sum(meteor_lite(c, r) for c, r in pairs) / 2
+    assert rep.meteor_lite == sum(_meteor_lite(tokenize(c), tokenize(r)) for c, r in pairs) / 2
 
 
 # --- reference oracles: the quadratic DP and the first-unused scan --------
@@ -263,7 +262,8 @@ def test_text_kernels_match_the_dp_and_the_scan(pair):
     assert rouge_l(" ".join(cand), " ".join(ref)) == want
     want = scan_meteor_lite(cand, ref)
     assert _meteor_lite(cand, ref) == want
-    assert meteor_lite(" ".join(cand), " ".join(ref)) == want
+    rep = evaluate_reasoning([diag("r0", desc=" ".join(cand))], [truth("r0", desc=" ".join(ref))])
+    assert rep.meteor_lite == want
 
 
 def test_lcs_of_identical_and_disjoint_sides():
