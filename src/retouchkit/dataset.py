@@ -25,7 +25,7 @@ T = TypeVar("T")
 
 
 class DistortionCategory(Enum):
-    """12 fine-grained categories, declared in pairs: pair i is under `_DIMENSIONS[i]`.
+    """12 fine-grained categories.
 
     Declaration order is the fixed category-code order used for vote
     tiebreaks.
@@ -43,18 +43,6 @@ class DistortionCategory(Enum):
     INTERACTION_ERROR = "interaction_error"
     TEXT_ANOMALY = "text_anomaly"
     OTHER_ARTIFACT = "other_artifact"
-
-
-_DIMENSIONS = (
-    "human anatomical distortion",
-    "attribute inconsistency",
-    "spatial errors",
-    "object deformation or redundancy",
-    "action and interaction distortion",
-    "miscellaneous",
-)
-
-DIMENSION_OF = {c: _DIMENSIONS[i // 2] for i, c in enumerate(DistortionCategory)}
 
 
 class DatasetError(ValueError):

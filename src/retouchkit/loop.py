@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .media_io import ImageBuffer
 from .providers import (
     INSTRUCTION_DRIVEN,
@@ -34,6 +36,7 @@ STOP_PROVIDER_ERROR = "provider_error"
 STOP_NO_ACTIONABLE_REGIONS = "no_actionable_regions"  # peak >= tau, but no region reaches min_area
 STOP_NO_ELIGIBLE_TOOL = "no_eligible_tool"  # no tool in the registry fits a diagnosis
 STOP_INTERNAL_ERROR = "internal_error"  # any other exception raised inside an iteration
+STOP_NO_PROGRESS = "no_progress"  # no region the last iteration edited fell below its peak
 
 
 @dataclass(frozen=True)
@@ -87,14 +90,11 @@ class LoopProviders:
     tools: Sequence[InpaintTool]
 
 
-@dataclass(frozen=True)
-class LoopInput:
-    """One item of a batch run; each item carries its own providers so
-    mock scene state never crosses items."""
-
-    image: ImageBuffer
-    prompt: str
-    providers: LoopProviders
+def _fell(values: np.ndarray, region: RegionProposal) -> bool:
+    """Whether the map `values` is below the region's peak_saliency on every
+    pixel of the region."""
+    x0, y0, x1, y1 = region.bbox
+    return values[y0 : y1 + 1, x0 : x1 + 1][region.mask].max() < region.peak_saliency
 
 
 def run_loop(
@@ -115,9 +115,14 @@ def run_loop(
         done: list[int] = []  # indices of the planned actions whose call completed
         try:
             smap = providers.perception.perceive(current, prompt)
-            peak = float(smap.to_array().max())
+            values = smap.to_array()
+            peak = float(values.max())
             if peak < cfg.tau_s:
                 stop = STOP_CONVERGED
+            # an iteration that does not stop has acted on all its regions;
+            # `any` reads their crops only until one has fallen
+            elif records and not any(_fell(values, r) for r in records[-1].regions):
+                stop = STOP_NO_PROGRESS
             elif not (regions := propose_masks(smap, cfg.tau_s, cfg.dilation_radius, cfg.min_area)):
                 stop = STOP_NO_ACTIONABLE_REGIONS
             else:
@@ -164,15 +169,17 @@ def run_loop(
     return LoopTrace(tuple(records), stop, current, error)
 
 
-def run_batch(items: Sequence[LoopInput], cfg: LoopConfig, parallelism: int = 1) -> list[LoopTrace]:
-    """Order-preserving batch of independent loop runs; run_loop never
-    raises, so one failing item never aborts the others."""
+def run_batch(
+    items: Sequence[tuple[ImageBuffer, str, LoopProviders]], cfg: LoopConfig, parallelism: int = 1
+) -> list[LoopTrace]:
+    """Order-preserving batch of independent loop runs over `(image, prompt,
+    providers)` items; each item carries its own providers so mock scene
+    state never crosses items. run_loop never raises, so one failing item
+    never aborts the others."""
     if operator.index(parallelism) < 1:  # a float is a TypeError
         raise ValueError("parallelism must be >= 1")
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(
-            pool.map(lambda item: run_loop(item.image, item.prompt, item.providers, cfg), items)
-        )
+        return list(pool.map(lambda item: run_loop(*item, cfg), items))
 
 
 def trace_to_report(trace: LoopTrace) -> dict:

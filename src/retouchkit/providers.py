@@ -61,13 +61,10 @@ class ReasoningProvider(Protocol):
 class ToolDescriptor:
     name: str
     kind: str  # MASK_GUIDED or INSTRUCTION_DRIVEN
-    cost_hint: float = 0.0
 
     def __post_init__(self):
         if self.kind not in (MASK_GUIDED, INSTRUCTION_DRIVEN):
             raise ValueError("kind must be %r or %r" % (MASK_GUIDED, INSTRUCTION_DRIVEN))
-        if not self.cost_hint >= 0.0:  # also rejects NaN
-            raise ValueError("cost_hint must be >= 0")
 
 
 class InpaintTool(Protocol):
@@ -84,13 +81,10 @@ class InpaintTool(Protocol):
 @dataclass(frozen=True)
 class ToolPolicy:
     prefer: str = "auto"  # "auto", MASK_GUIDED or INSTRUCTION_DRIVEN
-    max_cost: float = float("inf")
 
     def __post_init__(self):
         if self.prefer not in ("auto", MASK_GUIDED, INSTRUCTION_DRIVEN):
             raise ValueError("bad prefer value %r" % self.prefer)
-        if not self.max_cost >= 0.0:  # also rejects NaN
-            raise ValueError("max_cost must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +196,16 @@ class NoEligibleToolError(ValueError):
 def select_tool(
     registry: Sequence[InpaintTool], category: DistortionCategory, policy: ToolPolicy
 ) -> InpaintTool:
-    """Cheapest tool of the preferred kind within max_cost for `category`;
-    with "auto", instruction-driven for text anomalies (the instruction
-    carries the semantics), mask-guided otherwise. Ties keep registry order."""
+    """The first registered tool of the preferred kind for `category`; with
+    "auto", instruction-driven for text anomalies (the instruction carries
+    the semantics), mask-guided otherwise."""
     want = policy.prefer
     if want == "auto":
         want = INSTRUCTION_DRIVEN if category is DistortionCategory.TEXT_ANOMALY else MASK_GUIDED
-    candidates = [
-        t
-        for t in registry
-        if t.descriptor.kind == want and t.descriptor.cost_hint <= policy.max_cost
-    ]
-    if not candidates:
-        raise NoEligibleToolError("no tool satisfies policy (kind=%s, max_cost=%g)" % (want, policy.max_cost))
-    return min(candidates, key=lambda t: t.descriptor.cost_hint)
+    for tool in registry:
+        if tool.descriptor.kind == want:
+            return tool
+    raise NoEligibleToolError("no tool satisfies policy (kind=%s)" % want)
 
 
 # ---------------------------------------------------------------------------

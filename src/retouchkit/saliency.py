@@ -5,6 +5,7 @@ map into region proposals.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -253,7 +254,7 @@ def label_set_pixels(mask: np.ndarray) -> tuple[np.ndarray, int]:
 def extract_regions(mask: np.ndarray, source: SaliencyMap, min_area: int) -> list[RegionProposal]:
     """8-connected components of `mask` with area >= min_area, sorted by
     peak saliency descending (ties by (y0, x0) ascending)."""
-    if min_area < 1:
+    if operator.index(min_area) < 1:  # a float, NaN too, is a TypeError
         raise ValueError("min_area must be >= 1")
     mask = np.asarray(mask, dtype=bool)
     src = source.to_array()

@@ -24,7 +24,7 @@ from retouchkit.dataset import (
     reconcile_majority,
     region_radius,
 )
-from retouchkit.loop import LoopConfig, LoopInput, run_batch, run_loop, trace_to_json
+from retouchkit.loop import LoopConfig, run_batch, run_loop, trace_to_json
 from retouchkit.media_io import (
     FloatGrid,
     ImageBuffer,
@@ -303,7 +303,7 @@ def test_criterion_09_determinism_and_concurrency():
         out = []
         for _ in range(8):
             scene = bump_scene(0.8, 0.5)
-            out.append(LoopInput(image=scene.image, prompt="p", providers=providers_for(scene)))
+            out.append((scene.image, "p", providers_for(scene)))
         return out
 
     serial = [trace_to_json(t) for t in run_batch(items(), cfg, parallelism=1)]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from retouchkit import loop as loop_module
 from retouchkit.dataset import DistortionCategory
@@ -13,11 +13,11 @@ from retouchkit.loop import (
     STOP_MAX_ITERATIONS,
     STOP_NO_ACTIONABLE_REGIONS,
     STOP_NO_ELIGIBLE_TOOL,
+    STOP_NO_PROGRESS,
     STOP_PROVIDER_ERROR,
     Action,
     IterationRecord,
     LoopConfig,
-    LoopInput,
     LoopProviders,
     LoopTrace,
     run_batch,
@@ -28,6 +28,7 @@ from retouchkit.loop import (
 from retouchkit.media_io import ImageBuffer
 from retouchkit.providers import (
     INSTRUCTION_DRIVEN,
+    MASK_GUIDED,
     MockInpaintTool,
     MockPerceptionProvider,
     MockReasoningProvider,
@@ -35,6 +36,7 @@ from retouchkit.providers import (
     ProviderError,
     SyntheticScene,
     ToolDescriptor,
+    ToolPolicy,
     select_tool,
 )
 from retouchkit.saliency import RegionProposal, SaliencyMap, propose_masks, union_mask
@@ -467,13 +469,91 @@ def test_grouped_calls_equal_each_action_replayed_alone(
     assert np.array_equal(got_field, scene.distortion_field)
 
 
+# --- no progress ---------------------------------------------------------
+
+class Unchanged:
+    """A mask-guided tool whose edit returns its input."""
+
+    descriptor = ToolDescriptor(name="unchanged", kind=MASK_GUIDED)
+
+    def inpaint(self, image, mask, instruction=None):
+        return image
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bumps=st.lists(
+        st.tuples(
+            st.integers(0, 13), st.integers(0, 13), st.integers(1, 3), st.floats(0.0, 1.0, width=32)
+        ),
+        min_size=1,
+        max_size=7,
+    ),
+    # a float32 tau: the loop's peak test reads a float64 tau and binarize a
+    # float32 one, so a tau between two float32 values can tell them apart
+    tau=st.floats(0.0, 1.0, width=32),
+    radius=st.integers(0, 1),
+    min_area=st.integers(1, 4),
+)
+# two bumps, 0.9 and 0.8: the loop used to spend all five iterations and
+# five inpaint calls on the same image, and stop max_iterations
+@example(bumps=[(2, 2, 3, 0.9), (9, 9, 3, 0.8)], tau=0.5, radius=0, min_area=1)
+def test_edits_that_achieve_nothing_stop_no_progress(bumps, tau, radius, min_area):
+    image = ImageBuffer.from_array(np.full((16, 16), 100, dtype=np.uint8))
+    field = np.zeros((16, 16), dtype=np.float32)
+    for y, x, size, height in bumps:
+        field[y : y + size, x : x + size] = height
+    scene = SyntheticScene(image, field)
+    assume(propose_masks(SaliencyMap.from_array(field), tau, radius, min_area))
+    calls = []
+    provs = LoopProviders(
+        MockPerceptionProvider(scene), MockReasoningProvider(), [Recording(Unchanged(), calls)]
+    )
+    cfg = LoopConfig(
+        tau_s=tau,
+        max_iterations=5,
+        dilation_radius=radius,
+        min_area=min_area,
+        tool_policy=ToolPolicy(prefer=MASK_GUIDED),
+    )
+    trace = run_loop(image, "p", provs, cfg)
+    assert trace.stop_reason == STOP_NO_PROGRESS
+    assert trace.error is None
+    acted, last = trace.records
+    assert len(acted.actions) == len(acted.regions) > 0
+    # the record is kept without regions, as for converged
+    assert (last.t, last.max_saliency) == (2, acted.max_saliency)
+    assert last.regions == last.diagnoses == last.actions == ()
+    assert len(calls) == 1
+    assert trace.final_image == image
+
+
+def test_an_edit_of_one_group_of_two_is_progress():
+    # the first region's tool changes nothing, the second's decays its
+    # region: every iteration makes progress, so the loop goes on
+    image = ImageBuffer.from_array(np.full((16, 16), 100, dtype=np.uint8))
+    field = np.zeros((16, 16), dtype=np.float32)
+    field[2:5, 2:5] = 0.9
+    field[9:12, 9:12] = 0.8
+    scene = SyntheticScene(image, field, decay=0.9)
+    calls = []
+    text_tool = ToolDescriptor(name="instruct", kind=INSTRUCTION_DRIVEN)
+    tools = [Recording(Unchanged(), calls), Recording(MockInpaintTool(scene, text_tool), calls)]
+    provs = LoopProviders(MockPerceptionProvider(scene), Categorised([False, True]), tools)
+    cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
+    trace = run_loop(image, "p", provs, cfg)
+    assert trace.stop_reason == STOP_MAX_ITERATIONS
+    assert [len(r.actions) for r in trace.records] == [2, 2, 2]
+    assert [name for name, _, _ in calls] == ["unchanged", "instruct"] * 3
+
+
 # --- batch ---------------------------------------------------------------
 
 def make_items(n, height=0.8):
     items = []
     for _ in range(n):
         scene = bump_scene(height)
-        items.append(LoopInput(image=scene.image, prompt="p", providers=providers_for(scene)))
+        items.append((scene.image, "p", providers_for(scene)))
     return items
 
 
@@ -490,7 +570,7 @@ def test_batch_zero_fields_all_converge():
     for _ in range(5):
         image = ImageBuffer.from_array(np.full((8, 8), 100, dtype=np.uint8))
         scene = SyntheticScene(image, np.zeros((8, 8), np.float32))
-        items.append(LoopInput(scene.image, "p", providers_for(scene)))
+        items.append((scene.image, "p", providers_for(scene)))
     traces = run_batch(items, LoopConfig(), parallelism=2)
     assert all(t.stop_reason == STOP_CONVERGED and len(t.records) == 1 for t in traces)
 
@@ -516,7 +596,7 @@ def test_batch_isolates_failures():
     def failing(perception):
         scene = bump_scene(0.8)
         provs = LoopProviders(perception, MockReasoningProvider(), [MockInpaintTool(scene)])
-        return LoopInput(scene.image, "p", provs)
+        return scene.image, "p", provs
 
     traces = run_batch([failing(Broken()), failing(Down())] + make_items(1), cfg, parallelism=2)
     assert traces[0].stop_reason == STOP_INTERNAL_ERROR
@@ -543,7 +623,7 @@ def test_batch_keeps_the_records_before_an_internal_error():
 
     provs = LoopProviders(NaNOnSecondCall(), MockReasoningProvider(), [MockInpaintTool(scene)])
     cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
-    [trace] = run_batch([LoopInput(scene.image, "p", provs)], cfg)
+    [trace] = run_batch([(scene.image, "p", provs)], cfg)
     assert trace.stop_reason == STOP_INTERNAL_ERROR
     assert trace.error == "ValueError: float grid contains NaN/Inf"
     [rec] = trace.records
@@ -676,7 +756,7 @@ def test_no_eligible_tool_stops_at_the_first_diagnosis_without_a_tool(select_too
     diagnoses = tuple(CategoryReasoner(cats).diagnose(scene.image, "p", regions))
     with pytest.raises(NoEligibleToolError) as exc:
         [select_tool(tools, d.category, cfg.tool_policy) for d in diagnoses]
-    assert trace.error == "no tool satisfies policy (kind=instruction-driven, max_cost=inf)"
+    assert trace.error == "no tool satisfies policy (kind=instruction-driven)"
     record = IterationRecord(1, float(np.float32(0.9)), regions, diagnoses, ())
     want = LoopTrace((record,), STOP_NO_ELIGIBLE_TOOL, scene.image, str(exc.value))
     assert trace_to_json(trace) == trace_to_json(want)

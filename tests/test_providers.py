@@ -159,8 +159,8 @@ def test_mock_inpaint_rejects_a_mask_of_other_dims(mask):
 # --- select_tool ---------------------------------------------------------
 
 class _FakeTool:
-    def __init__(self, name, kind, cost):
-        self.descriptor = ToolDescriptor(name=name, kind=kind, cost_hint=cost)
+    def __init__(self, name, kind):
+        self.descriptor = ToolDescriptor(name=name, kind=kind)
 
     def inpaint(self, image, mask, instruction=None):
         return image
@@ -169,33 +169,28 @@ class _FakeTool:
 FACE = DistortionCategory.FACE_DISTORTION
 
 
-def test_select_prefers_cheapest_of_kind():
+def test_select_takes_the_first_registered_tool_of_kind():
     tools = [
-        _FakeTool("m2", MASK_GUIDED, 2.0),
-        _FakeTool("m1", MASK_GUIDED, 1.0),
-        _FakeTool("i1", INSTRUCTION_DRIVEN, 0.5),
+        _FakeTool("i1", INSTRUCTION_DRIVEN),
+        _FakeTool("m1", MASK_GUIDED),
+        _FakeTool("m2", MASK_GUIDED),
     ]
     got = select_tool(tools, FACE, ToolPolicy(prefer=MASK_GUIDED))
     assert got.descriptor.name == "m1"
 
 
 def test_select_auto_text_anomaly_instruction():
-    tools = [_FakeTool("m", MASK_GUIDED, 1.0), _FakeTool("i", INSTRUCTION_DRIVEN, 5.0)]
+    tools = [_FakeTool("m", MASK_GUIDED), _FakeTool("i", INSTRUCTION_DRIVEN)]
     got = select_tool(tools, DistortionCategory.TEXT_ANOMALY, ToolPolicy(prefer="auto"))
     assert got.descriptor.kind == INSTRUCTION_DRIVEN
     got = select_tool(tools, FACE, ToolPolicy(prefer="auto"))
     assert got.descriptor.kind == MASK_GUIDED
 
 
-def test_select_max_cost_unsatisfiable():
-    tools = [_FakeTool("m", MASK_GUIDED, 3.0)]
-    with pytest.raises(NoEligibleToolError):
-        select_tool(tools, FACE, ToolPolicy(prefer=MASK_GUIDED, max_cost=1.0))
-
-
-def test_select_tie_keeps_registry_order():
-    tools = [_FakeTool("first", MASK_GUIDED, 1.0), _FakeTool("second", MASK_GUIDED, 1.0)]
-    assert select_tool(tools, FACE, ToolPolicy(prefer=MASK_GUIDED)).descriptor.name == "first"
+def test_select_without_a_tool_of_the_wanted_kind():
+    tools = [_FakeTool("i", INSTRUCTION_DRIVEN)]
+    with pytest.raises(NoEligibleToolError, match=r"^no tool satisfies policy \(kind=mask-guided\)$"):
+        select_tool(tools, FACE, ToolPolicy(prefer=MASK_GUIDED))
 
 
 # --- HTTP providers ------------------------------------------------------
@@ -509,12 +504,6 @@ _INSTRUCTED = ToolDescriptor(name="i", kind=INSTRUCTION_DRIVEN)
     [
         pytest.param(lambda: ToolDescriptor("t", "paint"), ValueError, "kind must be", id="kind"),
         pytest.param(
-            lambda: ToolDescriptor("t", MASK_GUIDED, cost_hint=-1.0),
-            ValueError,
-            "cost_hint must be >= 0",
-            id="cost-hint",
-        ),
-        pytest.param(
             lambda: ToolPolicy(prefer="cheap"),
             ValueError,
             "bad prefer value",
@@ -578,29 +567,11 @@ def test_rejecting_branches(call, error, message):
         call()
 
 
-# NaN passes a plain comparison, an infinite or huge timeout overflows the
-# socket's deadline, and a fractional count slips through `<` and `range`
+# an infinite or huge timeout overflows the socket's deadline, and a
+# fractional count slips through `<` and `range`
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        pytest.param(
-            lambda: ToolPolicy(max_cost=float("nan")),
-            ValueError,
-            "max_cost must be >= 0",
-            id="max-cost-nan",
-        ),
-        pytest.param(
-            lambda: ToolPolicy(max_cost=-1.0),
-            ValueError,
-            "max_cost must be >= 0",
-            id="max-cost-negative",
-        ),
-        pytest.param(
-            lambda: ToolDescriptor("t", MASK_GUIDED, cost_hint=float("nan")),
-            ValueError,
-            "cost_hint must be >= 0",
-            id="cost-hint-nan",
-        ),
         pytest.param(
             lambda: HttpConfig(timeout_s=float("inf")),
             ValueError,

@@ -1,9 +1,9 @@
-"""Every public top-level function and class of the package has a runtime
-caller: code in `src/retouchkit/*.py` outside its own definition, or in
-`perfbench/*.py` other than its test modules, loads its name as a variable
-or an attribute. A docstring, a comment, a string, an import or a dataclass
-field of the same name is no caller. Code that only tests call is deleted,
-unless the allow-list below names a reason."""
+"""Every public top-level function, class and assigned name of the package
+has a runtime caller: code in `src/retouchkit/*.py` outside its own
+definition, or in `perfbench/*.py` other than its test modules, loads its
+name as a variable or an attribute. A docstring, a comment, a string, an
+import or a dataclass field of the same name is no caller. Code that only
+tests call is deleted, unless the allow-list below names a reason."""
 
 import ast
 from pathlib import Path
@@ -37,10 +37,22 @@ def loaded_names(tree, skip=None):
     return names
 
 
+def defined_names(node):
+    """The names a top-level statement defines: a def's or a class's name,
+    or the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def names_without_a_runtime_caller(package, benchmark):
-    """The public top-level defs and classes of the `package` sources that
-    no code in another package source, in `benchmark` or in their own
-    module outside their definition loads."""
+    """The public top-level defs, classes and assigned names of the
+    `package` sources that no code in another package source, in
+    `benchmark` or in their own module outside their definition loads."""
     trees = [ast.parse(text) for text in package]
     loaded = [loaded_names(tree) for tree in trees]
     outside = set().union(*(loaded_names(ast.parse(text)) for text in benchmark))
@@ -48,9 +60,9 @@ def names_without_a_runtime_caller(package, benchmark):
     for i, tree in enumerate(trees):
         others = outside.union(*(names for j, names in enumerate(loaded) if j != i))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                if node.name not in others | loaded_names(tree, skip=node):
-                    uncalled.add(node.name)
+            for name in defined_names(node):
+                if not name.startswith("_") and name not in others | loaded_names(tree, skip=node):
+                    uncalled.add(name)
     return uncalled
 
 
@@ -71,10 +83,18 @@ def test_a_name_only_prose_or_a_field_mentions_has_no_runtime_caller():
             '"""Mentions prose() in a docstring."""\n'
             "from a import kept, prose\n\n\n"
             "class Report:\n    prose: float  # prose()\n\n\n"
-            'LABEL = "prose"\nVALUE = kept()\n'
+            '_LABEL = "prose"\n_VALUE = kept()\n'
         ),
     ]
     assert names_without_a_runtime_caller(package, ['"""Calls prose()."""\n']) == {
         "Report",
         "prose",
     }
+
+
+def test_a_constant_only_a_test_reads_has_no_runtime_caller():
+    package = [
+        'LIMIT = 3\nRATIO: float = 0.5\nUNREAD = {}\n_PRIVATE = 1\n',
+        "from a import LIMIT, RATIO\n\n\ndef clamp(x):\n    return min(x, LIMIT)\n\n\nclamp(RATIO)\n",
+    ]
+    assert names_without_a_runtime_caller(package, []) == {"UNREAD"}

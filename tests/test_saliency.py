@@ -292,6 +292,16 @@ def test_extract_rejects_min_area_below_one(min_area):
         propose_masks(smap(np.ones((3, 3))), 0.5, 1, min_area)
 
 
+@pytest.mark.parametrize("min_area", [1.5, float("nan"), 4.0])
+def test_extract_rejects_a_float_min_area(min_area):
+    # 1.5 used to keep only regions of area 2 or more, and NaN none at all
+    mask = np.ones((3, 3), bool)
+    with pytest.raises(TypeError, match="float"):
+        extract_regions(mask, smap(np.zeros((3, 3))), min_area)
+    with pytest.raises(TypeError, match="float"):
+        propose_masks(smap(np.ones((3, 3))), 0.5, 0, min_area)
+
+
 def oracle_regions(mask, values, min_area):
     """(bbox, area, repr(peak), crop bytes) of every flood-filled component
     with at least min_area pixels, sorted by (-peak, y0, x0); ties keep the
