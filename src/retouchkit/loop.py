@@ -1,7 +1,8 @@
 """The closed perception-reasoning-action controller: iterate
 perceive -> (if salient) diagnose -> act -> re-perceive until the map max
 drops below the threshold, the iteration cap is hit or another typed stop
-applies, producing a full audit trace.
+applies, producing a full audit trace. The action plan is made here: which
+registered tool serves each diagnosis, what it is sent and in which calls.
 """
 
 from __future__ import annotations
@@ -9,23 +10,22 @@ from __future__ import annotations
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .dataset import DistortionCategory
 from .media_io import ImageBuffer
 from .providers import (
     INSTRUCTION_DRIVEN,
+    MASK_GUIDED,
     InpaintTool,
-    NoEligibleToolError,
     PerceptionProvider,
     ProviderError,
     ReasoningProvider,
     SchemaError,
-    ToolPolicy,
-    select_tool,
 )
 from .saliency import RegionProposal, propose_masks, union_mask
 from .textmetrics import Diagnosis
@@ -45,7 +45,7 @@ class LoopConfig:
     max_iterations: int = 3
     dilation_radius: int = 1
     min_area: int = 4
-    tool_policy: ToolPolicy = field(default_factory=ToolPolicy)
+    prefer: str = "auto"  # the user's tool kind: "auto", MASK_GUIDED or INSTRUCTION_DRIVEN
 
     def __post_init__(self):
         if not 0.0 <= self.tau_s <= 1.0:
@@ -57,6 +57,8 @@ class LoopConfig:
             raise ValueError("dilation_radius must be >= 0")
         if operator.index(self.min_area) < 1:
             raise ValueError("min_area must be >= 1")
+        if self.prefer not in ("auto", MASK_GUIDED, INSTRUCTION_DRIVEN):
+            raise ValueError("bad prefer value %r" % self.prefer)
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,24 @@ class LoopProviders:
     perception: PerceptionProvider
     reasoning: ReasoningProvider
     tools: Sequence[InpaintTool]
+
+
+class NoEligibleToolError(ValueError):
+    """No tool in the registry is of the kind a diagnosis wants."""
+
+
+def select_tool(
+    registry: Sequence[InpaintTool], category: DistortionCategory, prefer: str
+) -> InpaintTool:
+    """The first registered tool of the preferred kind for `category`; with
+    "auto", instruction-driven for text anomalies (the instruction carries
+    the semantics), mask-guided otherwise."""
+    if prefer == "auto":
+        prefer = INSTRUCTION_DRIVEN if category is DistortionCategory.TEXT_ANOMALY else MASK_GUIDED
+    for tool in registry:
+        if tool.descriptor.kind == prefer:
+            return tool
+    raise NoEligibleToolError("no tool satisfies policy (kind=%s)" % prefer)
 
 
 def _fell(values: np.ndarray, region: RegionProposal) -> bool:
@@ -135,9 +155,9 @@ def run_loop(
                 diagnoses = diagnosed
                 # every tool is chosen before the first edit, once per category
                 # in the order of its first region (regions come in peak order):
-                # with the registry and the policy fixed, nothing else matters
+                # with the registry and the preference fixed, nothing else matters
                 tools = {
-                    c: select_tool(providers.tools, c, cfg.tool_policy)
+                    c: select_tool(providers.tools, c, cfg.prefer)
                     for c in dict.fromkeys(d.category for d in diagnoses)
                 }
                 # one call per (tool, instruction), in the order of each group's

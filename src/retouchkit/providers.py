@@ -78,15 +78,6 @@ class InpaintTool(Protocol):
     ) -> ImageBuffer: ...
 
 
-@dataclass(frozen=True)
-class ToolPolicy:
-    prefer: str = "auto"  # "auto", MASK_GUIDED or INSTRUCTION_DRIVEN
-
-    def __post_init__(self):
-        if self.prefer not in ("auto", MASK_GUIDED, INSTRUCTION_DRIVEN):
-            raise ValueError("bad prefer value %r" % self.prefer)
-
-
 # ---------------------------------------------------------------------------
 # Deterministic mocks backed by a synthetic scene
 
@@ -186,29 +177,6 @@ class MockInpaintTool:
 
 
 # ---------------------------------------------------------------------------
-# Tool selection
-
-
-class NoEligibleToolError(ValueError):
-    """No tool in the registry satisfies the policy for a diagnosis."""
-
-
-def select_tool(
-    registry: Sequence[InpaintTool], category: DistortionCategory, policy: ToolPolicy
-) -> InpaintTool:
-    """The first registered tool of the preferred kind for `category`; with
-    "auto", instruction-driven for text anomalies (the instruction carries
-    the semantics), mask-guided otherwise."""
-    want = policy.prefer
-    if want == "auto":
-        want = INSTRUCTION_DRIVEN if category is DistortionCategory.TEXT_ANOMALY else MASK_GUIDED
-    for tool in registry:
-        if tool.descriptor.kind == want:
-            return tool
-    raise NoEligibleToolError("no tool satisfies policy (kind=%s)" % want)
-
-
-# ---------------------------------------------------------------------------
 # HTTP/JSON backend providers
 
 
@@ -240,9 +208,9 @@ def _decode_answer(body: dict, key: str, read, image: ImageBuffer):
 
 
 def mask_to_bytes(mask: np.ndarray) -> bytes:
-    """Binary mask as a P5 graymap (0 / 255)."""
-    arr = np.where(np.asarray(mask, dtype=bool), 255, 0).astype(np.uint8)
-    return write_pnm(ImageBuffer.from_array(arr))
+    """Binary mask as a P5 graymap (0 / 255), built in uint8 from the bool
+    bytes (0 or 1), so no wider frame is made."""
+    return write_pnm(ImageBuffer.from_array(np.asarray(mask, dtype=bool).view(np.uint8) * np.uint8(255)))
 
 
 def mask_from_bytes(data: bytes) -> np.ndarray:

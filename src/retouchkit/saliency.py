@@ -163,10 +163,15 @@ def hybrid_loss_gradient(pred: SaliencyMap, truth: SaliencyMap, cfg: HybridLossC
 
 
 def binarize(smap: SaliencyMap, tau: float) -> np.ndarray:
-    """Pixel set iff value >= tau."""
+    """Pixel set iff value >= tau, decided exactly as run_loop's peak test
+    decides it: the float32 map is compared with the smallest float32 that
+    is >= tau (numpy would round tau to the nearest float32)."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    return smap.to_array() >= tau
+    t = np.float32(tau)
+    if float(t) < tau:
+        t = np.nextafter(t, np.float32(np.inf))
+    return smap.to_array() >= t
 
 
 def dilate(mask: np.ndarray, radius: int) -> np.ndarray:

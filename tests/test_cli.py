@@ -8,6 +8,7 @@ import pytest
 from retouchkit.cli import main
 from retouchkit.media_io import FloatGrid, ImageBuffer, write_float_grid, write_pnm
 from fake_backend import FakeBackend, LoopbackServer
+from multi_bump_scene import write_multi_bump_scene
 from seeded_predictions import write_seeded_predictions
 
 DATA = Path(__file__).parent / "data"
@@ -187,17 +188,6 @@ def test_propose_masks_output_bytes(tmp_path, capsys, tau, want):
     write_bump_field(fsal)
     assert main(["propose-masks", str(fsal), "--tau", tau, "--dilation-radius", "0"]) == 0
     assert capsys.readouterr().out == want
-
-
-def write_multi_bump_scene(image_path, field_path):
-    """A 24x24 gray ramp whose hidden field has bumps of 0.95, 0.8 and 0.65."""
-    ramp = np.add.outer(np.arange(24) * 7, np.arange(24) * 3) % 251
-    image_path.write_bytes(write_pnm(ImageBuffer.from_array(ramp.astype(np.uint8))))
-    field = np.zeros((24, 24), dtype=np.float32)
-    field[2:5, 3:7] = 0.95
-    field[10:14, 15:18] = 0.8
-    field[18:21, 4:6] = 0.65
-    field_path.write_bytes(write_float_grid(FloatGrid.from_array(field)))
 
 
 def test_run_loop_trace_file_matches_the_golden_bytes(tmp_path, capsys, monkeypatch):

@@ -20,8 +20,10 @@ from retouchkit.loop import (
     LoopConfig,
     LoopProviders,
     LoopTrace,
+    NoEligibleToolError,
     run_batch,
     run_loop,
+    select_tool,
     trace_to_json,
     trace_to_report,
 )
@@ -32,12 +34,9 @@ from retouchkit.providers import (
     MockInpaintTool,
     MockPerceptionProvider,
     MockReasoningProvider,
-    NoEligibleToolError,
     ProviderError,
     SyntheticScene,
     ToolDescriptor,
-    ToolPolicy,
-    select_tool,
 )
 from retouchkit.saliency import RegionProposal, SaliencyMap, propose_masks, union_mask
 from retouchkit.textmetrics import Diagnosis
@@ -105,6 +104,25 @@ def test_slow_decay_hits_max_iterations():
     assert trace.stop_reason == STOP_MAX_ITERATIONS
     assert len(trace.records) == 3
     assert all(len(r.actions) == 1 for r in trace.records)
+
+
+# tau lies between two float32 values: a bump at the lower one is below tau
+# and one at the upper one is not, for propose_masks and for the loop's peak
+# test alike (binarize used to round tau to the lower one, so the first case
+# proposed a region on a map the loop called converged)
+@pytest.mark.parametrize("above", [False, True])
+def test_propose_masks_and_the_peak_test_agree_on_a_float64_tau(above):
+    tau = 0.9121328286946706
+    height = np.float32(tau)
+    if above:
+        height = np.nextafter(height, np.float32(1))
+    assert (float(height) >= tau) == above
+    scene = bump_scene(height)
+    smap = MockPerceptionProvider(scene).perceive(scene.image, "p")
+    assert len(propose_masks(smap, tau, 0, 1)) == above
+    trace = run_on(scene, LoopConfig(tau_s=tau, max_iterations=1, dilation_radius=0, min_area=1))
+    assert trace.stop_reason == (STOP_MAX_ITERATIONS if above else STOP_CONVERGED)
+    assert len(trace.records[0].actions) == above
 
 
 def closed_form_iterations(h, d, tau, max_iter):
@@ -489,9 +507,7 @@ class Unchanged:
         min_size=1,
         max_size=7,
     ),
-    # a float32 tau: the loop's peak test reads a float64 tau and binarize a
-    # float32 one, so a tau between two float32 values can tell them apart
-    tau=st.floats(0.0, 1.0, width=32),
+    tau=st.floats(0.0, 1.0),
     radius=st.integers(0, 1),
     min_area=st.integers(1, 4),
 )
@@ -514,7 +530,7 @@ def test_edits_that_achieve_nothing_stop_no_progress(bumps, tau, radius, min_are
         max_iterations=5,
         dilation_radius=radius,
         min_area=min_area,
-        tool_policy=ToolPolicy(prefer=MASK_GUIDED),
+        prefer=MASK_GUIDED,
     )
     trace = run_loop(image, "p", provs, cfg)
     assert trace.stop_reason == STOP_NO_PROGRESS
@@ -718,9 +734,9 @@ def select_tool_calls(monkeypatch):
     """The category of every select_tool call made by run_loop."""
     calls = []
 
-    def counting(registry, category, policy):
+    def counting(registry, category, prefer):
         calls.append(category)
-        return select_tool(registry, category, policy)
+        return select_tool(registry, category, prefer)
 
     monkeypatch.setattr(loop_module, "select_tool", counting)
     return calls
@@ -755,7 +771,7 @@ def test_no_eligible_tool_stops_at_the_first_diagnosis_without_a_tool(select_too
     regions = tuple(propose_masks(smap, 0.5, 0, 1))
     diagnoses = tuple(CategoryReasoner(cats).diagnose(scene.image, "p", regions))
     with pytest.raises(NoEligibleToolError) as exc:
-        [select_tool(tools, d.category, cfg.tool_policy) for d in diagnoses]
+        [select_tool(tools, d.category, cfg.prefer) for d in diagnoses]
     assert trace.error == "no tool satisfies policy (kind=instruction-driven)"
     record = IterationRecord(1, float(np.float32(0.9)), regions, diagnoses, ())
     want = LoopTrace((record,), STOP_NO_ELIGIBLE_TOOL, scene.image, str(exc.value))

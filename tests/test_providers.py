@@ -1,15 +1,25 @@
 import base64
 import dataclasses
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from retouchkit import providers as providers_module
 from retouchkit.dataset import DistortionCategory
-from retouchkit.loop import STOP_PROVIDER_ERROR, LoopConfig, LoopProviders, run_loop
+from retouchkit.loop import (
+    STOP_PROVIDER_ERROR,
+    LoopConfig,
+    LoopProviders,
+    NoEligibleToolError,
+    run_loop,
+    select_tool,
+)
 from retouchkit.media_io import FloatGrid, ImageBuffer, write_float_grid, write_pnm
 from retouchkit.providers import (
     INSTRUCTION_DRIVEN,
@@ -19,15 +29,13 @@ from retouchkit.providers import (
     MockInpaintTool,
     MockPerceptionProvider,
     MockReasoningProvider,
-    NoEligibleToolError,
     SchemaError,
     SyntheticScene,
     ToolDescriptor,
-    ToolPolicy,
     TransportError,
     http_provider,
     mask_from_bytes,
-    select_tool,
+    mask_to_bytes,
 )
 from retouchkit.saliency import RegionProposal
 from fake_backend import URL, Delay, FakeBackend, mount
@@ -175,22 +183,22 @@ def test_select_takes_the_first_registered_tool_of_kind():
         _FakeTool("m1", MASK_GUIDED),
         _FakeTool("m2", MASK_GUIDED),
     ]
-    got = select_tool(tools, FACE, ToolPolicy(prefer=MASK_GUIDED))
+    got = select_tool(tools, FACE, MASK_GUIDED)
     assert got.descriptor.name == "m1"
 
 
 def test_select_auto_text_anomaly_instruction():
     tools = [_FakeTool("m", MASK_GUIDED), _FakeTool("i", INSTRUCTION_DRIVEN)]
-    got = select_tool(tools, DistortionCategory.TEXT_ANOMALY, ToolPolicy(prefer="auto"))
+    got = select_tool(tools, DistortionCategory.TEXT_ANOMALY, "auto")
     assert got.descriptor.kind == INSTRUCTION_DRIVEN
-    got = select_tool(tools, FACE, ToolPolicy(prefer="auto"))
+    got = select_tool(tools, FACE, "auto")
     assert got.descriptor.kind == MASK_GUIDED
 
 
 def test_select_without_a_tool_of_the_wanted_kind():
     tools = [_FakeTool("i", INSTRUCTION_DRIVEN)]
     with pytest.raises(NoEligibleToolError, match=r"^no tool satisfies policy \(kind=mask-guided\)$"):
-        select_tool(tools, FACE, ToolPolicy(prefer=MASK_GUIDED))
+        select_tool(tools, FACE, MASK_GUIDED)
 
 
 # --- HTTP providers ------------------------------------------------------
@@ -326,6 +334,30 @@ def test_http_diagnose_sends_full_frame_masks():
     assert [r["bbox"] for r in req["regions"]] == [[3, 2, 4, 3], [0, 4, 1, 4]]
     sent = [mask_from_bytes(base64.b64decode(r["mask_b64"])) for r in req["regions"]]
     assert all(np.array_equal(m, f) for m, f in zip(sent, frames))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mask=arrays(bool, st.tuples(st.integers(1, 9), st.integers(1, 9))))
+def test_mask_to_bytes_equals_the_int64_formula(mask):
+    for m in (mask, mask.T):  # a transposed view is not C-contiguous
+        # the formula it replaced, as the oracle of its bytes
+        want = write_pnm(ImageBuffer.from_array(np.where(m, 255, 0).astype(np.uint8)))
+        assert mask_to_bytes(m) == want
+    assert np.array_equal(mask_from_bytes(mask_to_bytes(mask)), mask)
+
+
+def test_mask_to_bytes_makes_no_frame_wider_than_a_byte_per_pixel():
+    # the bytes of the graymap and of the PNM it is written into are two per
+    # pixel; an int64 frame on the way adds eight
+    mask = np.zeros((512, 512), bool)
+    mask[100:300, 50:400] = True
+    tracemalloc.start()
+    try:
+        mask_to_bytes(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * mask.size
 
 
 # --- HTTP fault injection: every malformed answer is a SchemaError ----------
@@ -504,7 +536,7 @@ _INSTRUCTED = ToolDescriptor(name="i", kind=INSTRUCTION_DRIVEN)
     [
         pytest.param(lambda: ToolDescriptor("t", "paint"), ValueError, "kind must be", id="kind"),
         pytest.param(
-            lambda: ToolPolicy(prefer="cheap"),
+            lambda: LoopConfig(prefer="cheap"),
             ValueError,
             "bad prefer value",
             id="prefer",

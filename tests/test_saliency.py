@@ -200,6 +200,23 @@ def test_binarize_example():
     assert np.array_equal(binarize(m, 0.5), [[False, True], [True, True]])
 
 
+@settings(max_examples=300, deadline=None)
+@given(tau=st.floats(0.0, 1.0), steps=st.lists(st.integers(-2, 2), min_size=1, max_size=12))
+# a tau whose nearest float32 lies below it: a float32 comparison sets that pixel
+@example(tau=0.9121328286946706, steps=[0])
+def test_binarize_is_exact_for_a_float64_tau(tau, steps):
+    # values within two float32 steps of tau, where rounding tau can matter
+    near = np.float32(tau)
+    values = []
+    for k in steps:
+        v = near
+        for _ in range(abs(k)):
+            v = np.nextafter(v, np.float32(k))
+        values.append(v)
+    m = smap(np.clip(values, 0.0, 1.0)[None, :])
+    assert np.array_equal(binarize(m, tau), m.float64 >= tau)
+
+
 def test_dilate_radius0_identity():
     mask = np.zeros((4, 4), bool)
     mask[1, 2] = True
