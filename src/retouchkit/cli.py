@@ -58,6 +58,12 @@ def _cmd_evaluate_saliency(args) -> int:
     reports = []
     for rec in records:
         pred = SaliencyMap(read_float_grid((pred_dir / ("%s.fsal" % rec.image_id)).read_bytes()))
+        # before ground_truth_map allocates a frame of the record's size
+        if (pred.width, pred.height) != (rec.width, rec.height):
+            raise ValueError(
+                "%s: prediction is %dx%d, the record %dx%d"
+                % (rec.image_id, pred.width, pred.height, rec.width, rec.height)
+            )
         truth, fix = ds.ground_truth_map(rec, blur_sigma=args.blur_sigma)
         report = metrics.evaluate_all(pred, truth, fix, epsilon=args.epsilon)
         reports.append(report)
@@ -101,9 +107,17 @@ def _cmd_grpo_check(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _point(text: str) -> tuple[int, int]:
+    """An "X,Y" pair of integers, as the type of an argparse option."""
+    try:
+        x, y = text.split(",")
+        return int(x), int(y)
+    except ValueError:  # also any count of values but two
+        raise argparse.ArgumentTypeError("expected X,Y with integers X and Y, got %r" % text) from None
+
+
 def _cmd_rasterize(args) -> int:
-    cx, cy = (int(v) for v in args.center.split(","))
-    mask = ds.rasterize_region((cx, cy), args.height, args.width)
+    mask = ds.rasterize_region(args.center, args.height, args.width)
     Path(args.output).write_bytes(providers.mask_to_bytes(mask))
     print("%d pixels set" % int(mask.sum()))
     return 0
@@ -140,7 +154,8 @@ def _mock_providers_from_args(args, image: ImageBuffer) -> loop_mod.LoopProvider
 
 
 def _http_providers_from_env(args) -> loop_mod.LoopProviders:
-    cfg = providers.HttpConfig(timeout_s=args.timeout_ms / 1000.0)
+    # checked before any backend URL is read, as the other options are
+    timeout_s = providers.checked_timeout(args.timeout_ms / 1000.0)
 
     def url(role: str) -> str:
         var = "RETOUCH_BACKEND_%s_URL" % role.upper()
@@ -150,10 +165,10 @@ def _http_providers_from_env(args) -> loop_mod.LoopProviders:
         return value
 
     perception, reasoning, tool = (
-        providers.http_provider(url(role), role, cfg)
+        providers.http_provider(url(role), role, timeout_s)
         for role in ("perception", "reasoning", "inpaint")
     )
-    text_tool = providers.http_provider(url("inpaint"), "inpaint", cfg, _HTTP_INSTRUCT)
+    text_tool = providers.http_provider(url("inpaint"), "inpaint", timeout_s, _HTTP_INSTRUCT)
     return loop_mod.LoopProviders(perception=perception, reasoning=reasoning, tools=[tool, text_tool])
 
 
@@ -211,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, required=True)
     p.add_argument(
         "--center",
+        type=_point,
         required=True,
         metavar="X,Y",
         help="disc centre in pixels; write --center=X,Y when X is negative",
@@ -236,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mock-field", help="FSAL1 hidden distortion field for the mock scene")
     p.add_argument("--mock-decay", type=float, default=providers.SyntheticScene.decay)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout-ms", type=int, default=round(providers.HttpConfig.timeout_s * 1000))
+    p.add_argument("--timeout-ms", type=int, default=round(providers.TIMEOUT_S * 1000))
     p.add_argument("--trace", help="write the loop trace as JSON to this path")
     p.add_argument("-o", "--output", help="write the final image to this path")
     p.set_defaults(func=_cmd_run_loop)

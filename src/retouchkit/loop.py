@@ -210,6 +210,7 @@ def trace_to_report(trace: LoopTrace) -> dict:
         "initial_max_saliency": trace.records[0].max_saliency if trace.records else None,
         "final_max_saliency": trace.records[-1].max_saliency if trace.records else None,
         "converged": trace.stop_reason == STOP_CONVERGED,
+        "stop_reason": trace.stop_reason,
     }
 
 

@@ -7,7 +7,6 @@ bounded in-flight count.
 from __future__ import annotations
 
 import base64
-import operator
 import threading
 import time
 import zlib
@@ -220,34 +219,31 @@ def mask_from_bytes(data: bytes) -> np.ndarray:
     return img.to_array()[:, :, 0] > 127
 
 
-# retry k of a call waits BACKOFF_BASE_S * 2**(k-1) seconds first
+# a call makes at most 1 + RETRIES attempts, and retry k waits
+# BACKOFF_BASE_S * 2**(k-1) seconds first
+RETRIES = 3
 BACKOFF_BASE_S = 0.1
+# at most this many requests of one client at a time; the rest wait
+MAX_IN_FLIGHT = 4
+# the default `requests` timeout of one attempt
+TIMEOUT_S = 30.0
 
 
-@dataclass(frozen=True)
-class HttpConfig:
-    timeout_s: float = 30.0
-    retries: int = 3
-    max_in_flight: int = 4
-
-    def __post_init__(self):
-        if not self.timeout_s > 0.0:  # also rejects NaN
-            raise ValueError("timeout_s must be > 0")
-        # a longer timeout, inf too, overflows the socket's time_t deadline
-        if self.timeout_s > threading.TIMEOUT_MAX:
-            raise ValueError("timeout_s must be <= %g" % threading.TIMEOUT_MAX)
-        # each count is read with operator.index, so a float is a TypeError
-        if operator.index(self.retries) < 0:
-            raise ValueError("retries must be >= 0")
-        if operator.index(self.max_in_flight) < 1:
-            raise ValueError("max_in_flight must be >= 1")
+def checked_timeout(timeout_s: float) -> float:
+    """`timeout_s`, if it is a valid timeout of one attempt."""
+    if not timeout_s > 0.0:  # also rejects NaN
+        raise ValueError("timeout_s must be > 0")
+    # a longer timeout, inf too, overflows the socket's time_t deadline
+    if timeout_s > threading.TIMEOUT_MAX:
+        raise ValueError("timeout_s must be <= %g" % threading.TIMEOUT_MAX)
+    return timeout_s
 
 
 class _HttpClient:
-    def __init__(self, endpoint: str, cfg: HttpConfig | None = None):
+    def __init__(self, endpoint: str, timeout_s: float):
         self.endpoint = endpoint.rstrip("/")
-        self.cfg = cfg or HttpConfig()
-        self._gate = threading.BoundedSemaphore(self.cfg.max_in_flight)
+        self.timeout_s = checked_timeout(timeout_s)
+        self._gate = threading.BoundedSemaphore(MAX_IN_FLIGHT)
         self._session = requests.Session()
 
     def post(self, path: str, image: ImageBuffer, **fields) -> dict:
@@ -255,13 +251,13 @@ class _HttpClient:
         retries; returns the answer object."""
         payload = {"image_b64": _b64(write_pnm(image)), **fields}
         last: Exception | None = None
-        for attempt in range(self.cfg.retries + 1):
+        for attempt in range(1 + RETRIES):
             if attempt:
                 time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
             with self._gate:
                 try:
                     resp = self._session.post(
-                        self.endpoint + path, json=payload, timeout=self.cfg.timeout_s
+                        self.endpoint + path, json=payload, timeout=self.timeout_s
                     )
                 except requests.RequestException as exc:
                     last = TransportError("transport failure: %s" % exc)
@@ -327,8 +323,8 @@ class _HttpReasoning(_HttpClient):
 
 
 class _HttpInpaint(_HttpClient):
-    def __init__(self, endpoint: str, cfg: HttpConfig | None, descriptor: ToolDescriptor):
-        super().__init__(endpoint, cfg)
+    def __init__(self, endpoint: str, timeout_s: float, descriptor: ToolDescriptor):
+        super().__init__(endpoint, timeout_s)
         self.descriptor = descriptor
 
     def inpaint(
@@ -344,16 +340,17 @@ class _HttpInpaint(_HttpClient):
 
 
 def http_provider(
-    endpoint: str, role: str, cfg: HttpConfig | None = None, descriptor: ToolDescriptor | None = None
+    endpoint: str, role: str, timeout_s: float = TIMEOUT_S, descriptor: ToolDescriptor | None = None
 ):
     """The one way to build an HTTP-backed provider: role in {perception,
-    reasoning, inpaint}; `descriptor` describes an inpaint tool (default:
+    reasoning, inpaint}; `timeout_s` bounds each attempt (0 < timeout_s <=
+    threading.TIMEOUT_MAX); `descriptor` describes an inpaint tool (default:
     mask-guided "http-inpaint")."""
     if role == "perception":
-        return _HttpPerception(endpoint, cfg)
+        return _HttpPerception(endpoint, timeout_s)
     if role == "reasoning":
-        return _HttpReasoning(endpoint, cfg)
+        return _HttpReasoning(endpoint, timeout_s)
     if role == "inpaint":
         descriptor = descriptor or ToolDescriptor(name="http-inpaint", kind=MASK_GUIDED)
-        return _HttpInpaint(endpoint, cfg, descriptor)
+        return _HttpInpaint(endpoint, timeout_s, descriptor)
     raise ValueError("unknown role %r" % role)

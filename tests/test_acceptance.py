@@ -35,7 +35,7 @@ from retouchkit.media_io import (
     write_pnm,
 )
 from retouchkit.metrics import FixationSet, auc_judd, cc, kld, nss, sim
-from retouchkit.providers import HttpConfig, http_provider
+from retouchkit.providers import MAX_IN_FLIGHT, http_provider
 from retouchkit.saliency import HybridLossConfig, hybrid_loss, hybrid_loss_gradient
 from fake_backend import Delay, FakeBackend, LoopbackServer
 from test_alignment import gaussian_elimination_rank
@@ -310,18 +310,19 @@ def test_criterion_09_determinism_and_concurrency():
     parallel = [trace_to_json(t) for t in run_batch(items(), cfg, parallelism=8)]
     ok = serial == parallel
 
-    backend = FakeBackend(outcomes=[Delay(0.1)] * 4)
+    threads_n = 2 * MAX_IN_FLIGHT
+    backend = FakeBackend(outcomes=[Delay(0.1)] * threads_n)
     with LoopbackServer(backend) as server:
-        provider = http_provider(server.url, "perception", HttpConfig(retries=0, max_in_flight=2))
+        provider = http_provider(server.url, "perception")
         image = ImageBuffer.from_array(np.full((4, 4), 100, dtype=np.uint8))
         threads = [
-            threading.Thread(target=provider.perceive, args=(image, "p")) for _ in range(4)
+            threading.Thread(target=provider.perceive, args=(image, "p")) for _ in range(threads_n)
         ]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-    ok = ok and backend.calls == 4 and backend.max_in_flight <= 2
+    ok = ok and backend.calls == threads_n and backend.max_in_flight <= MAX_IN_FLIGHT
     _report(9, "determinism and concurrency", ok)
 
 

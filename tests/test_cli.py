@@ -132,6 +132,17 @@ def test_rasterize_clips_a_disc_whose_centre_is_left_of_the_frame(tmp_path, caps
     assert (img[45:56, :3] > 0).sum() == want
 
 
+@pytest.mark.parametrize("center", ["1,2,3", "1", "a,b", ""])
+def test_rasterize_rejects_a_malformed_centre_as_a_usage_error(tmp_path, capsys, center):
+    # it used to exit 1 with the text of a failed unpacking or int()
+    out = tmp_path / "m.pnm"
+    with pytest.raises(SystemExit) as exc:
+        main(["rasterize", "--width", "10", "--height", "10", "--center=" + center, "-o", str(out)])
+    assert exc.value.code == 2
+    assert "argument --center: expected X,Y" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rasterize_a_centre_far_off_the_frame_sets_nothing(tmp_path, capsys):
     out = tmp_path / "mask.pnm"
     rc = main(
@@ -238,6 +249,7 @@ def test_run_loop_mock_two_iterations(tmp_path, capsys):
     assert report["iterations"] == 2
     assert report["actions_total"] == 1
     assert report["converged"] is True
+    assert report["stop_reason"] == "converged"
     trace = json.loads(trace_path.read_text())
     assert len(trace["records"]) == 2
     assert out_img.exists()
@@ -657,6 +669,36 @@ def test_evaluate_reasoning_output_matches_the_golden_bytes(capsys):
     pred, truth = DATA / "reasoning_pred.jsonl", DATA / "reasoning_truth.jsonl"
     assert main(["evaluate-reasoning", str(pred), str(truth)]) == 0
     assert capsys.readouterr().out.encode() == (DATA / "evaluate_reasoning.tsv").read_bytes()
+
+
+def test_evaluate_saliency_checks_sizes_before_it_builds_the_ground_truth(
+    tmp_path, capsys, monkeypatch
+):
+    # a 200000x200000 record used to allocate its 37 GiB frame in
+    # ground_truth_map before the 4x4 prediction's size was compared
+    import retouchkit.dataset
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ground_truth_map called")
+
+    monkeypatch.setattr(retouchkit.dataset, "ground_truth_map", unreachable)
+    record = {
+        "image_id": "big",
+        "image": "big.pnm",
+        "prompt": "p",
+        "width": 200000,
+        "height": 200000,
+        "regions": [
+            {"x": 1, "y": 1, "category": "face_distortion", "description": "d", "annotator": "a0"}
+        ],
+    }
+    ds_path = tmp_path / "ds.jsonl"
+    ds_path.write_text(json.dumps(record) + "\n")
+    (tmp_path / "big.fsal").write_bytes(write_float_grid(FloatGrid.from_array(np.zeros((4, 4), np.float32))))
+    assert main(["evaluate-saliency", str(ds_path), "--pred-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "big: prediction is 4x4, the record 200000x200000\n"
 
 
 def test_evaluate_saliency_names_the_dataset_file_of_a_bad_line(tmp_path, capsys):

@@ -791,12 +791,26 @@ def test_trace_report_converged():
         "initial_max_saliency": pytest.approx(0.8),
         "final_max_saliency": pytest.approx(0.4),
         "converged": True,
+        "stop_reason": STOP_CONVERGED,
     }
 
 
 def test_trace_report_not_converged():
     scene = bump_scene(0.9, decay=0.9)
-    assert trace_to_report(run_on(scene))["converged"] is False
+    report = trace_to_report(run_on(scene))
+    assert report["converged"] is False
+    assert report["stop_reason"] == STOP_MAX_ITERATIONS
+
+
+def test_trace_report_names_a_no_progress_stop():
+    # without --trace, run-loop's summary is the one place that says why
+    # the loop stopped
+    scene = bump_scene(0.9)
+    provs = LoopProviders(MockPerceptionProvider(scene), MockReasoningProvider(), [Unchanged()])
+    cfg = LoopConfig(tau_s=0.5, max_iterations=5, dilation_radius=0, min_area=1, prefer=MASK_GUIDED)
+    report = trace_to_report(run_loop(scene.image, "p", provs, cfg))
+    assert report["converged"] is False
+    assert report["stop_reason"] == STOP_NO_PROGRESS
 
 
 def test_trace_json_is_deterministic():

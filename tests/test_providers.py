@@ -1,5 +1,4 @@
 import base64
-import dataclasses
 import threading
 import tracemalloc
 from types import SimpleNamespace
@@ -24,7 +23,8 @@ from retouchkit.media_io import FloatGrid, ImageBuffer, write_float_grid, write_
 from retouchkit.providers import (
     INSTRUCTION_DRIVEN,
     MASK_GUIDED,
-    HttpConfig,
+    MAX_IN_FLIGHT,
+    RETRIES,
     HttpStatusError,
     MockInpaintTool,
     MockPerceptionProvider,
@@ -217,85 +217,74 @@ def sleeps(monkeypatch):
     return slept
 
 
-def _http(role, backend, **cfg):
+def _http(role, backend):
     """An HTTP provider of `role` served in-process by `backend`."""
-    return mount(http_provider(URL, role, HttpConfig(**cfg)), backend)
+    return mount(http_provider(URL, role), backend)
 
 
 @pytest.mark.parametrize(
-    "field, value, message",
+    "keyword, value, message",
     [
         ("timeout_s", 0.0, "timeout_s must be > 0"),
         ("timeout_s", -1.0, "timeout_s must be > 0"),
         ("timeout_s", float("nan"), "timeout_s must be > 0"),
-        ("retries", -1, "retries must be >= 0"),
-        ("max_in_flight", 0, "max_in_flight must be >= 1"),
     ],
 )
-def test_http_config_rejects(field, value, message):
-    # max_in_flight=0 would block the first call forever, retries=-1 would
-    # raise a bare AssertionError and timeout_s=0 a ValueError from requests
+def test_http_config_rejects(keyword, value, message):
+    # timeout_s=0 would be a ValueError from requests at the first call
     with pytest.raises(ValueError, match=message):
-        HttpConfig(**{field: value})
-
-
-def test_http_config_is_frozen():
-    # an assignment would skip the checks above, and a client sizes its
-    # in-flight gate from max_in_flight when it is built
-    cfg = HttpConfig()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.retries = -1
+        http_provider(URL, "perception", **{keyword: value})
 
 
 def test_http_retry_then_success():
-    backend = FakeBackend(outcomes=[500, 500])
-    provider = _http("perception", backend, retries=3)
+    backend = FakeBackend(outcomes=[500] * RETRIES)
+    provider = _http("perception", backend)
     out = provider.perceive(gray_image(), "p")
     assert out.width == 4
-    assert backend.calls == 3
+    assert backend.calls == 1 + RETRIES
 
 
 def test_http_retry_budget_exhausted():
     backend = FakeBackend(outcomes=[500] * 100)
-    provider = _http("perception", backend, retries=2)
+    provider = _http("perception", backend)
     with pytest.raises(HttpStatusError):
         provider.perceive(gray_image(), "p")
-    assert backend.calls == 3  # initial try + 2 retries
+    assert backend.calls == 1 + RETRIES  # initial try + RETRIES retries
 
 
 def test_http_backoff_doubles_before_each_retry(sleeps):
     backend = FakeBackend(outcomes=[500] * 100)
     with pytest.raises(HttpStatusError):
-        _http("perception", backend, retries=2).perceive(gray_image(), "p")
-    assert sleeps == [0.1, 0.2]
+        _http("perception", backend).perceive(gray_image(), "p")
+    assert sleeps == [0.1, 0.2, 0.4]  # RETRIES = 3
 
 
 def test_http_dim_mismatch_is_schema_error():
     backend = FakeBackend(answers={"/v1/perceive": {"saliency_b64": _GRID_2X2}})
     with pytest.raises(SchemaError):
-        _http("perception", backend, retries=0).perceive(gray_image(), "p")
+        _http("perception", backend).perceive(gray_image(), "p")
     # a gray answer of the right size to an RGB request would carry the loop
     # on in gray
     rgb = ImageBuffer.from_array(np.full((4, 5, 3), 128, dtype=np.uint8))
     backend = FakeBackend(answers={"/v1/inpaint": {"image_b64": _b64(write_pnm(gray_image(5, 4)))}})
     with pytest.raises(SchemaError, match="channel"):
-        _http("inpaint", backend, retries=0).inpaint(rgb, np.ones((4, 5), bool))
+        _http("inpaint", backend).inpaint(rgb, np.ones((4, 5), bool))
 
 
 def test_http_in_flight_bound():
-    backend = FakeBackend(outcomes=[Delay(0.15)] * 4)
-    provider = _http("perception", backend, retries=0, max_in_flight=2)
+    backend = FakeBackend(outcomes=[Delay(0.15)] * (2 * MAX_IN_FLIGHT))
+    provider = _http("perception", backend)
     threads = [
         threading.Thread(target=provider.perceive, args=(gray_image(), "p"))
-        for _ in range(4)
+        for _ in range(2 * MAX_IN_FLIGHT)
     ]
     for t in threads:
         t.start()
     for t in threads:
         t.join(timeout=10)
         assert not t.is_alive()
-    assert backend.calls == 4
-    assert backend.max_in_flight <= 2
+    assert backend.calls == 2 * MAX_IN_FLIGHT
+    assert backend.max_in_flight <= MAX_IN_FLIGHT
 
 
 def test_http_provider_factory():
@@ -381,9 +370,8 @@ _PNM_3X3 = _b64(write_pnm(gray_image(3, 3)))
 
 
 def _call(role, backend):
-    """One call of `role` on a 4x4 gray image, with two retries; diagnose
-    sends two regions."""
-    provider = _http(role, backend, retries=2)
+    """One call of `role` on a 4x4 gray image; diagnose sends two regions."""
+    provider = _http(role, backend)
     image = gray_image()
     if role == "perception":
         return provider.perceive(image, "p")
@@ -471,11 +459,11 @@ def test_http_transport_fault_recovered_by_a_retry(role, fault):
 @pytest.mark.parametrize("fault", _FAULTS)
 @pytest.mark.parametrize("role", list(_PATHS))
 def test_http_transport_fault_exhausts_the_retries(role, fault):
-    backend = FakeBackend(outcomes=[fault] * 3)
+    backend = FakeBackend(outcomes=[fault] * (1 + RETRIES))
     with pytest.raises(TransportError, match="^transport failure: %s$" % fault.args[0]):
         _call(role, backend)
-    assert backend.calls == 3  # initial try + 2 retries
-    assert [path for path, _ in backend.requests] == [_PATHS[role]] * 3
+    assert backend.calls == 1 + RETRIES  # initial try + RETRIES retries
+    assert [path for path, _ in backend.requests] == [_PATHS[role]] * (1 + RETRIES)
 
 
 def test_run_loop_stops_provider_error_on_a_null_severity():
@@ -484,7 +472,7 @@ def test_run_loop_stops_provider_error_on_a_null_severity():
     backend = FakeBackend(answers={"/v1/diagnose": _answer(_entry(0, severity=None))})
     provs = LoopProviders(
         perception=MockPerceptionProvider(scene),
-        reasoning=_http("reasoning", backend, retries=0),
+        reasoning=_http("reasoning", backend),
         tools=[MockInpaintTool(scene)],
     )
     cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
@@ -507,12 +495,9 @@ def test_run_loop_stops_provider_error_on_a_transport_failure():
     backends = [
         FakeBackend(answers={"/v1/perceive": perceived}),
         FakeBackend(),
-        FakeBackend(outcomes=[fault] * 2),
+        FakeBackend(outcomes=[fault] * (1 + RETRIES)),
     ]
-    perception, reasoning, tool = (
-        _http(role, backend, retries=1)
-        for role, backend in zip(_PATHS, backends)
-    )
+    perception, reasoning, tool = (_http(role, backend) for role, backend in zip(_PATHS, backends))
     provs = LoopProviders(perception=perception, reasoning=reasoning, tools=[tool])
     cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
     trace = run_loop(scene.image, "p", provs, cfg)
@@ -522,7 +507,7 @@ def test_run_loop_stops_provider_error_on_a_transport_failure():
     assert len(rec.regions) == len(rec.diagnoses) == 1
     assert rec.actions == ()
     assert trace.final_image == scene.image
-    assert [b.calls for b in backends] == [1, 1, 2]
+    assert [b.calls for b in backends] == [1, 1, 1 + RETRIES]
 
 
 # --- every rejecting branch ----------------------------------------------
@@ -599,29 +584,21 @@ def test_rejecting_branches(call, error, message):
         call()
 
 
-# an infinite or huge timeout overflows the socket's deadline, and a
-# fractional count slips through `<` and `range`
+# an infinite or huge timeout overflows the socket's deadline
 @pytest.mark.parametrize(
     "build, error, message",
     [
         pytest.param(
-            lambda: HttpConfig(timeout_s=float("inf")),
+            lambda: http_provider(URL, "perception", timeout_s=float("inf")),
             ValueError,
             "timeout_s must be <=",
             id="timeout-inf",
         ),
         pytest.param(
-            lambda: HttpConfig(timeout_s=1e12),
+            lambda: http_provider(URL, "perception", timeout_s=1e12),
             ValueError,
             "timeout_s must be <=",
             id="timeout-huge",
-        ),
-        pytest.param(lambda: HttpConfig(retries=1.5), TypeError, "float", id="retries-fraction"),
-        pytest.param(
-            lambda: HttpConfig(max_in_flight=1.5),
-            TypeError,
-            "float",
-            id="max-in-flight-fraction",
         ),
     ],
 )
