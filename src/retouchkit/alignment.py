@@ -1,7 +1,7 @@
 """Desk-scale policy-alignment math: group-relative advantages, the
 clipped-surrogate objective with a KL penalty toward a reference policy,
-reward composition, and low-rank adapter algebra, all on toy categorical
-policies with full distributions exposed.
+and low-rank adapter algebra, all on toy categorical policies with full
+distributions exposed.
 
 The surrogate is an objective to MAXIMIZE.
 """
@@ -14,9 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .dataset import RegionAnnotation
-from .textmetrics import Diagnosis, rouge_l
 
 
 class ZeroVarianceError(ValueError):
@@ -175,16 +172,6 @@ def grpo_gradient(
     grad = (np.bincount(group.actions, w, len(pi)) - pi * w.sum()) / len(w)
     kl = categorical_kl(theta, ref)
     return grad - cfg.beta * pi * (np.log(pi / np.asarray(ref.probs)) - kl)
-
-
-def compose_reward(
-    pred: Diagnosis, truth: RegionAnnotation, w_cat: float = 0.5, w_txt: float = 0.5
-) -> float:
-    """w_cat * [category match] + w_txt * rouge_l(descriptions)."""
-    if not (w_cat >= 0.0 and w_txt >= 0.0 and abs(w_cat + w_txt - 1.0) <= 1e-9):
-        raise ValueError("weights must be non-negative and sum to 1")
-    cat = 1.0 if pred.category is truth.category else 0.0
-    return w_cat * cat + w_txt * rouge_l(pred.description, truth.description)
 
 
 def lora_delta(f: LoraFactors) -> np.ndarray:

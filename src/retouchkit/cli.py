@@ -4,7 +4,7 @@ Subcommands: run-loop, evaluate-saliency, evaluate-reasoning,
 dataset-stats, grpo-check, rasterize, propose-masks.
 
 Machine output goes to stdout, diagnostics to stderr. Exit codes:
-0 success, 1 domain error, 2 usage error.
+0 success, 1 domain error (an allocation that fails too), 2 usage error.
 """
 
 from __future__ import annotations
@@ -264,8 +264,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # a bare MemoryError() has no text
+        print(str(exc) or type(exc).__name__, file=sys.stderr)
         return 1
 
 

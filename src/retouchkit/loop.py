@@ -3,6 +3,8 @@ perceive -> (if salient) diagnose -> act -> re-perceive until the map max
 drops below the threshold, the iteration cap is hit or another typed stop
 applies, producing a full audit trace. The action plan is made here: which
 registered tool serves each diagnosis, what it is sent and in which calls.
+Every provider, in-process or HTTP, is held to its contract here: one
+diagnosis per region, and maps and edited images of the image's size.
 """
 
 from __future__ import annotations
@@ -110,6 +112,16 @@ def select_tool(
     raise NoEligibleToolError("no tool satisfies policy (kind=%s)" % prefer)
 
 
+def _check_size(name: str, got: tuple[int, ...], want: tuple[int, ...]) -> None:
+    """The size rule of the provider contract: the answer `name` has the
+    current image's size (width x height, and an edited image's channels
+    too)."""
+    if got != want:
+        raise SchemaError(
+            "%s is %s, image is %s" % (name, "x".join(map(str, got)), "x".join(map(str, want)))
+        )
+
+
 def _fell(values: np.ndarray, region: RegionProposal) -> bool:
     """Whether the map `values` is below the region's peak_saliency on every
     pixel of the region."""
@@ -135,6 +147,7 @@ def run_loop(
         done: list[int] = []  # indices of the planned actions whose call completed
         try:
             smap = providers.perception.perceive(current, prompt)
+            _check_size("saliency map", (smap.width, smap.height), (current.width, current.height))
             values = smap.to_array()
             peak = float(values.max())
             if peak < cfg.tau_s:
@@ -173,7 +186,13 @@ def run_loop(
                     groups.setdefault((id(tool), instruction), (tool, []))[1].append(i)
                 for (_, instruction), (tool, members) in groups.items():
                     mask = union_mask([regions[i] for i in members], current.height, current.width)
-                    current = tool.inpaint(current, mask=mask, instruction=instruction)
+                    edited = tool.inpaint(current, mask=mask, instruction=instruction)
+                    _check_size(
+                        "edited image",
+                        (edited.width, edited.height, edited.channels),
+                        (current.width, current.height, current.channels),
+                    )
+                    current = edited
                     done.extend(members)
         except NoEligibleToolError as exc:
             stop, error = STOP_NO_ELIGIBLE_TOOL, str(exc)

@@ -44,6 +44,9 @@ class SchemaError(ProviderError):
 
 
 class PerceptionProvider(Protocol):
+    """Returns a map of the image's width and height; run_loop treats any
+    other size as a SchemaError."""
+
     def perceive(self, image: ImageBuffer, prompt: str) -> SaliencyMap: ...
 
 
@@ -68,7 +71,9 @@ class ToolDescriptor:
 
 class InpaintTool(Protocol):
     """Edits the pixels under `mask` (a bool array with the image's height
-    and width); an instruction-driven tool also takes an instruction."""
+    and width); an instruction-driven tool also takes an instruction.
+    run_loop treats an answer whose width, height or channels differ from
+    the image's as a SchemaError."""
 
     descriptor: ToolDescriptor
 
@@ -183,27 +188,16 @@ def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-def _decode_answer(body: dict, key: str, read, image: ImageBuffer):
+def _decode_answer(body: dict, key: str, read):
     """Decode the base64 PNM or FSAL1 field `key` of a backend answer with
-    `read`, whose ValueError is a SchemaError; the result must have the
-    request image's width and height, and an image answer its channel count
-    too (a saliency map has no channels)."""
+    `read`, whose ValueError is a SchemaError; run_loop checks its size, as
+    it does every provider's."""
     try:
-        out = read(base64.b64decode(body[key], validate=True))
+        return read(base64.b64decode(body[key], validate=True))
     except KeyError:
         raise SchemaError("response missing %s" % key)
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise SchemaError("undecodable %s payload: %s" % (key, exc))
-    if (out.width, out.height) != (image.width, image.height):
-        raise SchemaError(
-            "%s dims %dx%d != image dims %dx%d"
-            % (key, out.width, out.height, image.width, image.height)
-        )
-    if isinstance(out, ImageBuffer) and out.channels != image.channels:
-        raise SchemaError(
-            "%s has %d channel(s) != image's %d" % (key, out.channels, image.channels)
-        )
-    return out
 
 
 def mask_to_bytes(mask: np.ndarray) -> bytes:
@@ -282,9 +276,7 @@ class _HttpPerception(_HttpClient):
         body = self.post("/v1/perceive", image, format="pnm", prompt=prompt)
         # read_float_grid is looked up per call, so perfbench's tracer, which
         # swaps the module attribute, sees the decode
-        return _decode_answer(
-            body, "saliency_b64", lambda data: SaliencyMap(read_float_grid(data)), image
-        )
+        return _decode_answer(body, "saliency_b64", lambda data: SaliencyMap(read_float_grid(data)))
 
 
 class _HttpReasoning(_HttpClient):
@@ -336,7 +328,7 @@ class _HttpInpaint(_HttpClient):
         if instruction is not None:
             fields["instruction"] = instruction
         body = self.post("/v1/inpaint", image, **fields)
-        return _decode_answer(body, "image_b64", read_pnm, image)
+        return _decode_answer(body, "image_b64", read_pnm)
 
 
 def http_provider(

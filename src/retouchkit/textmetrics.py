@@ -12,8 +12,6 @@ from typing import Sequence
 from .dataset import DistortionCategory, RegionAnnotation
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-_EMPTY = "empty tokenization"
-_NO_TOKEN = "region %r: %s description %r has no a-z or 0-9 token"
 
 
 @dataclass(frozen=True)
@@ -63,20 +61,20 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return len(b) - v.bit_count()
 
 
-def _tokens(text: str, message: str, *args) -> list[str]:
-    """tokenize(text), which must not be empty; else ValueError(message % args)."""
+def _tokens(text: str, region_id: str, side: str) -> list[str]:
+    """tokenize(text), which must not be empty; else a ValueError naming
+    the region and the side, prediction or truth, of the text."""
     tokens = tokenize(text)
     if not tokens:
-        raise ValueError(message % args)
+        raise ValueError(
+            "region %r: %s description %r has no a-z or 0-9 token" % (region_id, side, text)
+        )
     return tokens
 
 
-def rouge_l(candidate: str, reference: str) -> float:
-    """LCS F-measure: 2PR/(P+R) with P = LCS/|cand|, R = LCS/|ref|."""
-    return _rouge_l(_tokens(candidate, _EMPTY), _tokens(reference, _EMPTY))
-
-
 def _rouge_l(cand: Sequence[str], ref: Sequence[str]) -> float:
+    """LCS F-measure of two token lists: 2PR/(P+R) with P = LCS/|cand|,
+    R = LCS/|ref|."""
     lcs = _lcs_length(cand, ref)
     if lcs == 0:
         return 0.0
@@ -158,9 +156,8 @@ def evaluate_reasoning(
     pairs = _matched_pairs(preds, truths)
     rouge = meteor = 0.0
     for pred, truth in pairs:
-        rid = pred.region_id
-        cand = _tokens(pred.description, _NO_TOKEN, rid, "prediction", pred.description)
-        ref = _tokens(truth.description, _NO_TOKEN, rid, "truth", truth.description)
+        cand = _tokens(pred.description, pred.region_id, "prediction")
+        ref = _tokens(truth.description, pred.region_id, "truth")
         rouge += _rouge_l(cand, ref)
         meteor += _meteor_lite(cand, ref)
     return ReasoningReport(_accuracy(pairs), rouge / len(pairs), meteor / len(pairs))

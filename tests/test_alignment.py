@@ -13,7 +13,6 @@ from retouchkit.alignment import (
     ZeroVarianceError,
     _surrogate_terms,
     categorical_kl,
-    compose_reward,
     group_advantages,
     grpo_gradient,
     grpo_objective,
@@ -24,11 +23,6 @@ from retouchkit.checks import (
     check_kl_nonnegative,
     finite_difference_gradient,
 )
-from retouchkit.dataset import DistortionCategory, RegionAnnotation
-from retouchkit.textmetrics import Diagnosis
-
-HAND = DistortionCategory.LIMB_HAND_DEFORMITY
-FACE = DistortionCategory.FACE_DISTORTION
 
 
 def gaussian_elimination_rank(m, tol=1e-9):
@@ -281,7 +275,6 @@ def test_gradient_checks_the_reference_action_set_at_beta_zero():
         lambda: GrpoConfig(beta=math.inf),
         lambda: GrpoGroup([0, 1], [0.0, math.nan]),
         lambda: GrpoGroup([0, 1], [0.0, math.inf]),
-        lambda: compose_reward(_diag(), _truth(), math.nan, 1.0),
     ],
     ids=[
         "policy-nan",
@@ -291,7 +284,6 @@ def test_gradient_checks_the_reference_action_set_at_beta_zero():
         "beta-inf",
         "reward-nan",
         "reward-inf",
-        "weight-nan",
     ],
 )
 def test_non_finite_inputs_rejected(build):
@@ -303,41 +295,6 @@ def test_group_actions_are_integers():
     with pytest.raises(TypeError):
         GrpoGroup([0.7, 1.9], [0.0, 1.0])
     assert GrpoGroup(np.array([0, 1]), [0.0, 1.0]).actions == (0, 1)
-
-
-# --- compose_reward ------------------------------------------------------
-
-def _truth(desc="the hand has six fingers", cat=HAND):
-    return RegionAnnotation(
-        center=(1, 1), category=cat, description=desc, annotator="t", region_id="r0"
-    )
-
-
-def _diag(desc="the hand has six fingers", cat=HAND):
-    return Diagnosis(region_id="r0", category=cat, description=desc, severity=0.5)
-
-
-def test_reward_perfect():
-    assert compose_reward(_diag(), _truth()) == 1.0
-
-
-def test_reward_zero():
-    assert compose_reward(_diag("totally unrelated words", FACE), _truth()) == 0.0
-
-
-def test_reward_weighted():
-    # right category + rouge 0.5 at weights (0.5, 0.5) -> 0.75
-    d = _diag("the hand")  # LCS 2; P=1, R=2/5 -> F=4/7... build exact 0.5 instead
-    # candidate "a b" vs reference "a b c d": LCS 2, P=1, R=0.5, F=2/3. Use
-    # direct construction: choose pair with rouge exactly 0.5
-    d = _diag("a b c d e f")
-    t = _truth("a b")  # LCS 2, P=1/3, R=1, F=0.5
-    assert compose_reward(d, t, 0.5, 0.5) == pytest.approx(0.75)
-
-
-def test_reward_weight_validation():
-    with pytest.raises(ValueError):
-        compose_reward(_diag(), _truth(), 0.7, 0.7)
 
 
 # --- LoRA ----------------------------------------------------------------

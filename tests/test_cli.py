@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from retouchkit import cli
 from retouchkit.cli import main
 from retouchkit.media_io import FloatGrid, ImageBuffer, write_float_grid, write_pnm
 from fake_backend import FakeBackend, LoopbackServer
@@ -140,6 +141,28 @@ def test_rasterize_rejects_a_malformed_centre_as_a_usage_error(tmp_path, capsys,
         main(["rasterize", "--width", "10", "--height", "10", "--center=" + center, "-o", str(out)])
     assert exc.value.code == 2
     assert "argument --center: expected X,Y" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 37.3 GiB"), "Unable to allocate 37.3 GiB"),
+        (MemoryError(), "MemoryError"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_an_allocation_that_fails_is_one_stderr_line(tmp_path, capsys, monkeypatch, error, line):
+    # a 200000 x 200000 frame under an address-space limit used to end in
+    # numpy's traceback; the fault is raised here, so nothing is allocated
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli.ds, "rasterize_region", fail)
+    out = tmp_path / "m.pnm"
+    argv = ["rasterize", "--width", "200000", "--height", "200000", "--center", "1,1", "-o", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", line + "\n")
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -215,47 +216,64 @@ def test_empty_diagnosis_list_is_a_provider_error():
 
 class FaultAt:
     """Counts perceive, diagnose and inpaint calls over the providers it
-    wraps and raises `error` (ProviderError by default) on call k (0-based;
-    never if k is None); with short=True, diagnose call k instead returns
-    one diagnosis too few. Keeps the image after every inpaint call and the
-    numbers of the diagnose calls."""
+    wraps. Call k (0-based; none if k is None) raises `error`
+    (ProviderError by default) or, if `change` is given, answers
+    `change(answer)` in place of its answer. Keeps the role of every call
+    and the image of every inpaint call whose answer it did not change."""
 
-    def __init__(self, provs, k=None, short=False, error=ProviderError):
-        self.k, self.short, self.error = k, short, error
-        self.calls, self.images, self.diagnose_calls = 0, [], []
+    def __init__(self, provs, k=None, error=ProviderError, change=None):
+        self.k, self.error, self.change = k, error, change
+        self.roles, self.images = [], []
         fault = self
 
         class Perception:
             def perceive(self, image, prompt):
-                fault.tick()
-                return provs.perception.perceive(image, prompt)
+                return fault.call("perceive", provs.perception.perceive, image, prompt)
 
         class Reasoning:
             def diagnose(self, image, prompt, regions):
-                fault.diagnose_calls.append(fault.calls)
-                shorten = fault.tick(shortable=True)
-                diagnoses = provs.reasoning.diagnose(image, prompt, regions)
-                return diagnoses[:-1] if shorten else diagnoses
+                return fault.call("diagnose", provs.reasoning.diagnose, image, prompt, regions)
 
         class Tool:
             def __init__(self, tool):
                 self.tool, self.descriptor = tool, tool.descriptor
 
             def inpaint(self, image, mask, instruction=None):
-                fault.tick()
-                out = self.tool.inpaint(image, mask=mask, instruction=instruction)
-                fault.images.append(out)
-                return out
+                return fault.call("inpaint", self.tool.inpaint, image, mask, instruction)
 
         self.providers = LoopProviders(Perception(), Reasoning(), [Tool(t) for t in provs.tools])
 
-    def tick(self, shortable=False):
-        """True when this call is to return a short diagnosis list."""
-        hit = self.calls == self.k
-        self.calls += 1
-        if hit and not (self.short and shortable):
+    def call(self, role, method, *args):
+        hit = len(self.roles) == self.k
+        self.roles.append(role)
+        if hit and self.change is None:
             raise self.error("fault at call %d" % self.k)
-        return hit
+        answer = method(*args)
+        if hit:
+            return self.change(answer)
+        if role == "inpaint":
+            self.images.append(answer)
+        return answer
+
+    def calls_of(self, *roles):
+        """The numbers of the calls of these roles."""
+        return [k for k, role in enumerate(self.roles) if role in roles]
+
+
+def short(diagnoses):
+    """One diagnosis too few."""
+    return diagnoses[:-1]
+
+
+def wider(answer):
+    """A map or an image one column wider."""
+    arr = answer.to_array()
+    return type(answer).from_array(np.pad(arr, [(0, 0), (0, 1)] + [(0, 0)] * (arr.ndim - 2)))
+
+
+def rgb(image):
+    """A gray image as three equal channels."""
+    return ImageBuffer.from_array(np.repeat(image.to_array(), 3, axis=2))
 
 
 def replay(image, field, decay, records):
@@ -330,27 +348,37 @@ def test_fault_sweep_keeps_every_applied_edit():
     images = [image] + clean.images  # images[m]: the image after m inpaint calls
     assert len(images) == 5
     # a ProviderError or, as an in-process provider's bug, a ValueError at
-    # each call; a short diagnosis list at each diagnose call
+    # each call; a short diagnosis list at each diagnose call; a map or an
+    # image one column wider, and an RGB image for the gray scene
     faults = (
-        [(k, False, ProviderError) for k in range(clean.calls)]
-        + [(k, False, ValueError) for k in range(clean.calls)]
-        + [(k, True, ProviderError) for k in clean.diagnose_calls]
+        [(k, ProviderError, None) for k in range(len(clean.roles))]
+        + [(k, ValueError, None) for k in range(len(clean.roles))]
+        + [(k, None, short) for k in clean.calls_of("diagnose")]
+        + [(k, None, wider) for k in clean.calls_of("perceive", "inpaint")]
+        + [(k, None, rgb) for k in clean.calls_of("inpaint")]
     )
-    for k, short, error in faults:
+    wrong_size = {
+        ("perceive", wider): "saliency map is 17x16, image is 16x16",
+        ("inpaint", wider): "edited image is 17x16x1, image is 16x16x1",
+        ("inpaint", rgb): "edited image is 16x16x3, image is 16x16x1",
+    }
+    for k, error, change in faults:
         provs, image = sweep_scene()
-        faulty = FaultAt(provs, k, short, error)
+        faulty = FaultAt(provs, k, error, change)
         trace = run_loop(image, "p", faulty.providers, cfg)
-        if short:
-            n = len(clean_records[clean.diagnose_calls.index(k)]["regions"])
-            assert trace.stop_reason == STOP_PROVIDER_ERROR, k
-            assert trace.error == "reasoning returned %d diagnoses for %d regions" % (n - 1, n)
-        elif error is ValueError:
+        if error is ValueError:
             assert trace.stop_reason == STOP_INTERNAL_ERROR, k
             assert trace.error == "ValueError: fault at call %d" % k
         else:
             assert trace.stop_reason == STOP_PROVIDER_ERROR, k
-            assert trace.error == "fault at call %d" % k
-        m = len(faulty.images)  # inpaint calls completed
+            if change is None:
+                assert trace.error == "fault at call %d" % k
+            elif change is short:
+                n = len(clean_records[clean.calls_of("diagnose").index(k)]["regions"])
+                assert trace.error == "reasoning returned %d diagnoses for %d regions" % (n - 1, n)
+            else:
+                assert trace.error == wrong_size[clean.roles[k], change], k
+        m = len(faulty.images)  # inpaint calls whose answer the loop adopted
         records = json.loads(trace_to_json(trace))["records"]
         if records:
             *done, last = records
@@ -365,11 +393,45 @@ def test_fault_sweep_keeps_every_applied_edit():
             assert 0 <= j <= len(calls[len(done)]), k
             acted = sorted(i for call in calls[len(done)][:j] for i in call)
             assert last["actions"] == [want["actions"][i] for i in acted], k
-            if short:
+            if change is short:
                 assert last["diagnoses"] == last["actions"] == [], k
         else:
             assert m == 0, k
         assert trace.final_image == images[m], k
+
+
+@pytest.mark.parametrize(
+    "field, edited, error",
+    [
+        (bump_scene(0.9, size=16).distortion_field, None, "saliency map is 16x16, image is 32x32"),
+        (bump_scene(0.9, size=64).distortion_field, None, "saliency map is 64x64, image is 32x32"),
+        (None, np.zeros((16, 16), np.uint8), "edited image is 16x16x1, image is 32x32x1"),
+        (None, np.zeros((32, 32, 3), np.uint8), "edited image is 32x32x3, image is 32x32x1"),
+    ],
+    ids=["map-16", "map-64", "image-16", "image-rgb"],
+)
+def test_an_in_process_answer_of_another_size_stops_provider_error(field, edited, error):
+    # a map of another size used to place the regions in its own frame, and
+    # an edited image of another size or channel count became the final image
+    scene = bump_scene(0.9, size=32, at=(10, 10))
+    provs = providers_for(scene)
+    if field is not None:
+        perception = SimpleNamespace(perceive=lambda image, prompt: SaliencyMap.from_array(field))
+        provs = LoopProviders(perception, provs.reasoning, provs.tools)
+    if edited is not None:
+        tool = SimpleNamespace(
+            descriptor=ToolDescriptor(name="fixed", kind=MASK_GUIDED),
+            inpaint=lambda image, mask, instruction=None: ImageBuffer.from_array(edited),
+        )
+        provs = LoopProviders(provs.perception, provs.reasoning, [tool])
+    cfg = LoopConfig(dilation_radius=0, min_area=1, prefer=MASK_GUIDED)
+    trace = run_loop(scene.image, "p", provs, cfg)
+    assert trace.stop_reason == STOP_PROVIDER_ERROR
+    assert trace.error == error
+    assert sum(len(rec.actions) for rec in trace.records) == 0
+    # a map is rejected before it is read, an image before it is adopted
+    assert len(trace.records) == (field is None)
+    assert trace.final_image == scene.image
 
 
 class Categorised:

@@ -259,16 +259,34 @@ def test_http_backoff_doubles_before_each_retry(sleeps):
     assert sleeps == [0.1, 0.2, 0.4]  # RETRIES = 3
 
 
+def _run_loop_over_http(role, backend, image):
+    """run_loop on `image` with `role` served by `backend` and the other
+    roles by the mocks."""
+    cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
+    scene = scene_with_bump(0.8)
+    perception, tool = MockPerceptionProvider(scene), MockInpaintTool(scene)
+    if role == "perception":
+        perception = _http(role, backend)
+    else:
+        tool = _http(role, backend)
+    return run_loop(image, "p", LoopProviders(perception, MockReasoningProvider(), [tool]), cfg)
+
+
 def test_http_dim_mismatch_is_schema_error():
-    backend = FakeBackend(answers={"/v1/perceive": {"saliency_b64": _GRID_2X2}})
-    with pytest.raises(SchemaError):
-        _http("perception", backend).perceive(gray_image(), "p")
-    # a gray answer of the right size to an RGB request would carry the loop
-    # on in gray
-    rgb = ImageBuffer.from_array(np.full((4, 5, 3), 128, dtype=np.uint8))
-    backend = FakeBackend(answers={"/v1/inpaint": {"image_b64": _b64(write_pnm(gray_image(5, 4)))}})
-    with pytest.raises(SchemaError, match="channel"):
-        _http("inpaint", backend).inpaint(rgb, np.ones((4, 5), bool))
+    # a gray answer of the right size to an RGB request, which would carry
+    # the loop on in gray, is not adopted
+    rgb = ImageBuffer.from_array(np.full((4, 4, 3), 128, dtype=np.uint8))
+    backend = FakeBackend(answers={"/v1/inpaint": {"image_b64": _b64(write_pnm(gray_image()))}})
+    trace = _run_loop_over_http("inpaint", backend, rgb)
+    assert (trace.stop_reason, trace.error) == (
+        STOP_PROVIDER_ERROR,
+        "edited image is 4x4x1, image is 4x4x3",
+    )
+    [rec] = trace.records
+    assert len(rec.regions) == len(rec.diagnoses) == 1
+    assert rec.actions == ()
+    assert trace.final_image == rgb
+    assert backend.calls == 1  # a bad answer is not retried
 
 
 def test_http_in_flight_bound():
@@ -390,11 +408,9 @@ def _call(role, backend):
         pytest.param("perception", {"saliency_b64": "no base64!"}, id="perceive-not-base64"),
         pytest.param("perception", {"saliency_b64": 7}, id="perceive-not-a-string"),
         pytest.param("perception", {"saliency_b64": _b64(b"FSAL9")}, id="perceive-not-fsal"),
-        pytest.param("perception", {"saliency_b64": _GRID_2X2}, id="perceive-wrong-dims"),
         pytest.param("inpaint", {}, id="inpaint-missing"),
         pytest.param("inpaint", {"image_b64": "no base64!"}, id="inpaint-not-base64"),
         pytest.param("inpaint", {"image_b64": _GRID_2X2}, id="inpaint-not-pnm"),
-        pytest.param("inpaint", {"image_b64": _PNM_3X3}, id="inpaint-wrong-dims"),
         pytest.param("reasoning", {}, id="diagnoses-missing"),
         pytest.param("reasoning", _answer(_entry(0)), id="diagnoses-short"),
         pytest.param("reasoning", _answer(_entry(0), _entry(1), _entry(2)), id="diagnoses-long"),
@@ -416,6 +432,39 @@ def test_http_malformed_answer_is_schema_error(role, answer):
     backend = FakeBackend(answers={_PATHS[role]: answer})
     with pytest.raises(SchemaError):
         _call(role, backend)
+    assert backend.calls == 1  # a bad answer is not retried
+
+
+@pytest.mark.parametrize(
+    "role, answer, error",
+    [
+        pytest.param(
+            "perception",
+            {"saliency_b64": _GRID_2X2},
+            "saliency map is 2x2, image is 4x4",
+            id="perceive-wrong-dims",
+        ),
+        pytest.param(
+            "inpaint",
+            {"image_b64": _PNM_3X3},
+            "edited image is 3x3x1, image is 4x4x1",
+            id="inpaint-wrong-dims",
+        ),
+    ],
+)
+def test_http_wrong_size_answer_stops_the_loop(role, answer, error):
+    # the provider decodes an answer of any size; run_loop holds it to the
+    # image's size, as it holds an in-process provider's answer
+    backend = FakeBackend(answers={_PATHS[role]: answer})
+    trace = _run_loop_over_http(role, backend, gray_image())
+    assert (trace.stop_reason, trace.error) == (STOP_PROVIDER_ERROR, error)
+    if role == "perception":
+        assert trace.records == ()  # the map is never read
+    else:
+        [rec] = trace.records
+        assert len(rec.regions) == len(rec.diagnoses) == 1
+        assert rec.actions == ()
+    assert trace.final_image == gray_image()
     assert backend.calls == 1  # a bad answer is not retried
 
 

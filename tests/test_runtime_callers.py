@@ -1,9 +1,10 @@
-"""Every public top-level function, class and assigned name of the package
-has a runtime caller: code in `src/retouchkit/*.py` outside its own
-definition, or in `perfbench/*.py` other than its test modules, loads its
-name as a variable or an attribute. A docstring, a comment, a string, an
-import or a dataclass field of the same name is no caller. Code that only
-tests call is deleted, unless the allow-list below names a reason."""
+"""Every top-level function, class and assigned name of the package, public
+or private (a dunder such as `__version__` aside), has a runtime caller:
+code in `src/retouchkit/*.py` outside its own definition, or in
+`perfbench/*.py` other than its test modules, loads its name as a variable
+or an attribute. A docstring, a comment, a string, an import or a
+dataclass field of the same name is no caller. Code that only tests call
+is deleted, unless the allow-list below names a reason."""
 
 import ast
 from pathlib import Path
@@ -18,7 +19,6 @@ ALLOWED = {
     "lora_delta": "the low-rank adapter update of acceptance criterion 05",
     "reconcile_majority": "the majority-vote reconciliation of acceptance criterion 07",
     "run_batch": "the order-preserving batch of acceptance criterion 09",
-    "compose_reward": "the paper's reward for the reasoning agent",
 }
 
 
@@ -50,8 +50,8 @@ def defined_names(node):
 
 
 def names_without_a_runtime_caller(package, benchmark):
-    """The public top-level defs, classes and assigned names of the
-    `package` sources that no code in another package source, in
+    """The top-level defs, classes and assigned names, public or private, of
+    the `package` sources that no code in another package source, in
     `benchmark` or in their own module outside their definition loads."""
     trees = [ast.parse(text) for text in package]
     loaded = [loaded_names(tree) for tree in trees]
@@ -61,7 +61,9 @@ def names_without_a_runtime_caller(package, benchmark):
         others = outside.union(*(names for j, names in enumerate(loaded) if j != i))
         for node in tree.body:
             for name in defined_names(node):
-                if not name.startswith("_") and name not in others | loaded_names(tree, skip=node):
+                # a dunder such as __version__ is read by tools, not code
+                dunder = name.startswith("__") and name.endswith("__")
+                if not dunder and name not in others | loaded_names(tree, skip=node):
                     uncalled.add(name)
     return uncalled
 
@@ -89,12 +91,14 @@ def test_a_name_only_prose_or_a_field_mentions_has_no_runtime_caller():
     assert names_without_a_runtime_caller(package, ['"""Calls prose()."""\n']) == {
         "Report",
         "prose",
+        "_LABEL",
+        "_VALUE",
     }
 
 
 def test_a_constant_only_a_test_reads_has_no_runtime_caller():
     package = [
-        'LIMIT = 3\nRATIO: float = 0.5\nUNREAD = {}\n_PRIVATE = 1\n',
+        'LIMIT = 3\nRATIO: float = 0.5\nUNREAD = {}\n_PRIVATE = 1\n__version__ = "1"\n',
         "from a import LIMIT, RATIO\n\n\ndef clamp(x):\n    return min(x, LIMIT)\n\n\nclamp(RATIO)\n",
     ]
-    assert names_without_a_runtime_caller(package, []) == {"UNREAD"}
+    assert names_without_a_runtime_caller(package, []) == {"UNREAD", "_PRIVATE"}
