@@ -1,6 +1,6 @@
 """Self-contained invariance and finite-difference suites for the policy
-objective, runnable from the CLI (`grpo-check`) and reused by the test
-suite."""
+objective, and a finite-difference suite for the hybrid saliency loss,
+runnable from the CLI (`grpo-check`) and reused by the test suite."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from .alignment import (
     grpo_gradient,
     grpo_objective,
 )
+from .saliency import SaliencyMap, hybrid_loss, hybrid_loss_gradient
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,34 @@ def check_gradient_fd() -> CheckResult:
     return CheckResult("gradient vs finite differences", worst, 1e-4)
 
 
+def check_hybrid_loss_gradient_fd() -> CheckResult:
+    # maps are float32, so each central difference is divided by the step
+    # that float32 rounding actually took, not by 2h
+    rng = np.random.default_rng(5)
+    h = 1e-4
+    worst = 0.0
+    for _ in range(100):
+        # bounded away from 0, where the h=1e-4 truncation error blows up,
+        # and from 1, so that p + h stays a valid saliency value
+        p = rng.uniform(0.05, 0.95, (4, 4)).astype(np.float32)
+        truth = SaliencyMap.from_array(rng.uniform(0.05, 0.95, (4, 4)).astype(np.float32))
+        alpha = float(rng.random())
+        analytic = hybrid_loss_gradient(SaliencyMap.from_array(p), truth, alpha).to_array()
+        fd = np.zeros((4, 4))
+        for idx in np.ndindex(4, 4):
+            pp, pm = p.copy(), p.copy()
+            pp[idx] += np.float32(h)
+            pm[idx] -= np.float32(h)
+            step = float(pp[idx]) - float(pm[idx])
+            fd[idx] = (
+                hybrid_loss(SaliencyMap.from_array(pp), truth, alpha)
+                - hybrid_loss(SaliencyMap.from_array(pm), truth, alpha)
+            ) / step
+        scale = max(np.abs(fd).max(), 1e-8)
+        worst = max(worst, float(np.abs(analytic - fd).max() / scale))
+    return CheckResult("hybrid-loss gradient vs finite differences", worst, 1e-4)
+
+
 def run_all_checks() -> list[CheckResult]:
     return [
         check_advantage_normalization(),
@@ -161,4 +190,5 @@ def run_all_checks() -> list[CheckResult]:
         check_reward_shift_invariance(),
         check_kl_nonnegative(),
         check_gradient_fd(),
+        check_hybrid_loss_gradient_fd(),
     ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import checks, dataset as ds, loop as loop_mod, metrics, providers, textmetrics
 from .media_io import ImageBuffer, read_float_grid, read_pnm, write_pnm
-from .saliency import KLD_EPSILON, SaliencyMap, propose_masks
+from .saliency import SaliencyMap, propose_masks
 
 
 def _load(path: str, parse=ds.parse_dataset) -> list:
@@ -65,7 +65,7 @@ def _cmd_evaluate_saliency(args) -> int:
                 % (rec.image_id, pred.width, pred.height, rec.width, rec.height)
             )
         truth, fix = ds.ground_truth_map(rec, blur_sigma=args.blur_sigma)
-        report = metrics.evaluate_all(pred, truth, fix, epsilon=args.epsilon)
+        report = metrics.evaluate_all(pred, truth, fix)
         reports.append(report)
         lines.append("%s\t%s" % (rec.image_id, report.as_tsv_row()))
     lines.append("aggregate\t%s" % metrics.aggregate_reports(reports).as_tsv_row())
@@ -210,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="JSON-lines annotation dataset (ground truth)")
     p.add_argument("--pred-dir", required=True, help="directory of <image_id>.fsal predictions")
     p.add_argument("--blur-sigma", type=float, default=0.0)
-    p.add_argument("--epsilon", type=float, default=KLD_EPSILON)
     p.set_defaults(func=_cmd_evaluate_saliency)
 
     p = sub.add_parser("evaluate-reasoning", help="accuracy / ROUGE-L / METEOR-lite (TSV)")

@@ -23,6 +23,12 @@ from .saliency import SaliencyMap
 
 T = TypeVar("T")
 
+# The widest kernel radius R = int(4 * blur_sigma + 0.5) that
+# ground_truth_map accepts (blur_sigma < 64.125). gaussian_blur runs 2R + 1
+# full-frame taps per axis on a frame padded by R, so its time and memory
+# grow with R even once the kernel is far wider than the map.
+MAX_BLUR_RADIUS = 256
+
 
 class DistortionCategory(Enum):
     """12 fine-grained categories.
@@ -328,6 +334,10 @@ def ground_truth_map(
     # int() of gaussian_blur's kernel radius would overflow
     if not math.isfinite(4.0 * blur_sigma + 0.5):
         raise ValueError("blur_sigma gives an infinite kernel radius, got %r" % blur_sigma)
+    if int(4.0 * blur_sigma + 0.5) > MAX_BLUR_RADIUS:
+        raise ValueError(
+            "blur_sigma gives a kernel radius above %d, got %r" % (MAX_BLUR_RADIUS, blur_sigma)
+        )
     mask = _discs((reg.center for reg in record.regions), record.height, record.width)
     dense = mask.astype(np.float32)
     if blur_sigma > 0.0 and mask.any():

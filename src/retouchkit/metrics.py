@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .saliency import KLD_EPSILON, SaliencyMap, _float64_pair, _kld_term
+from .saliency import SaliencyMap, _float64_pair, _kld_term
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,10 @@ def sim(pred: SaliencyMap, truth: SaliencyMap) -> float:
     return float(np.minimum(p / psum, g / gsum).sum())
 
 
-def kld(pred: SaliencyMap, truth: SaliencyMap, epsilon: float = KLD_EPSILON) -> float:
+def kld(pred: SaliencyMap, truth: SaliencyMap) -> float:
     """KL(truth || pred) over sum-normalized maps; shared with the hybrid
     training loss so evaluation and training agree exactly."""
-    return _kld_term(*_float64_pair(pred, truth), epsilon)
+    return _kld_term(*_float64_pair(pred, truth))
 
 
 def _flat_indices(pred: SaliencyMap, fix: FixationSet, metric: str) -> list[int]:
@@ -126,9 +126,7 @@ def auc_judd(pred: SaliencyMap, fix: FixationSet) -> float:
     return (int(below.sum()) + int(at_or_below.sum())) / (2 * npos * nneg)
 
 
-def evaluate_all(
-    pred: SaliencyMap, truth: SaliencyMap, fix: FixationSet, epsilon: float = KLD_EPSILON
-) -> MetricReport:
+def evaluate_all(pred: SaliencyMap, truth: SaliencyMap, fix: FixationSet) -> MetricReport:
     """The five metrics for one image. Each map is widened to float64 once,
     by its cached `SaliencyMap.float64`, and shared by NSS, CC, SIM and KLD."""
     return MetricReport(
@@ -136,7 +134,7 @@ def evaluate_all(
         nss=nss(pred, fix),
         cc=cc(pred, truth),
         sim=sim(pred, truth),
-        kld=kld(pred, truth, epsilon),
+        kld=kld(pred, truth),
     )
 
 

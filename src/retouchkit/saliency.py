@@ -53,18 +53,6 @@ class SaliencyMap:
 
 
 @dataclass(frozen=True)
-class HybridLossConfig:
-    alpha: float = 0.5
-    epsilon: float = KLD_EPSILON
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if not self.epsilon > 0.0:  # also rejects NaN
-            raise ValueError("epsilon must be positive")
-
-
-@dataclass(frozen=True)
 class RegionProposal:
     """One candidate distortion region: mask, tight bbox, peak score, area.
 
@@ -125,32 +113,37 @@ def _normalized(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.nda
     return truth / gsum, (pred / psum if psum > 0.0 else np.zeros_like(pred)), psum
 
 
-def _kld_term(pred: np.ndarray, truth: np.ndarray, epsilon: float) -> float:
-    # Both maps sum-normalized; KL(truth || pred) with epsilon stabilization.
-    if not epsilon > 0.0:  # also rejects NaN
-        raise ValueError("epsilon must be positive, got %r" % epsilon)
+def _kld_term(pred: np.ndarray, truth: np.ndarray) -> float:
+    # Both maps sum-normalized; KL(truth || pred) with KLD_EPSILON stabilization.
     g, s, _ = _normalized(pred, truth)
-    return float(np.sum(g * np.log(g / (s + epsilon) + epsilon)))
+    return float(np.sum(g * np.log(g / (s + KLD_EPSILON) + KLD_EPSILON)))
 
 
-def hybrid_loss(pred: SaliencyMap, truth: SaliencyMap, cfg: HybridLossConfig) -> float:
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:  # also rejects NaN
+        raise ValueError("alpha must lie in [0, 1]")
+
+
+def hybrid_loss(pred: SaliencyMap, truth: SaliencyMap, alpha: float) -> float:
     """alpha * MSE(pred, truth) + (1 - alpha) * KL(truth || pred)."""
+    _check_alpha(alpha)
     p, g = _float64_pair(pred, truth)
     mse = float(np.mean((p - g) ** 2))
-    if cfg.alpha == 1.0:
-        return cfg.alpha * mse
-    return cfg.alpha * mse + (1.0 - cfg.alpha) * _kld_term(p, g, cfg.epsilon)
+    if alpha == 1.0:
+        return alpha * mse
+    return alpha * mse + (1.0 - alpha) * _kld_term(p, g)
 
 
-def hybrid_loss_gradient(pred: SaliencyMap, truth: SaliencyMap, cfg: HybridLossConfig) -> FloatGrid:
+def hybrid_loss_gradient(pred: SaliencyMap, truth: SaliencyMap, alpha: float) -> FloatGrid:
     """Analytic d(hybrid_loss)/d(pred pixel), including the normalization
     chain rule inside the KLD term."""
+    _check_alpha(alpha)
     p, g = _float64_pair(pred, truth)
     n = p.size
-    grad = cfg.alpha * 2.0 * (p - g) / n
-    if cfg.alpha < 1.0:
+    grad = alpha * 2.0 * (p - g) / n
+    if alpha < 1.0:
         gn, sn, psum = _normalized(p, g)
-        eps = cfg.epsilon
+        eps = KLD_EPSILON
         if psum > 0.0:
             u = gn / (sn + eps) + eps
             # d/dp_i of sum_j gn_j ln(u_j) with sn_j = p_j / sum(p)
@@ -158,7 +151,7 @@ def hybrid_loss_gradient(pred: SaliencyMap, truth: SaliencyMap, cfg: HybridLossC
             kgrad = -(c - (c * sn).sum()) / psum
         else:
             kgrad = np.zeros_like(p)
-        grad = grad + (1.0 - cfg.alpha) * kgrad
+        grad = grad + (1.0 - alpha) * kgrad
     return FloatGrid.from_array(grad.astype(np.float32))
 
 

@@ -639,9 +639,12 @@ def test_evaluate_saliency(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["--epsilon", "0"], "epsilon must be positive, got 0.0"),
-        (["--epsilon", "-1"], "epsilon must be positive, got -1.0"),
-        (["--epsilon", "nan"], "epsilon must be positive, got nan"),
+        # past the documented ceiling on the blur's kernel radius: a finite
+        # sigma whose kernel would ask for gigabytes, the first sigma whose
+        # radius is one above the ceiling, and one between
+        (["--blur-sigma", "1e6"], "blur_sigma gives a kernel radius above 256, got 1000000.0"),
+        (["--blur-sigma", "64.125"], "blur_sigma gives a kernel radius above 256, got 64.125"),
+        (["--blur-sigma", "100"], "blur_sigma gives a kernel radius above 256, got 100.0"),
         (["--blur-sigma", "-3"], "blur_sigma must be >= 0, got -3.0"),
         (["--blur-sigma", "nan"], "blur_sigma must be >= 0, got nan"),
         # int() of an infinite kernel radius raises OverflowError
@@ -655,6 +658,15 @@ def test_evaluate_saliency_rejects_an_out_of_range_option(tmp_path, capsys, args
     captured = capsys.readouterr()
     assert captured.err == message + "\n"
     assert captured.out == ""
+
+
+def test_evaluate_saliency_has_no_epsilon_option(tmp_path, capsys):
+    # KLD's stabilizer is the fixed saliency.KLD_EPSILON
+    ds_path, pred_dir = write_self_evaluation(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir), "--epsilon", "1e-7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --epsilon 1e-7" in capsys.readouterr().err
 
 
 def test_evaluate_saliency_missing_prediction_prints_no_partial_table(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from retouchkit.dataset import (
+    MAX_BLUR_RADIUS,
     AnnotationRecord,
     DatasetError,
     DistortionCategory,
@@ -512,6 +513,13 @@ def test_ground_truth_one_region():
 def test_ground_truth_rejects_a_blur_sigma_below_zero(sigma):
     with pytest.raises(ValueError, match="blur_sigma must be >= 0"):
         ground_truth_map(make_record([region(50, 50)]), blur_sigma=sigma)
+
+
+def test_ground_truth_accepts_a_blur_radius_at_the_ceiling():
+    # R = int(4 sigma + 0.5) = 256 at sigma 64.1; the CLI tests reject 64.125
+    assert int(4.0 * 64.1 + 0.5) == MAX_BLUR_RADIUS
+    m, _ = ground_truth_map(make_record([region(50, 50)]), blur_sigma=64.1)
+    assert m.to_array().max() == 1.0
 
 
 def test_ground_truth_union_of_overlapping():

@@ -114,28 +114,17 @@ def test_sim_range_and_equality_condition():
 # --- kld -----------------------------------------------------------------
 
 def test_kld_shared_with_hybrid_loss():
-    from retouchkit.saliency import HybridLossConfig, hybrid_loss
+    from retouchkit.saliency import hybrid_loss
 
     rng = np.random.default_rng(3)
     p = smap(rng.random((3, 3)))
     g = smap(rng.random((3, 3)))
-    assert kld(p, g, 1e-7) == pytest.approx(
-        hybrid_loss(p, g, HybridLossConfig(alpha=0.0, epsilon=1e-7)), rel=1e-12
-    )
+    assert kld(p, g) == pytest.approx(hybrid_loss(p, g, 0.0), rel=1e-12)
 
 
 def test_kld_zero_truth():
     with pytest.raises(ValueError):
         kld(smap([[0.5, 0.5]]), smap([[0.0, 0.0]]))
-
-
-@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
-def test_kld_rejects_an_epsilon_that_is_not_positive(epsilon):
-    m = smap([[0.2, 0.8]])
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        kld(m, m, epsilon)
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        evaluate_all(m, m, FixationSet([(1, 0)]), epsilon=epsilon)
 
 
 # --- nss -----------------------------------------------------------------
@@ -481,8 +470,8 @@ def test_evaluate_all_equals_the_single_metrics():
         p = smap(rng.random((7, 9)))
         g = smap(rng.random((7, 9)))
         fix = FixationSet([(int(rng.integers(9)), int(rng.integers(7))) for _ in range(3)])
-        want = MetricReport(auc_judd(p, fix), nss(p, fix), cc(p, g), sim(p, g), kld(p, g, 1e-6))
-        assert evaluate_all(p, g, fix, epsilon=1e-6) == want
+        want = MetricReport(auc_judd(p, fix), nss(p, fix), cc(p, g), sim(p, g), kld(p, g))
+        assert evaluate_all(p, g, fix) == want
 
 
 def test_evaluate_all_calls_each_public_metric_once(monkeypatch):

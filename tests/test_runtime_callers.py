@@ -14,8 +14,6 @@ PACKAGE = ROOT / "src" / "retouchkit"
 
 # kept without a runtime caller; a name here that gains one fails too
 ALLOWED = {
-    "hybrid_loss": "the hybrid saliency loss of acceptance criterion 03",
-    "hybrid_loss_gradient": "the hybrid-loss gradient of acceptance criterion 03",
     "lora_delta": "the low-rank adapter update of acceptance criterion 05",
     "reconcile_majority": "the majority-vote reconciliation of acceptance criterion 07",
     "run_batch": "the order-preserving batch of acceptance criterion 09",

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 import retouchkit
 from retouchkit.dataset import gaussian_blur
 from retouchkit.saliency import (
-    HybridLossConfig,
     RegionProposal,
     SaliencyMap,
     binarize,
@@ -78,19 +77,19 @@ def flood_fill_components(mask):
 
 def test_loss_zero_at_equality_alpha1():
     m = smap([[0.2, 0.7], [0.1, 0.9]])
-    assert hybrid_loss(m, m, HybridLossConfig(alpha=1.0)) == 0.0
+    assert hybrid_loss(m, m, 1.0) == 0.0
 
 
 def test_loss_self_kld_small():
     m = smap([[0.2, 0.7], [0.1, 0.9]])
-    val = hybrid_loss(m, m, HybridLossConfig(alpha=0.0, epsilon=1e-7))
+    val = hybrid_loss(m, m, 0.0)
     assert abs(val) <= 1e-7 * m.to_array().size
 
 
 def test_loss_uniform_vs_delta_derived():
     pred = smap(np.full((2, 2), 0.25))
     truth = smap([[1.0, 0.0], [0.0, 0.0]])
-    got = hybrid_loss(pred, truth, HybridLossConfig(alpha=0.5, epsilon=1e-7))
+    got = hybrid_loss(pred, truth, 0.5)
     # frozen from the direct hand evaluation 0.5*0.1875 + 0.5*ln 4
     assert got == pytest.approx(0.5 * 0.1875 + 0.5 * math.log(4.0), abs=1e-5)
 
@@ -101,7 +100,7 @@ def test_loss_matches_direct_summation_oracle():
         p = rng.uniform(0.05, 1.0, (3, 3)).astype(np.float32)
         g = rng.uniform(0.05, 1.0, (3, 3)).astype(np.float32)
         alpha = float(rng.random())
-        got = hybrid_loss(smap(p), smap(g), HybridLossConfig(alpha=alpha))
+        got = hybrid_loss(smap(p), smap(g), alpha)
         want = oracle_loss(p.astype(np.float64), g.astype(np.float64), alpha, 1e-7)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -111,7 +110,7 @@ def test_loss_alpha1_equals_independent_mse():
     for _ in range(50):
         p = rng.random((4, 4)).astype(np.float32)
         g = rng.random((4, 4)).astype(np.float32)
-        got = hybrid_loss(smap(p), smap(g), HybridLossConfig(alpha=1.0))
+        got = hybrid_loss(smap(p), smap(g), 1.0)
         mse = float(
             sum((a - b) ** 2 for a, b in zip(p.astype(np.float64).flat, g.astype(np.float64).flat))
             / 16.0
@@ -134,27 +133,21 @@ def test_float64_view_is_cached_and_read_only():
     assert m == fresh and hash(m) == hash(fresh)
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
-def test_loss_config_rejects_an_epsilon_that_is_not_positive(epsilon):
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        HybridLossConfig(epsilon=epsilon)
-
-
 def test_loss_dimension_mismatch():
     with pytest.raises(ValueError):
-        hybrid_loss(smap([[0.1]]), smap([[0.1, 0.2]]), HybridLossConfig())
+        hybrid_loss(smap([[0.1]]), smap([[0.1, 0.2]]), 0.5)
 
 
 def test_loss_zero_truth_error():
     with pytest.raises(ValueError):
-        hybrid_loss(smap([[0.5]]), smap([[0.0]]), HybridLossConfig(alpha=0.5))
+        hybrid_loss(smap([[0.5]]), smap([[0.0]]), 0.5)
 
 
 # --- gradient ------------------------------------------------------------
 
 def test_gradient_zero_at_equality_alpha1():
     m = smap([[0.2, 0.7], [0.1, 0.9]])
-    g = hybrid_loss_gradient(m, m, HybridLossConfig(alpha=1.0)).to_array()
+    g = hybrid_loss_gradient(m, m, 1.0).to_array()
     assert np.all(g == 0.0)
 
 
@@ -169,19 +162,18 @@ def test_gradient_matches_finite_differences(alpha_mode):
         p = rng.uniform(0.05, 1.0, (4, 4))
         g = rng.uniform(0.05, 1.0, (4, 4))
         alpha = 0.0 if alpha_mode == "zero" else float(rng.random())
-        cfg = HybridLossConfig(alpha=alpha, epsilon=1e-7)
         P = smap(p)
         p64 = P.to_array().astype(np.float64)
         g64 = smap(g).to_array().astype(np.float64)
-        analytic = hybrid_loss_gradient(P, smap(g), cfg).to_array().astype(np.float64)
+        analytic = hybrid_loss_gradient(P, smap(g), alpha).to_array().astype(np.float64)
         fd = np.zeros_like(p64)
         for idx in np.ndindex(4, 4):
             pp, pm = p64.copy(), p64.copy()
             pp[idx] += h
             pm[idx] -= h
             fd[idx] = (
-                oracle_loss(pp, g64, alpha, cfg.epsilon)
-                - oracle_loss(pm, g64, alpha, cfg.epsilon)
+                oracle_loss(pp, g64, alpha, 1e-7)
+                - oracle_loss(pm, g64, alpha, 1e-7)
             ) / (2 * h)
         worst = max(worst, float(np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-8)))
     assert worst <= 1e-4
@@ -730,9 +722,14 @@ def test_runtime_loads_no_scipy():
             id="map-above-one",
         ),
         pytest.param(
-            lambda: HybridLossConfig(alpha=1.5),
+            lambda: hybrid_loss(smap([[0.5]]), smap([[0.5]]), 1.5),
             r"alpha must lie in \[0, 1\]",
             id="alpha",
+        ),
+        pytest.param(
+            lambda: hybrid_loss_gradient(smap([[0.5]]), smap([[0.5]]), float("nan")),
+            r"alpha must lie in \[0, 1\]",
+            id="alpha-nan-gradient",
         ),
         pytest.param(lambda: binarize(smap([[0.5]]), 1.5), r"tau must lie in \[0, 1\]", id="tau"),
         pytest.param(
@@ -750,6 +747,6 @@ def test_rejecting_branches(call, message):
 def test_hybrid_loss_gradient_of_a_zero_sum_prediction_is_the_mse_part():
     # the KLD term has no gradient where the prediction sums to 0
     pred, truth = smap(np.zeros((2, 3))), smap([[0.0, 0.5, 1.0], [0.25, 0.0, 0.75]])
-    got = hybrid_loss_gradient(pred, truth, HybridLossConfig(alpha=0.5)).to_array()
+    got = hybrid_loss_gradient(pred, truth, 0.5).to_array()
     want = (0.5 * 2.0 * (0.0 - truth.float64) / 6).astype(np.float32)
     assert got.tobytes() == want.tobytes()
