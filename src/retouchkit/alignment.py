@@ -16,10 +16,6 @@ from typing import Sequence
 import numpy as np
 
 
-class ZeroVarianceError(ValueError):
-    """All group rewards equal; advantages are undefined."""
-
-
 @dataclass(frozen=True)
 class CategoricalPolicy:
     probs: tuple[float, ...]
@@ -92,8 +88,8 @@ class LoraFactors:
 
 
 def group_advantages(rewards: Sequence[float]) -> np.ndarray:
-    """(r_i - mean) / population std; raises ZeroVarianceError if all
-    rewards are equal, and ValueError for a reward, mean or std that is
+    """(r_i - mean) / population std; raises ValueError if all rewards are
+    equal (advantages are undefined), or for a reward, mean or std that is
     not finite (rewards near the float range overflow the std)."""
     r = np.asarray(rewards, dtype=np.float64)
     if r.size < 2:
@@ -105,7 +101,7 @@ def group_advantages(rewards: Sequence[float]) -> np.ndarray:
     if not (np.isfinite(mean) and np.isfinite(std)):
         raise ValueError("reward mean or std overflows")
     if std == 0.0:
-        raise ZeroVarianceError("all rewards equal; zero variance")
+        raise ValueError("all rewards equal; zero variance")
     return (r - mean) / std
 
 

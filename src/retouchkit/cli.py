@@ -20,16 +20,20 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, dataset as ds, loop as loop_mod, metrics, providers, textmetrics
-from .media_io import ImageBuffer, read_float_grid, read_pnm, write_pnm
+from .media_io import ImageBuffer, check_size, read_float_grid, read_pnm, write_pnm
 from .saliency import SaliencyMap, propose_masks
 
 
-def _load(path: str, parse=ds.parse_dataset) -> list:
-    """`parse` of the bytes of the file at `path`; a DatasetError names the file."""
+def _load(path, parse=ds.parse_dataset):
+    """`parse` of the bytes of the input file at `path`; a ValueError names the file."""
     try:
         return parse(Path(path).read_bytes())
-    except ds.DatasetError as exc:
+    except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None
+
+
+def _saliency_map(data: bytes) -> SaliencyMap:
+    return SaliencyMap(read_float_grid(data))
 
 
 def _cmd_dataset_stats(args) -> int:
@@ -57,15 +61,16 @@ def _cmd_evaluate_saliency(args) -> int:
     lines = [metrics.TSV_HEADER]
     reports = []
     for rec in records:
-        pred = SaliencyMap(read_float_grid((pred_dir / ("%s.fsal" % rec.image_id)).read_bytes()))
+        pred = _load(pred_dir / ("%s.fsal" % rec.image_id), _saliency_map)
         # before ground_truth_map allocates a frame of the record's size
-        if (pred.width, pred.height) != (rec.width, rec.height):
-            raise ValueError(
-                "%s: prediction is %dx%d, the record %dx%d"
-                % (rec.image_id, pred.width, pred.height, rec.width, rec.height)
-            )
+        check_size(
+            rec.image_id + ": prediction", (pred.width, pred.height), "record", (rec.width, rec.height)
+        )
         truth, fix = ds.ground_truth_map(rec, blur_sigma=args.blur_sigma)
-        report = metrics.evaluate_all(pred, truth, fix)
+        try:
+            report = metrics.evaluate_all(pred, truth, fix)
+        except ValueError as exc:  # a metric undefined for this image
+            raise ValueError("%s: %s" % (rec.image_id, exc)) from None
         reports.append(report)
         lines.append("%s\t%s" % (rec.image_id, report.as_tsv_row()))
     lines.append("aggregate\t%s" % metrics.aggregate_reports(reports).as_tsv_row())
@@ -124,7 +129,7 @@ def _cmd_rasterize(args) -> int:
 
 
 def _cmd_propose_masks(args) -> int:
-    smap = SaliencyMap(read_float_grid(Path(args.map).read_bytes()))
+    smap = _load(args.map, _saliency_map)
     regions = propose_masks(smap, args.tau, args.dilation_radius, args.min_area)
     out = [
         {"bbox": list(r.bbox), "area": r.area, "peak_saliency": round(r.peak_saliency, 9)}
@@ -142,7 +147,7 @@ _HTTP_INSTRUCT = providers.ToolDescriptor(name="http-instruct", kind=providers.I
 
 def _mock_providers_from_args(args, image: ImageBuffer) -> loop_mod.LoopProviders:
     if args.mock_field:
-        field = read_float_grid(Path(args.mock_field).read_bytes()).to_array().copy()
+        field = _load(args.mock_field, read_float_grid).to_array().copy()
     else:
         field = np.zeros((image.height, image.width), dtype=np.float32)
     scene = providers.SyntheticScene(image=image, distortion_field=field, decay=args.mock_decay)
@@ -173,7 +178,7 @@ def _http_providers_from_env(args) -> loop_mod.LoopProviders:
 
 
 def _cmd_run_loop(args) -> int:
-    image = read_pnm(Path(args.image).read_bytes())
+    image = _load(args.image, read_pnm)
     if args.mock:
         provs = _mock_providers_from_args(args, image)
     else:

@@ -118,7 +118,9 @@ def read_jsonl(data: bytes, parse: Callable[[dict], T]) -> list[T]:
             continue
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # also an integer past int()'s digit limit, and nesting past the
+        # recursion limit
+        except (ValueError, RecursionError) as exc:
             raise DatasetError("malformed JSON: %s" % exc, lineno)
         if not isinstance(obj, dict):
             raise DatasetError("record is not a JSON object", lineno)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import DistortionCategory
-from .media_io import ImageBuffer
+from .media_io import ImageBuffer, check_size
 from .providers import (
     INSTRUCTION_DRIVEN,
     MASK_GUIDED,
@@ -112,16 +112,6 @@ def select_tool(
     raise NoEligibleToolError("no tool satisfies policy (kind=%s)" % prefer)
 
 
-def _check_size(name: str, got: tuple[int, ...], want: tuple[int, ...]) -> None:
-    """The size rule of the provider contract: the answer `name` has the
-    current image's size (width x height, and an edited image's channels
-    too)."""
-    if got != want:
-        raise SchemaError(
-            "%s is %s, image is %s" % (name, "x".join(map(str, got)), "x".join(map(str, want)))
-        )
-
-
 def _fell(values: np.ndarray, region: RegionProposal) -> bool:
     """Whether the map `values` is below the region's peak_saliency on every
     pixel of the region."""
@@ -147,7 +137,9 @@ def run_loop(
         done: list[int] = []  # indices of the planned actions whose call completed
         try:
             smap = providers.perception.perceive(current, prompt)
-            _check_size("saliency map", (smap.width, smap.height), (current.width, current.height))
+            check_size(
+                "saliency map", (smap.width, smap.height), "image", (current.width, current.height), SchemaError
+            )
             values = smap.to_array()
             peak = float(values.max())
             if peak < cfg.tau_s:
@@ -187,10 +179,12 @@ def run_loop(
                 for (_, instruction), (tool, members) in groups.items():
                     mask = union_mask([regions[i] for i in members], current.height, current.width)
                     edited = tool.inpaint(current, mask=mask, instruction=instruction)
-                    _check_size(
+                    check_size(
                         "edited image",
                         (edited.width, edited.height, edited.channels),
+                        "image",
                         (current.width, current.height, current.channels),
+                        SchemaError,
                     )
                     current = edited
                     done.extend(members)

@@ -19,19 +19,16 @@ import numpy as np
 
 
 class MediaFormatError(ValueError):
-    """Base class for decode/encode failures."""
+    """A PNM or FSAL1 byte string that does not decode; the message says why."""
 
 
-class MalformedHeaderError(MediaFormatError):
-    pass
-
-
-class TruncatedPayloadError(MediaFormatError):
-    pass
-
-
-class UnsupportedMaxvalError(MediaFormatError):
-    pass
+def check_size(what: str, got: tuple, other: str, want: tuple, error=ValueError) -> None:
+    """The rule that two frames have one size: unless `got` equals `want`,
+    raise `error` naming both sizes, each as width x height (x channels)."""
+    if got != want:
+        # the shape of a 0-d array is ()
+        got_text, want_text = ("x".join(map(str, size)) or "0-d" for size in (got, want))
+        raise error("%s is %s, %s is %s" % (what, got_text, other, want_text))
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,7 @@ def _header_int(tok: bytes) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise MalformedHeaderError("header field of %d digits" % len(tok)) from None
+        raise MediaFormatError("header field of %d digits" % len(tok)) from None
 
 
 # one header token after any whitespace and '#' comments (each to the end
@@ -112,35 +109,33 @@ _PNM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 def read_pnm(data: bytes) -> ImageBuffer:
     """Decode a binary PNM (P5/P6, maxval 255) byte string. An ImageBuffer
-    is full-range 8-bit, so any other maxval is an UnsupportedMaxvalError:
-    its samples would be re-labelled maxval 255 by every writer."""
+    is full-range 8-bit, so any other maxval is a MediaFormatError: its
+    samples would be re-labelled maxval 255 by every writer."""
     channels = {b"P5": 1, b"P6": 3}.get(data[:2])
     if channels is None:
-        raise MalformedHeaderError("bad magic %r (want P5 or P6)" % data[:2])
+        raise MediaFormatError("bad magic %r (want P5 or P6)" % data[:2])
     pos = 2
     fields = []
     for _ in range(3):
         match = _PNM_TOKEN.match(data, pos)
         tok, pos = match[1], match.end()
         if not tok:
-            raise MalformedHeaderError("unexpected end of header")
+            raise MediaFormatError("unexpected end of header")
         if not tok.isdigit():
-            raise MalformedHeaderError("non-numeric header field %r" % tok)
+            raise MediaFormatError("non-numeric header field %r" % tok)
         fields.append(_header_int(tok))
     width, height, maxval = fields
     if width < 1 or height < 1:
-        raise MalformedHeaderError("bad dimensions %dx%d" % (width, height))
+        raise MediaFormatError("bad dimensions %dx%d" % (width, height))
     if maxval != 255:
-        raise UnsupportedMaxvalError("maxval %d is not 255" % maxval)
+        raise MediaFormatError("maxval %d is not 255" % maxval)
     if not data[pos : pos + 1].isspace():  # b"", the end of the input, is no whitespace
-        raise MalformedHeaderError("missing whitespace after maxval")
+        raise MediaFormatError("missing whitespace after maxval")
     pos += 1  # exactly one whitespace byte before the raster
     need = width * height * channels
     payload = data[pos : pos + need]
     if len(payload) < need:
-        raise TruncatedPayloadError(
-            "payload has %d of %d expected bytes" % (len(payload), need)
-        )
+        raise MediaFormatError("payload has %d of %d expected bytes" % (len(payload), need))
     return ImageBuffer(width=width, height=height, channels=channels, data=payload)
 
 
@@ -158,21 +153,19 @@ def read_float_grid(data: bytes) -> FloatGrid:
     """Decode an FSAL1 byte string into a FloatGrid."""
     nl = data.find(b"\n")
     if nl < 0:
-        raise MalformedHeaderError("no newline-terminated FSAL1 header")
+        raise MediaFormatError("no newline-terminated FSAL1 header")
     parts = data[:nl].split(b" ")
     if len(parts) != 3 or parts[0] != _FSAL_MAGIC:
-        raise MalformedHeaderError("bad FSAL1 header %r" % data[:nl])
+        raise MediaFormatError("bad FSAL1 header %r" % data[:nl])
     if not (parts[1].isdigit() and parts[2].isdigit()):
-        raise MalformedHeaderError("non-numeric FSAL1 dimensions")
+        raise MediaFormatError("non-numeric FSAL1 dimensions")
     width, height = _header_int(parts[1]), _header_int(parts[2])
     if width < 1 or height < 1:
-        raise MalformedHeaderError("bad FSAL1 dimensions %dx%d" % (width, height))
+        raise MediaFormatError("bad FSAL1 dimensions %dx%d" % (width, height))
     payload = data[nl + 1 :]
     need = width * height * 4
     if len(payload) != need:
-        raise TruncatedPayloadError(
-            "FSAL1 payload has %d of %d expected bytes" % (len(payload), need)
-        )
+        raise MediaFormatError("FSAL1 payload has %d of %d expected bytes" % (len(payload), need))
     try:
         return FloatGrid(width=width, height=height, data=payload)
     except ValueError as exc:  # non-finite values

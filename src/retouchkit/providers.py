@@ -12,12 +12,13 @@ import time
 import zlib
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 import requests
 
 from .dataset import DistortionCategory, typed
-from .media_io import ImageBuffer, read_float_grid, read_pnm, write_float_grid, write_pnm
+from .media_io import ImageBuffer, check_size, read_float_grid, read_pnm, write_float_grid, write_pnm
 from .saliency import RegionProposal, SaliencyMap, label_set_pixels, union_mask
 from .textmetrics import Diagnosis
 
@@ -98,8 +99,7 @@ class SyntheticScene:
 
     def __post_init__(self):
         f = self.distortion_field = np.asarray(self.distortion_field, dtype=np.float32)
-        if f.shape != (self.image.height, self.image.width):
-            raise ValueError("field dims must equal image dims")
+        check_size("field", f.shape[::-1], "image", (self.image.width, self.image.height))
         if not (f.min() >= 0.0 and f.max() <= 1.0):  # also rejects NaN
             raise ValueError("field values must lie in [0, 1]")
         if not 0.0 < self.decay < 1.0:
@@ -158,8 +158,7 @@ class MockInpaintTool:
         if self.descriptor.kind == INSTRUCTION_DRIVEN and instruction is None:
             raise ValueError("instruction-driven tool requires an instruction")
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (image.height, image.width):
-            raise ValueError("mask dims must equal image dims")
+        check_size("mask", mask.shape[::-1], "image", (image.width, image.height))
         rows = np.flatnonzero(mask.any(axis=1))
         if not rows.size:
             return image
@@ -235,6 +234,12 @@ def checked_timeout(timeout_s: float) -> float:
 
 class _HttpClient:
     def __init__(self, endpoint: str, timeout_s: float):
+        try:
+            parts = urlsplit(endpoint)
+        except ValueError:  # such as an unclosed '[' in the host
+            parts = None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError("endpoint %r is not an http:// or https:// URL with a host" % endpoint)
         self.endpoint = endpoint.rstrip("/")
         self.timeout_s = checked_timeout(timeout_s)
         self._gate = threading.BoundedSemaphore(MAX_IN_FLIGHT)
@@ -259,7 +264,7 @@ class _HttpClient:
             if resp.status_code == 200:
                 try:
                     body = resp.json()
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
                     raise SchemaError("non-JSON response body: %s" % exc)
                 if not isinstance(body, dict):
                     raise SchemaError("response is not a JSON object")

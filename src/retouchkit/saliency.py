@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .media_io import FloatGrid
+from .media_io import FloatGrid, check_size
 
 KLD_EPSILON = 1e-7  # the stabilizer of KL(truth || pred) in the hybrid loss and metrics.kld
 
@@ -94,13 +94,10 @@ def union_mask(regions: Sequence[RegionProposal], height: int, width: int) -> np
     return frame
 
 
-def _float64_pair(a: SaliencyMap, b: SaliencyMap) -> tuple[np.ndarray, np.ndarray]:
+def _float64_pair(pred: SaliencyMap, truth: SaliencyMap) -> tuple[np.ndarray, np.ndarray]:
     """The float64 views of two maps of the same dimensions."""
-    if (a.width, a.height) != (b.width, b.height):
-        raise ValueError(
-            "dimension mismatch: %dx%d vs %dx%d" % (a.width, a.height, b.width, b.height)
-        )
-    return a.float64, b.float64
+    check_size("prediction", (pred.width, pred.height), "truth", (truth.width, truth.height))
+    return pred.float64, truth.float64
 
 
 def _normalized(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -256,8 +253,7 @@ def extract_regions(mask: np.ndarray, source: SaliencyMap, min_area: int) -> lis
         raise ValueError("min_area must be >= 1")
     mask = np.asarray(mask, dtype=bool)
     src = source.to_array()
-    if mask.shape != src.shape:
-        raise ValueError("mask and source dimensions differ")
+    check_size("mask", mask.shape[::-1], "saliency map", (source.width, source.height))
     # every statistic is taken from the set pixels alone: one stable sort
     # groups them by label, each group in raster order
     lab, _ = label_set_pixels(mask)

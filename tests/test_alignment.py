@@ -10,7 +10,6 @@ from retouchkit.alignment import (
     GrpoConfig,
     GrpoGroup,
     LoraFactors,
-    ZeroVarianceError,
     _surrogate_terms,
     categorical_kl,
     group_advantages,
@@ -60,7 +59,7 @@ def test_advantages_1_2_3():
 
 
 def test_advantages_zero_variance():
-    with pytest.raises(ZeroVarianceError):
+    with pytest.raises(ValueError, match="^all rewards equal; zero variance$"):
         group_advantages([5.0, 5.0])
 
 

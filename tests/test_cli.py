@@ -88,6 +88,35 @@ def test_dataset_stats_rejects_a_mistyped_field(tmp_path, capsys, where, field, 
     assert captured.err == "%s: line 2: %s\n" % (path, message)
 
 
+# json.loads raises a RecursionError for nesting past the recursion limit,
+# and a plain ValueError for an integer past int()'s 4,300-digit limit
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        pytest.param(
+            "[" * 100_000,
+            "malformed JSON: maximum recursion depth exceeded",
+            id="nesting",
+        ),
+        pytest.param(
+            '{"image_id": "a", "image": "a", "prompt": "p", "width": %s, "height": 1, "regions": []}'
+            % ("1" * 5001),
+            "malformed JSON: Exceeds the limit (4300 digits) for integer string conversion",
+            id="digits",
+        ),
+    ],
+)
+def test_dataset_stats_names_the_line_of_any_malformed_json(tmp_path, capsys, line, message):
+    path = tmp_path / "data.jsonl"
+    path.write_text(line + "\n")
+    rc = main(["dataset-stats", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("%s: line 1: %s" % (path, message))
+    assert captured.err.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as ei:
         main(["no-such-subcommand"])
@@ -308,6 +337,49 @@ def test_run_loop_rejects_a_mock_field_out_of_range(tmp_path, capsys):
     assert captured.err == "field values must lie in [0, 1]\n"
 
 
+def _bad_image(tmp_path):
+    bad = tmp_path / "in.pnm"
+    bad.write_bytes(b"P5\n8 8\n65535\n" + bytes(128))
+    return ["run-loop", "--image", str(bad), "--mock"], bad, "maxval 65535 is not 255"
+
+
+def _truncated_fsal(path):
+    write_bump_field(path)
+    path.write_bytes(path.read_bytes()[:-3])
+    return "FSAL1 payload has 253 of 256 expected bytes"
+
+
+def _truncated_mock_field(tmp_path):
+    img, bad = tmp_path / "in.pnm", tmp_path / "field.fsal"
+    write_gray_image(img)
+    message = _truncated_fsal(bad)
+    return ["run-loop", "--image", str(img), "--mock", "--mock-field", str(bad)], bad, message
+
+
+def _truncated_map(tmp_path):
+    bad = tmp_path / "map.fsal"
+    return ["propose-masks", str(bad)], bad, _truncated_fsal(bad)
+
+
+def _out_of_range_prediction(tmp_path):
+    ds_path, pred_dir = write_self_evaluation(tmp_path)
+    bad = pred_dir / "img0.fsal"
+    bad.write_bytes(write_float_grid(FloatGrid.from_array(np.full((40, 40), 1.5, np.float32))))
+    argv = ["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir)]
+    return argv, bad, "saliency values must lie in [0, 1]"
+
+
+@pytest.mark.parametrize(
+    "build", [_bad_image, _truncated_mock_field, _truncated_map, _out_of_range_prediction]
+)
+def test_a_bad_input_file_is_one_stderr_line_that_names_it(tmp_path, capsys, build):
+    argv, bad, message = build(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "%s: %s\n" % (bad, message)
+
+
 def test_run_loop_determinism(tmp_path, capsys):
     img = tmp_path / "in.pnm"
     fsal = tmp_path / "field.fsal"
@@ -378,6 +450,18 @@ def test_run_loop_unset_backend_variable(tmp_path, capsys, backend_env):
     rc = main(["run-loop", "--image", str(img)])
     assert rc == 1
     assert "RETOUCH_BACKEND_REASONING_URL" in capsys.readouterr().err
+
+
+def test_run_loop_rejects_a_bad_endpoint_before_the_loop(tmp_path, capsys, backend_env):
+    # not retried with backoff and reported as a provider_error stop
+    img = tmp_path / "in.pnm"
+    write_gray_image(img)
+    backend_env.setenv("RETOUCH_BACKEND_REASONING_URL", "foo")
+    rc = main(["run-loop", "--image", str(img)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "endpoint 'foo' is not an http:// or https:// URL with a host\n"
 
 
 def test_run_loop_malformed_diagnosis_writes_the_trace(tmp_path, capsys, monkeypatch):
@@ -476,6 +560,12 @@ def test_evaluate_reasoning(tmp_path, capsys):
             "not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 70: "
             "invalid continuation byte",
             id="latin-1",
+        ),
+        pytest.param(
+            "[" * 100_000,
+            "malformed JSON: maximum recursion depth exceeded while decoding a JSON array from a "
+            "unicode string",
+            id="nesting",
         ),
     ],
 )
@@ -733,7 +823,27 @@ def test_evaluate_saliency_checks_sizes_before_it_builds_the_ground_truth(
     assert main(["evaluate-saliency", str(ds_path), "--pred-dir", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "big: prediction is 4x4, the record 200000x200000\n"
+    assert captured.err == "big: prediction is 4x4, record is 200000x200000\n"
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("no-regions", "auc_judd needs at least one fixation"),
+        ("constant-prediction", "nss undefined for a constant map"),
+    ],
+)
+def test_evaluate_saliency_names_the_image_of_an_undefined_metric(tmp_path, capsys, case, message):
+    ds_path, pred_dir = write_self_evaluation(tmp_path)
+    if case == "no-regions":
+        ds_path.write_text(json.dumps(dict(json.loads(ds_path.read_text()), regions=[])) + "\n")
+    else:
+        constant = FloatGrid.from_array(np.full((40, 40), 0.5, np.float32))
+        (pred_dir / "img0.fsal").write_bytes(write_float_grid(constant))
+    assert main(["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "img0: %s\n" % message
 
 
 def test_evaluate_saliency_names_the_dataset_file_of_a_bad_line(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import base64
+import re
 import threading
 import tracemalloc
 from types import SimpleNamespace
@@ -160,7 +161,7 @@ def test_mock_inpaint_with_an_empty_mask_changes_nothing():
 @pytest.mark.parametrize("mask", [None, np.ones((3, 4), bool)])
 def test_mock_inpaint_rejects_a_mask_of_other_dims(mask):
     scene = scene_with_bump()
-    with pytest.raises(ValueError, match="mask dims"):
+    with pytest.raises(ValueError, match="^mask is (0-d|4x3), image is 4x4$"):
         MockInpaintTool(scene).inpaint(scene.image, mask=mask)
 
 
@@ -402,6 +403,8 @@ def _call(role, backend):
     "role, answer",
     [
         pytest.param("perception", b"<html>busy</html>", id="body-not-json"),
+        # json.loads raises a RecursionError, which is no ValueError
+        pytest.param("perception", b"[" * 100_000, id="body-nested-too-deep"),
         # a list has no .get, which only the reasoning provider calls
         pytest.param("reasoning", [_entry(0), _entry(1)], id="body-a-list"),
         pytest.param("perception", {}, id="perceive-missing"),
@@ -578,7 +581,7 @@ _INSTRUCTED = ToolDescriptor(name="i", kind=INSTRUCTION_DRIVEN)
         pytest.param(
             lambda: SyntheticScene(gray_image(), np.zeros((3, 4), np.float32)),
             ValueError,
-            "field dims must equal image dims",
+            "^field is 4x3, image is 4x4$",
             id="scene-dims",
         ),
         *(
@@ -625,6 +628,16 @@ _INSTRUCTED = ToolDescriptor(name="i", kind=INSTRUCTION_DRIVEN)
             SchemaError,
             r"saliency values must lie in \[0, 1\]",
             id="perceive-above-one",
+        ),
+        *(
+            pytest.param(
+                lambda endpoint=endpoint: http_provider(endpoint, "perception"),
+                ValueError,
+                "^endpoint %s is not an http:// or https:// URL with a host$" % re.escape(repr(endpoint)),
+                id="endpoint-%s" % endpoint,
+            )
+            # no scheme, another scheme, no host, and a host urlsplit refuses
+            for endpoint in ("foo", "ftp://x", "http://", "http://:80", "http://[::1")
         ),
     ],
 )

@@ -134,7 +134,7 @@ def test_float64_view_is_cached_and_read_only():
 
 
 def test_loss_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^prediction is 1x1, truth is 2x1$"):
         hybrid_loss(smap([[0.1]]), smap([[0.1, 0.2]]), 0.5)
 
 
@@ -734,7 +734,7 @@ def test_runtime_loads_no_scipy():
         pytest.param(lambda: binarize(smap([[0.5]]), 1.5), r"tau must lie in \[0, 1\]", id="tau"),
         pytest.param(
             lambda: extract_regions(np.zeros((2, 2), bool), smap(np.zeros((3, 3))), 1),
-            "mask and source dimensions differ",
+            "^mask is 2x2, saliency map is 3x3$",
             id="extract-dims",
         ),
     ],
