@@ -7,15 +7,16 @@ bounded in-flight count.
 from __future__ import annotations
 
 import base64
+import http.client
+import json
 import threading
 import time
 import zlib
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
-from urllib.parse import urlsplit
+from urllib.parse import quote, urlsplit
 
 import numpy as np
-import requests
 
 from .dataset import DistortionCategory, typed
 from .media_io import ImageBuffer, check_size, read_float_grid, read_pnm, write_float_grid, write_pnm
@@ -218,7 +219,7 @@ RETRIES = 3
 BACKOFF_BASE_S = 0.1
 # at most this many requests of one client at a time; the rest wait
 MAX_IN_FLIGHT = 4
-# the default `requests` timeout of one attempt
+# the default socket timeout of one attempt
 TIMEOUT_S = 30.0
 
 
@@ -236,41 +237,53 @@ class _HttpClient:
     def __init__(self, endpoint: str, timeout_s: float):
         try:
             parts = urlsplit(endpoint)
-        except ValueError:  # such as an unclosed '[' in the host
+            port = parts.port
+        except ValueError:  # an unclosed '[' in the host, a port out of range or not a number
             parts = None
         if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError("endpoint %r is not an http:// or https:// URL with a host" % endpoint)
-        self.endpoint = endpoint.rstrip("/")
+        self._connection = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        self._host, self._port = parts.hostname, port
+        # a space or a non-ASCII character of the path is sent percent-encoded
+        self._prefix = quote(parts.path.rstrip("/"), safe="!$%&'()*+,/:;=@[]~")
         self.timeout_s = checked_timeout(timeout_s)
         self._gate = threading.BoundedSemaphore(MAX_IN_FLIGHT)
-        self._session = requests.Session()
+
+    def _exchange(self, path: str, body: bytes) -> tuple[int, bytes]:
+        """POST the JSON `body` to `path` over a connection of its own;
+        returns the answer's status and body."""
+        conn = self._connection(self._host, self._port, timeout=self.timeout_s)
+        try:
+            conn.request("POST", path, body, {"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+        finally:
+            conn.close()
 
     def post(self, path: str, image: ImageBuffer, **fields) -> dict:
         """POST `image` (base64 PNM) and `fields` as one JSON object, with
         retries; returns the answer object."""
-        payload = {"image_b64": _b64(write_pnm(image)), **fields}
+        request = json.dumps({"image_b64": _b64(write_pnm(image)), **fields}, allow_nan=False).encode()
         last: Exception | None = None
         for attempt in range(1 + RETRIES):
             if attempt:
                 time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
             with self._gate:
                 try:
-                    resp = self._session.post(
-                        self.endpoint + path, json=payload, timeout=self.timeout_s
-                    )
-                except requests.RequestException as exc:
+                    status, data = self._exchange(self._prefix + path, request)
+                except (OSError, http.client.HTTPException) as exc:  # timeouts and TLS errors are OSErrors
                     last = TransportError("transport failure: %s" % exc)
                     continue
-            if resp.status_code == 200:
+            if status == 200:
                 try:
-                    body = resp.json()
+                    body = json.loads(data)
                 except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
                     raise SchemaError("non-JSON response body: %s" % exc)
                 if not isinstance(body, dict):
                     raise SchemaError("response is not a JSON object")
                 return body
-            last = HttpStatusError(resp.status_code)
-            if 400 <= resp.status_code < 500:
+            last = HttpStatusError(status)
+            if 400 <= status < 500:
                 break  # client errors are not retried
         assert last is not None
         raise last

@@ -2,12 +2,12 @@
 
 `FakeBackend.handle(path, body) -> (status, answer)` answers one POST. An
 answer is a JSON value, or bytes sent as they are. `mount` serves a backend
-in-process through a `requests` transport adapter on the session of a
-provider that `http_provider` built: `requests` still prepares every
-request and `resp.json()` still decodes every answer, so the providers' JSON
-and base64 code runs as it does over a socket. `LoopbackServer` serves the
-same `handle` on 127.0.0.1 for code that builds its own sessions, such as
-the `run-loop` command.
+in-process: `handle` takes the place of the socket round trip
+(`_exchange`) of a provider that `http_provider` built, so the providers'
+JSON, base64, retry and in-flight code runs as it does over a socket.
+`LoopbackServer` serves the same `handle` on 127.0.0.1 for code that builds
+its own providers, such as the `run-loop` command, and for the socket round
+trip itself.
 
 A change to the wire protocol is made here, once, for every test.
 """
@@ -21,16 +21,13 @@ import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlsplit
 
 import numpy as np
-import requests
-from requests.adapters import BaseAdapter
 
 from retouchkit.media_io import FloatGrid, read_pnm, write_float_grid
 
-# the endpoint of a mounted provider; `mount` routes every http:// URL of
-# its session to the backend, so this host is never looked up
+# the endpoint of a mounted provider; `mount` replaces its socket round
+# trip, so this host is never looked up
 URL = "http://fake-backend"
 
 
@@ -73,8 +70,8 @@ class FakeBackend:
     `outcomes` is a queue taken one per request, in arrival order; once it
     is empty every request is answered as usual. An outcome is a status
     code (answered with an error object), bytes (a 200 answer sent as they
-    are), a `Delay`, or an exception to raise, such as `requests.Timeout()`
-    or `requests.ConnectionError()`; a raised exception reaches the client
+    are), a `Delay`, or an exception to raise, such as `socket.timeout()`
+    or `ConnectionRefusedError()`; a raised exception reaches the client
     only through `mount`.
     """
 
@@ -122,44 +119,32 @@ class FakeBackend:
                 self.in_flight -= 1
 
 
-class FakeAdapter(BaseAdapter):
-    """A transport that hands each prepared request to `backend.handle`
-    in-process; any object with that method can be mounted."""
-
-    def __init__(self, backend):
-        super().__init__()
-        self.backend = backend
-
-    def send(self, request, stream=False, timeout=None, verify=True, cert=None, proxies=None):
-        status, answer = self.backend.handle(urlsplit(request.url).path, request.body)
-        resp = requests.Response()
-        resp.status_code = status
-        resp._content = _encode(answer)
-        resp.url = request.url
-        resp.request = request
-        return resp
-
-    def close(self):
-        pass
-
-
 def mount(provider, backend):
     """Serve every request of a provider built by `http_provider` from
-    `backend`, through the provider's own session; returns the provider."""
-    provider._session.mount("http://", FakeAdapter(backend))
+    `backend`, whose `handle` replaces the provider's `_exchange`; returns
+    the provider."""
+
+    def exchange(path, body):
+        status, answer = backend.handle(path, body)
+        return status, _encode(answer)
+
+    provider._exchange = exchange
     return provider
 
 
 class LoopbackServer:
-    """Serves `backend.handle` on 127.0.0.1 until `close()`; also a
-    context manager."""
+    """Serves `backend.handle` on 127.0.0.1 until `close()`, keeping the
+    headers of each request in `headers`; also a context manager."""
 
     def __init__(self, backend):
+        headers = self.headers = []
+
         class Handler(BaseHTTPRequestHandler):
             def log_message(self, *args):
                 pass
 
             def do_POST(self):
+                headers.append(self.headers)
                 body = self.rfile.read(int(self.headers["Content-Length"]))
                 status, answer = backend.handle(self.path, body)
                 data = _encode(answer)

@@ -1,5 +1,8 @@
 import base64
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -440,6 +443,37 @@ def test_run_loop_http_backends_from_env(tmp_path, capsys, backend_env):
     rc = main(["run-loop", "--image", str(img), "--trace", str(trace_path)])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["converged"] is True
+    assert json.loads(trace_path.read_text())["stop_reason"] == "converged"
+
+
+_RUN_LOOP_WITHOUT_REQUESTS = """
+import sys
+sys.modules["requests"] = None  # an import of requests now raises ImportError
+from retouchkit.cli import main
+rc = main(sys.argv[1:])
+del sys.modules["requests"]
+print(sorted({"requests", "urllib3"} & set(sys.modules)), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def test_run_loop_over_http_needs_no_requests(tmp_path, backend_env):
+    # the runtime's one dependency is numpy; the transport is http.client
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    img = tmp_path / "in.pnm"
+    trace_path = tmp_path / "trace.json"
+    write_gray_image(img)
+    args = ["run-loop", "--image", str(img), "--trace", str(trace_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_LOOP_WITHOUT_REQUESTS, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
     assert json.loads(trace_path.read_text())["stop_reason"] == "converged"
 
 

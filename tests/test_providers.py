@@ -1,12 +1,13 @@
 import base64
+import json
 import re
+import socket
 import threading
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -39,7 +40,7 @@ from retouchkit.providers import (
     mask_to_bytes,
 )
 from retouchkit.saliency import RegionProposal
-from fake_backend import URL, Delay, FakeBackend, mount
+from fake_backend import URL, Delay, FakeBackend, LoopbackServer, mount
 from test_saliency import flood_fill_components
 
 
@@ -232,7 +233,7 @@ def _http(role, backend):
     ],
 )
 def test_http_config_rejects(keyword, value, message):
-    # timeout_s=0 would be a ValueError from requests at the first call
+    # timeout_s=0 would put every attempt's socket in non-blocking mode
     with pytest.raises(ValueError, match=message):
         http_provider(URL, "perception", **{keyword: value})
 
@@ -489,8 +490,8 @@ def test_http_malformed_answer_after_a_retry_is_not_retried():
 # --- HTTP fault injection: transport failures are retried ------------------
 
 _FAULTS = [
-    pytest.param(requests.Timeout("read timed out"), id="timeout"),
-    pytest.param(requests.ConnectionError("connection refused"), id="connection-error"),
+    pytest.param(socket.timeout("timed out"), id="timeout"),
+    pytest.param(ConnectionRefusedError("connection refused"), id="connection-error"),
 ]
 
 
@@ -543,7 +544,7 @@ def test_run_loop_stops_provider_error_on_a_transport_failure():
     # and no edit
     scene = scene_with_bump(0.8)
     perceived = {"saliency_b64": _b64(write_float_grid(FloatGrid.from_array(scene.distortion_field)))}
-    fault = requests.ConnectionError("connection reset by peer")
+    fault = ConnectionResetError("connection reset by peer")
     backends = [
         FakeBackend(answers={"/v1/perceive": perceived}),
         FakeBackend(),
@@ -560,6 +561,44 @@ def test_run_loop_stops_provider_error_on_a_transport_failure():
     assert rec.actions == ()
     assert trace.final_image == scene.image
     assert [b.calls for b in backends] == [1, 1, 1 + RETRIES]
+
+
+# --- the socket round trip, which `mount` replaces: over loopback ----------
+
+
+def test_http_request_over_a_socket():
+    # the endpoint's path prefix is kept, percent-encoded, and the body is the
+    # payload's JSON with NaN refused
+    backend, sent = FakeBackend(), []
+
+    def handle(path, body):
+        sent.append((path, body))
+        return backend.handle(path.removeprefix("/p%20%C3%A9"), body)
+
+    with LoopbackServer(SimpleNamespace(handle=handle)) as server:
+        out = http_provider(server.url + "/p é/", "perception").perceive(gray_image(), "p")
+    assert (out.width, out.height) == (4, 4)
+    assert [h["Content-Type"] for h in server.headers] == ["application/json"]
+    payload = {"image_b64": _b64(write_pnm(gray_image())), "format": "pnm", "prompt": "p"}
+    assert sent == [("/p%20%C3%A9/v1/perceive", json.dumps(payload, allow_nan=False).encode())]
+
+
+def _refused_endpoint():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return "http://127.0.0.1:%d" % port  # nothing listens there now
+
+
+@pytest.mark.parametrize("tls", [False, True], ids=["refused", "https-to-plain-http"])
+def test_http_socket_fault_exhausts_the_retries(tls, sleeps):
+    backend = FakeBackend()
+    with LoopbackServer(backend) as server:
+        endpoint = server.url.replace("http://", "https://") if tls else _refused_endpoint()
+        with pytest.raises(TransportError, match="^transport failure: "):
+            http_provider(endpoint, "perception").perceive(gray_image(), "p")
+    assert sleeps == [0.1, 0.2, 0.4]  # 1 + RETRIES attempts
+    assert backend.calls == 0
 
 
 # --- every rejecting branch ----------------------------------------------
@@ -636,8 +675,17 @@ _INSTRUCTED = ToolDescriptor(name="i", kind=INSTRUCTION_DRIVEN)
                 "^endpoint %s is not an http:// or https:// URL with a host$" % re.escape(repr(endpoint)),
                 id="endpoint-%s" % endpoint,
             )
-            # no scheme, another scheme, no host, and a host urlsplit refuses
-            for endpoint in ("foo", "ftp://x", "http://", "http://:80", "http://[::1")
+            # no scheme, another scheme, no host, a host urlsplit refuses,
+            # and a port out of range or not a number
+            for endpoint in (
+                "foo",
+                "ftp://x",
+                "http://",
+                "http://:80",
+                "http://[::1",
+                "http://127.0.0.1:99999",
+                "http://127.0.0.1:x",
+            )
         ),
     ],
 )
