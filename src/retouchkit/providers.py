@@ -240,8 +240,19 @@ class _HttpClient:
             port = parts.port
         except ValueError:  # an unclosed '[' in the host, a port out of range or not a number
             parts = None
-        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError("endpoint %r is not an http:// or https:// URL with a host" % endpoint)
+        # a query, a fragment or credentials would never be sent, so they are refused
+        if (
+            parts is None
+            or parts.scheme not in ("http", "https")
+            or not parts.hostname
+            or parts.query
+            or parts.fragment
+            or "@" in parts.netloc
+        ):
+            raise ValueError(
+                "endpoint %r is not an http:// or https:// URL with a host and no credentials, query or fragment"
+                % endpoint
+            )
         self._connection = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
         self._host, self._port = parts.hostname, port
         # a space or a non-ASCII character of the path is sent percent-encoded

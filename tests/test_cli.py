@@ -12,8 +12,6 @@ from retouchkit import cli
 from retouchkit.cli import main
 from retouchkit.media_io import FloatGrid, ImageBuffer, write_float_grid, write_pnm
 from fake_backend import FakeBackend, LoopbackServer
-from multi_bump_scene import write_multi_bump_scene
-from seeded_predictions import write_seeded_predictions
 
 DATA = Path(__file__).parent / "data"
 
@@ -27,6 +25,33 @@ def write_bump_field(path, size=8, height=0.8):
 def write_gray_image(path, size=8):
     img = ImageBuffer.from_array(np.full((size, size), 100, dtype=np.uint8))
     path.write_bytes(write_pnm(img))
+
+
+def write_seeded_predictions(pred_dir):
+    """The predictions the evaluate-saliency goldens were computed from: one
+    per image of synthetic50.jsonl, seeded by its line number; continuous
+    float32 values for even lines, and for odd lines 4 levels (heavy ties)
+    with a first row of -0.0."""
+    for i, line in enumerate((DATA / "synthetic50.jsonl").read_text().splitlines()):
+        rec = json.loads(line)
+        arr = np.random.default_rng(i).random((rec["height"], rec["width"]), dtype=np.float32)
+        if i % 2:
+            arr = np.floor(arr * 4) / 4
+            arr[0] = -0.0
+        grid = FloatGrid.from_array(arr)
+        (Path(pred_dir) / ("%s.fsal" % rec["image_id"])).write_bytes(write_float_grid(grid))
+
+
+def write_multi_bump_scene(image_path, field_path):
+    """The scene of the run-loop golden trace: a 24x24 gray ramp whose hidden
+    field has bumps of 0.95, 0.8 and 0.65."""
+    ramp = np.add.outer(np.arange(24) * 7, np.arange(24) * 3) % 251
+    Path(image_path).write_bytes(write_pnm(ImageBuffer.from_array(ramp.astype(np.uint8))))
+    field = np.zeros((24, 24), dtype=np.float32)
+    field[2:5, 3:7] = 0.95
+    field[10:14, 15:18] = 0.8
+    field[18:21, 4:6] = 0.65
+    Path(field_path).write_bytes(write_float_grid(FloatGrid.from_array(field)))
 
 
 # the golden files were written by an earlier implementation of
@@ -446,35 +471,94 @@ def test_run_loop_http_backends_from_env(tmp_path, capsys, backend_env):
     assert json.loads(trace_path.read_text())["stop_reason"] == "converged"
 
 
-_RUN_LOOP_WITHOUT_REQUESTS = """
+# the runtime's one dependency is numpy: in the child an import of scipy or
+# requests raises ImportError, and urllib3 imported on its own fails the run
+_RUNTIME_ONLY = """
 import sys
-sys.modules["requests"] = None  # an import of requests now raises ImportError
+sys.modules["scipy"] = sys.modules["requests"] = None
 from retouchkit.cli import main
 rc = main(sys.argv[1:])
-del sys.modules["requests"]
-print(sorted({"requests", "urllib3"} & set(sys.modules)), file=sys.stderr)
-sys.exit(rc)
+del sys.modules["scipy"], sys.modules["requests"]
+imported = sorted({"scipy", "requests", "urllib3"} & set(sys.modules))
+sys.exit("imported %s" % imported if imported else rc)
+"""
+
+# ulimit -v 3000000: numpy's allocation of a frame too large fails at once,
+# so a regression never takes the machine's memory
+_ADDRESS_SPACE_LIMIT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024,) * 2)
 """
 
 
-def test_run_loop_over_http_needs_no_requests(tmp_path, backend_env):
-    # the runtime's one dependency is numpy; the transport is http.client
+def run_runtime_only(tmp_path, argv, prelude=""):
+    """`retouchkit argv` in a child interpreter, after `prelude`, with scipy
+    and requests unimportable; it runs in `tmp_path`, which holds every input
+    the cases name by a relative path."""
+    write_bump_field(tmp_path / "map.fsal")
+    write_seeded_predictions(tmp_path)
+    write_multi_bump_scene(tmp_path / "in.pnm", tmp_path / "field.fsal")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    img = tmp_path / "in.pnm"
-    trace_path = tmp_path / "trace.json"
-    write_gray_image(img)
-    args = ["run-loop", "--image", str(img), "--trace", str(trace_path)]
-    proc = subprocess.run(
-        [sys.executable, "-c", _RUN_LOOP_WITHOUT_REQUESTS, *args],
+    return subprocess.run(
+        [sys.executable, "-c", prelude + _RUNTIME_ONLY, *argv],
         capture_output=True,
         text=True,
+        cwd=tmp_path,
         env=env,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["grpo-check"], id="grpo-check"),
+        pytest.param(["propose-masks", "map.fsal", "--tau", "0.5"], id="propose-masks"),
+        pytest.param(
+            ["evaluate-saliency", str(DATA / "synthetic50.jsonl"), "--pred-dir", ".", "--blur-sigma", "2"],
+            id="evaluate-saliency",
+        ),
+        pytest.param(["dataset-stats", str(DATA / "synthetic50.jsonl")], id="dataset-stats"),
+        pytest.param(
+            ["evaluate-reasoning", str(DATA / "reasoning_pred.jsonl"), str(DATA / "reasoning_truth.jsonl")],
+            id="evaluate-reasoning",
+        ),
+        pytest.param(
+            ["run-loop", "--image", "in.pnm", "--mock", "--mock-field", "field.fsal", "-o", "out.pnm"],
+            id="run-loop-mock",
+        ),
+        # backend_env's variables name the loopback backend
+        pytest.param(["run-loop", "--image", "in.pnm", "-o", "out.pnm"], id="run-loop-http"),
+    ],
+)
+def test_the_runtime_path_imports_neither_scipy_nor_requests(tmp_path, backend_env, argv):
+    # the outputs are checked in-process above, against the golden files
+    proc = run_runtime_only(tmp_path, argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "[]\n"
-    assert json.loads(trace_path.read_text())["stop_reason"] == "converged"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        pytest.param(
+            ["rasterize", "--width", "200000", "--height", "200000", "--center", "1,1", "-o", "big.pnm"],
+            "Unable to allocate",
+            id="rasterize",
+        ),
+        # refused before any kernel is built, not by a failed allocation
+        pytest.param(
+            ["evaluate-saliency", str(DATA / "synthetic50.jsonl"), "--pred-dir", ".", "--blur-sigma", "1e6"],
+            "kernel radius above",
+            id="blur",
+        ),
+    ],
+)
+def test_a_real_allocation_past_the_address_space_is_one_stderr_line(tmp_path, argv, text):
+    proc = run_runtime_only(tmp_path, argv, prelude=_ADDRESS_SPACE_LIMIT)
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (1, "", 1), proc.stderr
+    assert text in proc.stderr
+    assert not (tmp_path / "big.pnm").exists()
 
 
 def test_run_loop_unset_backend_variable(tmp_path, capsys, backend_env):
@@ -487,15 +571,20 @@ def test_run_loop_unset_backend_variable(tmp_path, capsys, backend_env):
 
 
 def test_run_loop_rejects_a_bad_endpoint_before_the_loop(tmp_path, capsys, backend_env):
-    # not retried with backoff and reported as a provider_error stop
+    # not retried with backoff and reported as a provider_error stop; the
+    # backend's own URL with a query, which would never be sent, would run
     img = tmp_path / "in.pnm"
     write_gray_image(img)
-    backend_env.setenv("RETOUCH_BACKEND_REASONING_URL", "foo")
-    rc = main(["run-loop", "--image", str(img)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err == "endpoint 'foo' is not an http:// or https:// URL with a host\n"
+    for endpoint in ("foo", os.environ["RETOUCH_BACKEND_REASONING_URL"] + "/?q=1"):
+        backend_env.setenv("RETOUCH_BACKEND_REASONING_URL", endpoint)
+        rc = main(["run-loop", "--image", str(img)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "endpoint %r is not an http:// or https:// URL with a host and no credentials, query or fragment\n"
+            % endpoint
+        )
 
 
 def test_run_loop_malformed_diagnosis_writes_the_trace(tmp_path, capsys, monkeypatch):

@@ -672,11 +672,13 @@ _INSTRUCTED = ToolDescriptor(name="i", kind=INSTRUCTION_DRIVEN)
             pytest.param(
                 lambda endpoint=endpoint: http_provider(endpoint, "perception"),
                 ValueError,
-                "^endpoint %s is not an http:// or https:// URL with a host$" % re.escape(repr(endpoint)),
+                "^endpoint %s is not an http:// or https:// URL with a host and no credentials, query or fragment$"
+                % re.escape(repr(endpoint)),
                 id="endpoint-%s" % endpoint,
             )
-            # no scheme, another scheme, no host, a host urlsplit refuses,
-            # and a port out of range or not a number
+            # no scheme, another scheme, no host, a host urlsplit refuses, a
+            # port out of range or not a number, and the parts never sent: a
+            # query, a fragment and credentials
             for endpoint in (
                 "foo",
                 "ftp://x",
@@ -685,6 +687,9 @@ _INSTRUCTED = ToolDescriptor(name="i", kind=INSTRUCTION_DRIVEN)
                 "http://[::1",
                 "http://127.0.0.1:99999",
                 "http://127.0.0.1:x",
+                "http://127.0.0.1:9/x?q=1",
+                "http://127.0.0.1:9/x#f",
+                "http://user:pw@127.0.0.1:9/x",
             )
         ),
     ],
