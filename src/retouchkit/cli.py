@@ -147,7 +147,7 @@ _HTTP_INSTRUCT = providers.ToolDescriptor(name="http-instruct", kind=providers.I
 
 def _mock_providers_from_args(args, image: ImageBuffer) -> loop_mod.LoopProviders:
     if args.mock_field:
-        field = _load(args.mock_field, read_float_grid).to_array().copy()
+        field = _load(args.mock_field, read_float_grid).to_array()
     else:
         field = np.zeros((image.height, image.width), dtype=np.float32)
     scene = providers.SyntheticScene(image=image, distortion_field=field, decay=args.mock_decay)

@@ -31,66 +31,68 @@ def check_size(what: str, got: tuple, other: str, want: tuple, error=ValueError)
         raise error("%s is %s, %s is %s" % (what, got_text, other, want_text))
 
 
-@dataclass(frozen=True)
-class ImageBuffer:
-    """Row-major 8-bit image, 1 (gray) or 3 (RGB) channels."""
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    """One read-only array of the subclass's `dtype` and `ndim`, at least 1 x 1:
+    the constructor freezes the array it is given, and `from_array` a copy,
+    cast to `cast`. Frames of one type are equal when their arrays are."""
 
-    width: int
-    height: int
-    channels: int
-    data: bytes
+    array: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be >= 1")
+        arr = self.array
+        if arr.dtype != self.dtype:
+            raise ValueError("expected a %s array, got %s" % (self.dtype, arr.dtype))
+        if arr.ndim != self.ndim:
+            raise ValueError("expected a %d-D array" % self.ndim)
+        if min(arr.shape[:2]) < 1:
+            raise ValueError("%s dimensions must be >= 1" % self.noun)
+        arr.setflags(write=False)
+
+    height = property(lambda self: self.array.shape[0])
+    width = property(lambda self: self.array.shape[1])
+
+    def to_array(self) -> np.ndarray:
+        return self.array
+
+    @classmethod
+    def from_array(cls, arr: np.ndarray):
+        return cls(np.array(arr, dtype=cls.cast, order="C"))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash(self.array.shape)  # equal frames have one shape
+
+
+@dataclass(frozen=True, eq=False)
+class ImageBuffer(_Frame):
+    """Row-major uint8 image of shape (height, width, channels), 1 (gray) or 3
+    (RGB) channels; a (height, width) array is gray. Any other dtype is
+    refused, not cast, since a cast would wrap 300 to 44."""
+
+    dtype, ndim, noun, cast = np.dtype(np.uint8), 3, "image", None
+    channels = property(lambda self: self.array.shape[2])
+
+    def __post_init__(self):
+        if self.array.ndim == 2:
+            object.__setattr__(self, "array", self.array[:, :, None])
+        super().__post_init__()
         if self.channels not in (1, 3):
             raise ValueError("channels must be 1 or 3")
-        if len(self.data) != self.width * self.height * self.channels:
-            raise ValueError(
-                "data length %d != %d (w*h*c)"
-                % (len(self.data), self.width * self.height * self.channels)
-            )
-
-    def to_array(self) -> np.ndarray:
-        arr = np.frombuffer(self.data, dtype=np.uint8)
-        return arr.reshape(self.height, self.width, self.channels)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "ImageBuffer":
-        arr = np.asarray(arr, dtype=np.uint8)
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
-        h, w, c = arr.shape
-        return cls(width=w, height=h, channels=c, data=arr.tobytes())
 
 
-@dataclass(frozen=True)
-class FloatGrid:
-    """Row-major grid of finite float32 values."""
+@dataclass(frozen=True, eq=False)
+class FloatGrid(_Frame):
+    """Row-major grid of finite float32 values; `from_array` casts to float32."""
 
-    width: int
-    height: int
-    data: bytes  # width*height little-endian float32
+    dtype, ndim, noun, cast = np.dtype("<f4"), 2, "grid", np.dtype("<f4")
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("grid dimensions must be >= 1")
-        if len(self.data) != self.width * self.height * 4:
-            raise ValueError("data length mismatch for %dx%d float grid" % (self.width, self.height))
-        if not np.all(np.isfinite(self.to_array())):
+        super().__post_init__()
+        if not np.all(np.isfinite(self.array)):
             raise ValueError("float grid contains NaN/Inf")
-
-    def to_array(self) -> np.ndarray:
-        arr = np.frombuffer(self.data, dtype="<f4")
-        return arr.reshape(self.height, self.width)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "FloatGrid":
-        arr = np.ascontiguousarray(arr, dtype="<f4")
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-D array")
-        h, w = arr.shape
-        return cls(width=w, height=h, data=arr.tobytes())
 
 
 def _header_int(tok: bytes) -> int:
@@ -136,14 +138,14 @@ def read_pnm(data: bytes) -> ImageBuffer:
     payload = data[pos : pos + need]
     if len(payload) < need:
         raise MediaFormatError("payload has %d of %d expected bytes" % (len(payload), need))
-    return ImageBuffer(width=width, height=height, channels=channels, data=payload)
+    return ImageBuffer(np.frombuffer(payload, np.uint8).reshape(height, width, channels))
 
 
 def write_pnm(img: ImageBuffer) -> bytes:
     """Encode an ImageBuffer with the canonical header."""
     magic = b"P5" if img.channels == 1 else b"P6"
     header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
-    return header + img.data
+    return header + img.array.tobytes()
 
 
 _FSAL_MAGIC = b"FSAL1"
@@ -167,7 +169,7 @@ def read_float_grid(data: bytes) -> FloatGrid:
     if len(payload) != need:
         raise MediaFormatError("FSAL1 payload has %d of %d expected bytes" % (len(payload), need))
     try:
-        return FloatGrid(width=width, height=height, data=payload)
+        return FloatGrid(np.frombuffer(payload, "<f4").reshape(height, width))
     except ValueError as exc:  # non-finite values
         raise MediaFormatError("FSAL1 payload: %s" % exc)
 
@@ -175,4 +177,4 @@ def read_float_grid(data: bytes) -> FloatGrid:
 def write_float_grid(grid: FloatGrid) -> bytes:
     """Encode a FloatGrid as FSAL1 bytes; a FloatGrid holds finite values only."""
     header = b"%s %d %d\n" % (_FSAL_MAGIC, grid.width, grid.height)
-    return header + grid.data
+    return header + grid.array.tobytes()

@@ -92,14 +92,14 @@ class InpaintTool(Protocol):
 class SyntheticScene:
     """Test double: an image with a hidden distortion field the mock
     perceiver reads verbatim and the mock inpainter decays inside edited
-    masks."""
+    masks. The scene holds a float32 copy of the field it is given."""
 
     image: ImageBuffer
     distortion_field: np.ndarray  # float in [0,1], dims = image dims
     decay: float = 0.5
 
     def __post_init__(self):
-        f = self.distortion_field = np.asarray(self.distortion_field, dtype=np.float32)
+        f = self.distortion_field = np.array(self.distortion_field, dtype=np.float32)
         check_size("field", f.shape[::-1], "image", (self.image.width, self.image.height))
         if not (f.min() >= 0.0 and f.max() <= 1.0):  # also rejects NaN
             raise ValueError("field values must lie in [0, 1]")
@@ -114,7 +114,7 @@ class MockPerceptionProvider:
         self.scene = scene
 
     def perceive(self, image: ImageBuffer, prompt: str) -> SaliencyMap:
-        # FloatGrid.from_array copies the field into its bytes
+        # from_array copies the field, which the mock tool decays in place
         return SaliencyMap.from_array(self.scene.distortion_field)
 
 
@@ -177,7 +177,7 @@ class MockInpaintTool:
             # of that hole's pixels on its own
             sums = np.bincount(lbl, weights=window[..., c][hole], minlength=n + 1)[1:]
             window[..., c][hole] = np.round(sums / counts)[lbl - 1]
-        return ImageBuffer.from_array(px)
+        return ImageBuffer(px)  # px is this call's own copy
 
 
 # ---------------------------------------------------------------------------

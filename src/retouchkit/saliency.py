@@ -25,16 +25,11 @@ class SaliencyMap:
 
     def __post_init__(self):
         arr = self.grid.to_array()
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # also rejects NaN
             raise ValueError("saliency values must lie in [0, 1]")
 
-    @property
-    def width(self) -> int:
-        return self.grid.width
-
-    @property
-    def height(self) -> int:
-        return self.grid.height
+    width = property(lambda self: self.grid.width)
+    height = property(lambda self: self.grid.height)
 
     def to_array(self) -> np.ndarray:
         return self.grid.to_array()

@@ -42,12 +42,17 @@ def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-def _default_answer(path: str, req: dict) -> tuple[int, dict]:
-    """A well-formed answer for the request's image."""
+def _default_answer(path: str, req: dict, inpainted: bool) -> tuple[int, dict]:
+    """A well-formed answer for the request's image. A map of the image's
+    size holds one salient 2 x 2 block, which a loop's default --min-area 4
+    keeps, until the backend has served an inpaint; then it is all zero. So
+    a loop on the defaults perceives, diagnoses, inpaints once and converges."""
     if path == "/v1/perceive":
         image = read_pnm(base64.b64decode(req["image_b64"]))
-        grid = FloatGrid.from_array(np.zeros((image.height, image.width), np.float32))
-        return 200, {"saliency_b64": _b64(write_float_grid(grid))}
+        field = np.zeros((image.height, image.width), np.float32)
+        if not inpainted:
+            field[1:3, 1:3] = 0.9
+        return 200, {"saliency_b64": _b64(write_float_grid(FloatGrid.from_array(field)))}
     if path == "/v1/diagnose":
         return 200, {
             "diagnoses": [
@@ -83,6 +88,7 @@ class FakeBackend:
         self.bytes_out = 0
         self.in_flight = 0
         self.max_in_flight = 0
+        self.inpainted = False  # whether a 200 answer to /v1/inpaint was sent
         self.lock = threading.Lock()
 
     @property
@@ -109,10 +115,11 @@ class FakeBackend:
             elif path in self.answers:
                 status, answer = 200, self.answers[path]
             else:
-                status, answer = _default_answer(path, req)
+                status, answer = _default_answer(path, req, self.inpainted)
             data = _encode(answer)
             with self.lock:
                 self.bytes_out += len(data)
+                self.inpainted |= path == "/v1/inpaint" and status == 200
             return status, data
         finally:
             with self.lock:

@@ -454,21 +454,33 @@ def test_run_loop_acts_on_a_text_anomaly(tmp_path, capsys):
 
 
 @pytest.fixture
-def backend_env(monkeypatch):
-    with LoopbackServer(FakeBackend()) as server:
+def backend():
+    return FakeBackend()
+
+
+@pytest.fixture
+def backend_env(monkeypatch, backend):
+    with LoopbackServer(backend) as server:
         for role in ("PERCEPTION", "REASONING", "INPAINT"):
             monkeypatch.setenv("RETOUCH_BACKEND_%s_URL" % role, server.url)
         yield monkeypatch
 
 
-def test_run_loop_http_backends_from_env(tmp_path, capsys, backend_env):
+# what a run-loop on the defaults sends the default FakeBackend: its one
+# salient block is diagnosed and inpainted, and the next map is all zero
+_ONE_EDIT = ["/v1/perceive", "/v1/diagnose", "/v1/inpaint", "/v1/perceive"]
+
+
+def test_run_loop_http_backends_from_env(tmp_path, capsys, backend, backend_env):
     img = tmp_path / "in.pnm"
     trace_path = tmp_path / "trace.json"
     write_gray_image(img)
     rc = main(["run-loop", "--image", str(img), "--trace", str(trace_path)])
     assert rc == 0
-    assert json.loads(capsys.readouterr().out)["converged"] is True
+    report = json.loads(capsys.readouterr().out)
+    assert (report["converged"], report["actions_total"]) == (True, 1)
     assert json.loads(trace_path.read_text())["stop_reason"] == "converged"
+    assert [path for path, _ in backend.requests] == _ONE_EDIT
 
 
 # the runtime's one dependency is numpy: in the child an import of scipy or
@@ -532,10 +544,16 @@ def run_runtime_only(tmp_path, argv, prelude=""):
         pytest.param(["run-loop", "--image", "in.pnm", "-o", "out.pnm"], id="run-loop-http"),
     ],
 )
-def test_the_runtime_path_imports_neither_scipy_nor_requests(tmp_path, backend_env, argv):
+def test_the_runtime_path_imports_neither_scipy_nor_requests(tmp_path, backend, backend_env, argv):
     # the outputs are checked in-process above, against the golden files
     proc = run_runtime_only(tmp_path, argv)
     assert proc.returncode == 0, proc.stderr
+    # only run-loop without --mock sends requests, and it edits once
+    sent = [path for path, _ in backend.requests]
+    if argv[0] == "run-loop" and "--mock" not in argv:
+        assert (sent, json.loads(proc.stdout)["actions_total"]) == (_ONE_EDIT, 1)
+    else:
+        assert sent == []
 
 
 @pytest.mark.parametrize(

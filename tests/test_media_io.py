@@ -11,12 +11,17 @@ from retouchkit.media_io import (
     write_float_grid,
     write_pnm,
 )
+from retouchkit.saliency import SaliencyMap
+
+
+def gray(rows):
+    return ImageBuffer.from_array(np.array(rows, dtype=np.uint8))
 
 
 def test_minimal_p5():
     img = read_pnm(b"P5\n1 1\n255\n\x00")
     assert (img.width, img.height, img.channels) == (1, 1, 1)
-    assert img.data == b"\x00"
+    assert img == gray([[0]])
 
 
 def test_minimal_p6():
@@ -25,12 +30,12 @@ def test_minimal_p6():
 
 
 def test_write_p5_canonical():
-    img = ImageBuffer(width=1, height=1, channels=1, data=b"\xff")
+    img = gray([[255]])
     assert write_pnm(img) == b"P5\n1 1\n255\n\xff"
 
 
 def test_write_p6_payload_size():
-    img = ImageBuffer(width=2, height=2, channels=3, data=bytes(12))
+    img = ImageBuffer.from_array(np.zeros((2, 2, 3), np.uint8))
     out = write_pnm(img)
     assert out.startswith(b"P6\n2 2\n255\n")
     assert len(out) - len(b"P6\n2 2\n255\n") == 12
@@ -82,8 +87,7 @@ def test_pnm_errors_classified(data, kind):
 @settings(max_examples=100)
 def test_pnm_round_trip(w, h, channels, seed):
     rng = np.random.default_rng(seed)
-    data = rng.integers(0, 256, size=w * h * channels, dtype=np.uint8).tobytes()
-    img = ImageBuffer(width=w, height=h, channels=channels, data=data)
+    img = ImageBuffer.from_array(rng.integers(0, 256, size=(h, w, channels), dtype=np.uint8))
     assert read_pnm(write_pnm(img)) == img
     # byte-exact: re-encoding the decoded bytes reproduces them
     assert write_pnm(read_pnm(write_pnm(img))) == write_pnm(img)
@@ -147,7 +151,7 @@ def reference_read_pnm(data):
     payload = data[pos : pos + need]
     if len(payload) < need:
         raise MediaFormatError("payload has %d of %d expected bytes" % (len(payload), need))
-    return ImageBuffer(width=width, height=height, channels=channels, data=payload)
+    return ImageBuffer.from_array(np.frombuffer(payload, np.uint8).reshape(height, width, channels))
 
 
 def pnm_outcome(read, data):
@@ -267,34 +271,53 @@ def test_fsal_errors(data):
     "call, error, message",
     [
         pytest.param(
-            lambda: ImageBuffer(0, 1, 1, b""),
+            lambda: ImageBuffer.from_array(np.zeros((0, 1), np.uint8)),
             ValueError,
             "image dimensions must be >= 1",
             id="image-dims",
         ),
         pytest.param(
-            lambda: ImageBuffer(1, 1, 2, b"\0\0"),
+            lambda: ImageBuffer.from_array(np.zeros((1, 0, 3), np.uint8)),
+            ValueError,
+            "image dimensions must be >= 1",
+            id="image-zero-width",
+        ),
+        pytest.param(
+            lambda: ImageBuffer.from_array(np.zeros((1, 1, 2), np.uint8)),
             ValueError,
             "channels must be 1 or 3",
             id="channels",
         ),
         pytest.param(
-            lambda: ImageBuffer(1, 1, 1, b""),
+            lambda: ImageBuffer.from_array(np.zeros((1, 1), np.int64)),
             ValueError,
-            r"data length 0 != 1 \(w\*h\*c\)",
-            id="image-data",
+            "expected a uint8 array, got int64",
+            id="image-dtype",
         ),
         pytest.param(
-            lambda: FloatGrid(0, 1, b""),
+            lambda: ImageBuffer.from_array(np.zeros(3, np.uint8)),
+            ValueError,
+            "expected a 3-D array",
+            id="image-1d",
+        ),
+        pytest.param(
+            lambda: FloatGrid.from_array(np.zeros((0, 1))),
             ValueError,
             "grid dimensions must be >= 1",
             id="grid-dims",
         ),
         pytest.param(
-            lambda: FloatGrid(1, 1, b"\0\0"),
+            lambda: FloatGrid.from_array(np.zeros((1, 0))),
             ValueError,
-            "data length mismatch for 1x1 float grid",
-            id="grid-data",
+            "grid dimensions must be >= 1",
+            id="grid-zero-width",
+        ),
+        pytest.param(
+            # the constructor adopts its array, so it casts nothing
+            lambda: FloatGrid(np.zeros((1, 1))),
+            ValueError,
+            "expected a float32 array, got float64",
+            id="grid-dtype",
         ),
         pytest.param(
             lambda: FloatGrid.from_array(np.zeros(3)),
@@ -313,3 +336,69 @@ def test_fsal_errors(data):
 def test_rejecting_branches(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+# --- frames are read-only arrays with value semantics -----------------------
+
+
+@pytest.mark.parametrize(
+    "rows", [pytest.param([[300, -1]], id="int64"), pytest.param([[1.7]], id="float")]
+)
+def test_an_image_is_built_from_uint8_only(rows):
+    # a cast would wrap 300 and -1 to 44 and 255 and truncate 1.7 to 1
+    with pytest.raises(ValueError, match="expected a uint8 array"):
+        ImageBuffer.from_array(np.array(rows))
+
+
+def test_a_frame_is_a_snapshot_of_the_array_it_was_built_from():
+    # the mock perceiver relies on this: the mock tool decays the scene's
+    # field in place after the map was built from it
+    pixels = np.zeros((2, 3), np.uint8)
+    field = np.zeros((2, 3), np.float32)
+    img, grid = ImageBuffer.from_array(pixels), FloatGrid.from_array(field)
+    smap = SaliencyMap.from_array(field)
+    pixels[0, 0], field[0, 0] = 9, 0.5
+    assert img == gray(np.zeros((2, 3)))
+    assert grid == FloatGrid.from_array(np.zeros((2, 3)))
+    assert smap == SaliencyMap.from_array(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        pytest.param(lambda: gray([[1, 2]]), id="image"),
+        pytest.param(lambda: read_pnm(b"P6\n1 1\n255\n\x01\x02\x03"), id="read-pnm"),
+        pytest.param(lambda: FloatGrid.from_array(np.ones((1, 2))), id="grid"),
+        pytest.param(lambda: read_float_grid(b"FSAL1 2 1\n" + bytes(8)), id="read-fsal"),
+        pytest.param(lambda: SaliencyMap.from_array(np.ones((1, 2))), id="saliency-map"),
+    ],
+)
+def test_the_array_of_a_frame_is_read_only(frame):
+    arr = frame().to_array()
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0, 0] = 0
+
+
+def test_frames_are_equal_by_type_shape_and_values():
+    row, column = gray([[1, 2, 3, 4]]), gray([[1], [2], [3], [4]])
+    assert row != column  # the same bytes in another shape
+    assert row == gray([[1, 2, 3, 4]]) == read_pnm(write_pnm(row))
+    assert row != gray([[1, 2, 3, 5]])
+    zeros = np.zeros((1, 1), np.uint8)
+    assert ImageBuffer.from_array(zeros) != FloatGrid.from_array(zeros)
+    assert FloatGrid.from_array(zeros) != ImageBuffer.from_array(zeros)
+
+
+def test_hash_agrees_with_equality():
+    frames = [
+        gray([[1, 2]]),
+        read_pnm(write_pnm(gray([[1, 2]]))),
+        gray([[1], [2]]),
+        FloatGrid.from_array(np.array([[0.5, 1.0]])),
+        read_float_grid(write_float_grid(FloatGrid.from_array(np.array([[0.5, 1.0]])))),
+    ]
+    for a in frames:
+        for b in frames:
+            if a == b:
+                assert hash(a) == hash(b)
+    assert len(set(frames)) == 3

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from retouchkit import providers as providers_module
 from retouchkit.dataset import DistortionCategory
 from retouchkit.loop import (
+    STOP_CONVERGED,
     STOP_PROVIDER_ERROR,
     LoopConfig,
     LoopProviders,
@@ -21,7 +22,7 @@ from retouchkit.loop import (
     run_loop,
     select_tool,
 )
-from retouchkit.media_io import FloatGrid, ImageBuffer, write_float_grid, write_pnm
+from retouchkit.media_io import FloatGrid, ImageBuffer, read_float_grid, write_float_grid, write_pnm
 from retouchkit.providers import (
     INSTRUCTION_DRIVEN,
     MASK_GUIDED,
@@ -117,6 +118,21 @@ def test_mock_inpaint_outside_mask_unchanged():
     mask[3, 3] = True
     MockInpaintTool(scene).inpaint(scene.image, mask=mask)
     assert np.array_equal(scene.distortion_field[:3, :], before[:3, :])
+
+
+def test_the_scene_decays_its_own_copy_of_a_read_only_field():
+    # the array of a decoded map is read-only; the scene copies it, so the
+    # mock tool can decay the field and the loop acts
+    field = np.zeros((4, 4), np.float32)
+    field[1, 1] = 0.8
+    read_only = read_float_grid(write_float_grid(FloatGrid.from_array(field))).to_array()
+    scene = SyntheticScene(gray_image(), read_only)
+    provs = LoopProviders(MockPerceptionProvider(scene), MockReasoningProvider(), [MockInpaintTool(scene)])
+    trace = run_loop(scene.image, "p", provs, LoopConfig(dilation_radius=0, min_area=1))
+    assert (trace.stop_reason, trace.error) == (STOP_CONVERGED, None)
+    assert sum(len(r.actions) for r in trace.records) == 1
+    assert scene.distortion_field[1, 1] == pytest.approx(0.4)
+    assert np.array_equal(read_only, field)
 
 
 def painted(arr, holes):
