@@ -167,7 +167,7 @@ def check_hybrid_loss_gradient_fd() -> CheckResult:
         p = rng.uniform(0.05, 0.95, (4, 4)).astype(np.float32)
         truth = SaliencyMap.from_array(rng.uniform(0.05, 0.95, (4, 4)).astype(np.float32))
         alpha = float(rng.random())
-        analytic = hybrid_loss_gradient(SaliencyMap.from_array(p), truth, alpha).to_array()
+        analytic = hybrid_loss_gradient(SaliencyMap.from_array(p), truth, alpha)
         fd = np.zeros((4, 4))
         for idx in np.ndindex(4, 4):
             pp, pm = p.copy(), p.copy()

@@ -76,9 +76,11 @@ class ImageBuffer(_Frame):
     channels = property(lambda self: self.array.shape[2])
 
     def __post_init__(self):
-        if self.array.ndim == 2:
-            object.__setattr__(self, "array", self.array[:, :, None])
+        given = self.array
+        if given.ndim == 2:
+            object.__setattr__(self, "array", given[:, :, None])
         super().__post_init__()
+        given.setflags(write=False)  # a 2-D array as well as its 3-D view
         if self.channels not in (1, 3):
             raise ValueError("channels must be 1 or 3")
 

@@ -47,13 +47,14 @@ class SaliencyMap:
         return cls(FloatGrid.from_array(arr))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionProposal:
     """One candidate distortion region: mask, tight bbox, peak score, area.
 
     `mask` is stored at the size of the bbox; `union_mask` builds a frame.
     A full-frame mask, as a region decoded from the wire arrives, is also
-    accepted and cropped to the bbox."""
+    accepted and cropped to the bbox. Regions are equal when their bbox,
+    peak, area and mask are."""
 
     mask: np.ndarray  # bool, shape (y1 - y0 + 1, x1 - x0 + 1): the bbox crop
     bbox: tuple[int, int, int, int]  # (x0, y0, x1, y1) inclusive
@@ -77,6 +78,17 @@ class RegionProposal:
         object.__setattr__(self, "mask", mask)
         if self.area < 1 or self.area != np.count_nonzero(mask):
             raise ValueError("area must equal the set-pixel count (>= 1)")
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and (self.bbox, self.peak_saliency, self.area)
+            == (other.bbox, other.peak_saliency, other.area)
+            and np.array_equal(self.mask, other.mask)
+        )
+
+    def __hash__(self):
+        return hash((self.bbox, self.peak_saliency, self.area))  # equal regions share these
 
 
 def union_mask(regions: Sequence[RegionProposal], height: int, width: int) -> np.ndarray:
@@ -126,9 +138,9 @@ def hybrid_loss(pred: SaliencyMap, truth: SaliencyMap, alpha: float) -> float:
     return alpha * mse + (1.0 - alpha) * _kld_term(p, g)
 
 
-def hybrid_loss_gradient(pred: SaliencyMap, truth: SaliencyMap, alpha: float) -> FloatGrid:
-    """Analytic d(hybrid_loss)/d(pred pixel), including the normalization
-    chain rule inside the KLD term."""
+def hybrid_loss_gradient(pred: SaliencyMap, truth: SaliencyMap, alpha: float) -> np.ndarray:
+    """Analytic d(hybrid_loss)/d(pred pixel) as a float32 (H, W) array,
+    including the normalization chain rule inside the KLD term."""
     _check_alpha(alpha)
     p, g = _float64_pair(pred, truth)
     n = p.size
@@ -144,7 +156,7 @@ def hybrid_loss_gradient(pred: SaliencyMap, truth: SaliencyMap, alpha: float) ->
         else:
             kgrad = np.zeros_like(p)
         grad = grad + (1.0 - alpha) * kgrad
-    return FloatGrid.from_array(grad.astype(np.float32))
+    return grad.astype(np.float32)
 
 
 def binarize(smap: SaliencyMap, tau: float) -> np.ndarray:

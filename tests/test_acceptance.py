@@ -1,10 +1,10 @@
 """End-to-end acceptance suite.
 
 Each test covers one numbered acceptance criterion and prints a single
-PASS/FAIL line so the whole gate can be read off the test output.
+PASS/FAIL line; run pytest with `-s` to see the lines. The oracles are the
+unit modules' own, imported from there, so each check has one copy.
 """
 
-import math
 import os
 import threading
 import time
@@ -40,8 +40,9 @@ from retouchkit.saliency import hybrid_loss, hybrid_loss_gradient
 from fake_backend import Delay, FakeBackend, LoopbackServer
 from test_alignment import gaussian_elimination_rank
 from test_dataset import lattice_count
-from test_loop import bump_scene, closed_form_iterations, providers_for
-from test_saliency import smap
+from test_loop import bump_scene, closed_form_iterations, make_items, providers_for
+from test_metrics import mann_whitney, pearson_oracle, reference_sim
+from test_saliency import oracle_kld, oracle_loss, smap
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,33 +53,6 @@ def _report(num: int, name: str, passed: bool) -> None:
 
 
 # --- 1: saliency-metric oracle equivalence -------------------------------
-
-def mann_whitney_auc(pos, neg):
-    num = 0
-    for a in pos:
-        for b in neg:
-            if a > b:
-                num += 2
-            elif a == b:
-                num += 1
-    return num / (2 * len(pos) * len(neg))
-
-
-def oracle_cc(p, g):
-    pc = p - p.mean()
-    gc = g - g.mean()
-    return float((pc * gc).sum() / math.sqrt((pc**2).sum() * (gc**2).sum()))
-
-
-def oracle_sim(p, g):
-    return float(np.minimum(p / p.sum(), g / g.sum()).sum())
-
-
-def oracle_kld(p, g, eps=1e-7):
-    gn = g / g.sum()
-    sn = p / p.sum()
-    return float(sum(gv * math.log(gv / (sv + eps) + eps) for gv, sv in zip(gn.flat, sn.flat)))
-
 
 def test_criterion_01_metric_oracles():
     start = time.monotonic()
@@ -101,7 +75,7 @@ def test_criterion_01_metric_oracles():
                     pos_mask = np.zeros((h, w), bool)
                     for x, y in points:
                         pos_mask[y, x] = True
-                    want = mann_whitney_auc(list(p[pos_mask]), list(p[~pos_mask]))
+                    want = mann_whitney(list(p[pos_mask]), list(p[~pos_mask]))
                     ok = ok and auc_judd(m, fix) == want
     # distribution metrics vs direct-summation oracles
     for _ in range(300):
@@ -113,9 +87,9 @@ def test_criterion_01_metric_oracles():
         P, G = smap(p), smap(g)
         p64 = P.to_array().astype(np.float64)
         g64 = G.to_array().astype(np.float64)
-        ok = ok and abs(cc(P, G) - oracle_cc(p64, g64)) <= 1e-10
-        ok = ok and abs(sim(P, G) - oracle_sim(p64, g64)) <= 1e-10
-        ok = ok and abs(kld(P, G) - oracle_kld(p64, g64)) <= 1e-10
+        ok = ok and abs(cc(P, G) - pearson_oracle(list(p64.flat), list(g64.flat))) <= 1e-10
+        ok = ok and abs(sim(P, G) - reference_sim(P, G)) <= 1e-10
+        ok = ok and abs(kld(P, G) - oracle_kld(p64, g64, 1e-7)) <= 1e-10
     ok = ok and (time.monotonic() - start) < 10.0
     _report(1, "saliency-metric oracle equivalence", ok)
 
@@ -149,11 +123,6 @@ def test_criterion_02_metric_invariances():
 
 # --- 3: hybrid loss ------------------------------------------------------
 
-def oracle_hybrid(p, g, alpha, eps):
-    mse = float(((p - g) ** 2).mean())
-    return alpha * mse + (1 - alpha) * oracle_kld(p, g, eps)
-
-
 def test_criterion_03_hybrid_loss():
     rng = np.random.default_rng(300)
     ok = True
@@ -175,15 +144,15 @@ def test_criterion_03_hybrid_loss():
         P, G = smap(p), smap(g)
         p64 = P.to_array().astype(np.float64)
         g64 = G.to_array().astype(np.float64)
-        analytic = hybrid_loss_gradient(P, G, alpha).to_array().astype(np.float64)
+        analytic = hybrid_loss_gradient(P, G, alpha).astype(np.float64)
         fd = np.zeros_like(p64)
         for idx in np.ndindex(4, 4):
             pp, pm = p64.copy(), p64.copy()
             pp[idx] += h
             pm[idx] -= h
             fd[idx] = (
-                oracle_hybrid(pp, g64, alpha, 1e-7)
-                - oracle_hybrid(pm, g64, alpha, 1e-7)
+                oracle_loss(pp, g64, alpha, 1e-7)
+                - oracle_loss(pm, g64, alpha, 1e-7)
             ) / (2 * h)
         worst = max(worst, float(np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-8)))
     ok = ok and worst <= 1e-4
@@ -297,16 +266,8 @@ def test_criterion_08_loop_closed_form():
 
 def test_criterion_09_determinism_and_concurrency():
     cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
-
-    def items():
-        out = []
-        for _ in range(8):
-            scene = bump_scene(0.8, 0.5)
-            out.append((scene.image, "p", providers_for(scene)))
-        return out
-
-    serial = [trace_to_json(t) for t in run_batch(items(), cfg, parallelism=1)]
-    parallel = [trace_to_json(t) for t in run_batch(items(), cfg, parallelism=8)]
+    serial = [trace_to_json(t) for t in run_batch(make_items(8), cfg, parallelism=1)]
+    parallel = [trace_to_json(t) for t in run_batch(make_items(8), cfg, parallelism=8)]
     ok = serial == parallel
 
     threads_n = 2 * MAX_IN_FLIGHT
@@ -320,7 +281,8 @@ def test_criterion_09_determinism_and_concurrency():
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=10)
+            assert not t.is_alive()
     ok = ok and backend.calls == threads_n and backend.max_in_flight <= MAX_IN_FLIGHT
     _report(9, "determinism and concurrency", ok)
 

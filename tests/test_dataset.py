@@ -156,12 +156,6 @@ def test_corner_clipping():
     assert corner == want
 
 
-def test_disc_counts_match_lattice_oracle():
-    for height in range(20, 401, 20):
-        mask = rasterize_region((height // 2, height // 2), height, height)
-        assert int(mask.sum()) == lattice_count(region_radius(height))
-
-
 # reference oracle: the disc evaluated over the whole frame
 def full_frame_rasterize_region(center, image_height, image_width):
     r = region_radius(image_height)
@@ -260,36 +254,6 @@ def test_ground_truth_map_matches_the_full_frame_union(case):
 
 
 # --- reconcile_majority --------------------------------------------------
-
-def test_two_of_three_majority_keeps_modal_category():
-    per = [
-        [region(10, 10, HAND, "hand a", "a0")],
-        [region(11, 10, HAND, "hand b longer", "a1")],
-        [region(10, 11, FACE, "face c", "a2")],
-    ]
-    out = reconcile_majority(per, match_radius=5.0)
-    assert len(out) == 1
-    assert out[0].category is HAND
-    assert out[0].description == "hand b longer"
-
-
-def test_one_of_three_dropped():
-    per = [[region(10, 10)], [], []]
-    assert reconcile_majority(per, match_radius=5.0) == []
-
-
-def test_2_2_tiebreak_lower_category_code():
-    per = [
-        [region(10, 10, FACE, "f1", "a0")],
-        [region(10, 10, FACE, "f2", "a1")],
-        [region(10, 10, HAND, "h1", "a2")],
-        [region(10, 10, HAND, "h2", "a3")],
-    ]
-    out = reconcile_majority(per, match_radius=3.0)
-    assert len(out) == 1
-    # HAND is declared before FACE, so it wins the 2-2 tie
-    assert out[0].category is HAND
-
 
 def test_median_center():
     per = [

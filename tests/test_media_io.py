@@ -379,6 +379,16 @@ def test_the_array_of_a_frame_is_read_only(frame):
         arr[0, 0] = 0
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3)], ids=["2-D", "3-D"])
+def test_the_constructor_freezes_the_array_it_is_given(shape):
+    # a 2-D array is stored as a 3-D view of it, and both must be frozen
+    arr = np.zeros(shape, np.uint8)
+    img = ImageBuffer(arr)
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0, 0] = 5
+    assert img.to_array().max() == 0
+
+
 def test_frames_are_equal_by_type_shape_and_values():
     row, column = gray([[1, 2, 3, 4]]), gray([[1], [2], [3], [4]])
     assert row != column  # the same bytes in another shape

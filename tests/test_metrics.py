@@ -67,20 +67,6 @@ def test_cc_constant_map_error():
         cc(smap(np.full((2, 2), 0.5)), smap([[0.1, 0.9], [0.2, 0.3]]))
 
 
-def test_cc_affine_invariance():
-    # a, b and the map values are dyadic rationals so a*p + b is exact in
-    # float32 and the invariance can be held to 1e-9
-    rng = np.random.default_rng(1)
-    for _ in range(1000):
-        p = rng.integers(0, 512, (3, 3)) / 1024.0
-        g = rng.random((3, 3))
-        a = float(rng.choice([0.25, 0.5]))
-        b = int(rng.integers(0, 256)) / 1024.0
-        assert cc(smap(a * p + b), smap(g)) == pytest.approx(
-            cc(smap(p), smap(g)), abs=1e-9
-        )
-
-
 # --- sim -----------------------------------------------------------------
 
 def test_sim_self():
@@ -152,20 +138,6 @@ def test_nss_constant_map_error():
         nss(smap(np.full((2, 2), 0.3)), FixationSet([(0, 0)]))
 
 
-def test_nss_affine_invariance():
-    rng = np.random.default_rng(4)
-    for _ in range(1000):
-        p = rng.integers(0, 512, (3, 3)) / 1024.0
-        if p.std() == 0.0:
-            continue
-        fix = FixationSet([(int(rng.integers(3)), int(rng.integers(3)))])
-        a = float(rng.choice([0.25, 0.5]))
-        b = int(rng.integers(0, 256)) / 1024.0
-        assert nss(smap(p), fix) == pytest.approx(
-            nss(smap(a * p + b), fix), abs=1e-9
-        )
-
-
 # --- auc_judd ------------------------------------------------------------
 
 def test_auc_perfect_separation():
@@ -214,16 +186,6 @@ def test_auc_exhaustive_small_maps():
                 assert auc_judd(SaliencyMap.from_array(arr.astype(np.float32)), fix) == pytest.approx(
                     mann_whitney(pos, neg), abs=0.0
                 )
-
-
-def test_auc_monotone_transform_invariance():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        arr = rng.random((4, 4)).astype(np.float32)
-        fix = FixationSet([(1, 1), (2, 3)])
-        a = auc_judd(smap(arr), fix)
-        b = auc_judd(smap(arr**3), fix)
-        assert a == b
 
 
 @st.composite

@@ -2,7 +2,6 @@ import base64
 import json
 import re
 import socket
-import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -26,7 +25,6 @@ from retouchkit.media_io import FloatGrid, ImageBuffer, read_float_grid, write_f
 from retouchkit.providers import (
     INSTRUCTION_DRIVEN,
     MASK_GUIDED,
-    MAX_IN_FLIGHT,
     RETRIES,
     HttpStatusError,
     MockInpaintTool,
@@ -41,7 +39,7 @@ from retouchkit.providers import (
     mask_to_bytes,
 )
 from retouchkit.saliency import RegionProposal
-from fake_backend import URL, Delay, FakeBackend, LoopbackServer, mount
+from fake_backend import URL, FakeBackend, LoopbackServer, mount
 from test_saliency import flood_fill_components
 
 
@@ -305,22 +303,6 @@ def test_http_dim_mismatch_is_schema_error():
     assert rec.actions == ()
     assert trace.final_image == rgb
     assert backend.calls == 1  # a bad answer is not retried
-
-
-def test_http_in_flight_bound():
-    backend = FakeBackend(outcomes=[Delay(0.15)] * (2 * MAX_IN_FLIGHT))
-    provider = _http("perception", backend)
-    threads = [
-        threading.Thread(target=provider.perceive, args=(gray_image(), "p"))
-        for _ in range(2 * MAX_IN_FLIGHT)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10)
-        assert not t.is_alive()
-    assert backend.calls == 2 * MAX_IN_FLIGHT
-    assert backend.max_in_flight <= MAX_IN_FLIGHT
 
 
 def test_http_provider_factory():
