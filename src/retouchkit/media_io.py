@@ -31,11 +31,26 @@ def check_size(what: str, got: tuple, other: str, want: tuple, error=ValueError)
         raise error("%s is %s, %s is %s" % (what, got_text, other, want_text))
 
 
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """`arr` made read-only, or a read-only copy of it when a writable array
+    could still change its data: a writable view, or a read-only view of a
+    writable array. An array that owns its data, or that views only
+    read-only arrays and immutable bytes, is frozen as it is, not copied."""
+    base = arr.base
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if not (base is None or isinstance(base, bytes)):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class _Frame:
     """One read-only array of the subclass's `dtype` and `ndim`, at least 1 x 1:
-    the constructor freezes the array it is given, and `from_array` a copy,
-    cast to `cast`. Frames of one type are equal when their arrays are."""
+    the constructor holds the array it is given as `frozen` returns it, and
+    `from_array` a copy, cast to `cast`. Frames of one type are equal when
+    their arrays are."""
 
     array: np.ndarray
 
@@ -47,7 +62,7 @@ class _Frame:
             raise ValueError("expected a %d-D array" % self.ndim)
         if min(arr.shape[:2]) < 1:
             raise ValueError("%s dimensions must be >= 1" % self.noun)
-        arr.setflags(write=False)
+        object.__setattr__(self, "array", frozen(arr))
 
     height = property(lambda self: self.array.shape[0])
     width = property(lambda self: self.array.shape[1])
@@ -76,11 +91,9 @@ class ImageBuffer(_Frame):
     channels = property(lambda self: self.array.shape[2])
 
     def __post_init__(self):
-        given = self.array
-        if given.ndim == 2:
-            object.__setattr__(self, "array", given[:, :, None])
+        if self.array.ndim == 2:  # frozen first, so its 3-D view is never copied
+            object.__setattr__(self, "array", frozen(self.array)[:, :, None])
         super().__post_init__()
-        given.setflags(write=False)  # a 2-D array as well as its 3-D view
         if self.channels not in (1, 3):
             raise ValueError("channels must be 1 or 3")
 

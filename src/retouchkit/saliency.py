@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .media_io import FloatGrid, check_size
+from .media_io import FloatGrid, check_size, frozen
 
 KLD_EPSILON = 1e-7  # the stabilizer of KL(truth || pred) in the hybrid loss and metrics.kld
 
@@ -74,9 +74,8 @@ class RegionProposal:
             if np.count_nonzero(crop) != np.count_nonzero(mask):
                 raise ValueError("mask has set pixels outside the bbox")
             mask = crop.copy()  # a view would keep the whole frame alive
-        mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
-        if self.area < 1 or self.area != np.count_nonzero(mask):
+        object.__setattr__(self, "mask", frozen(mask))
+        if self.area < 1 or self.area != np.count_nonzero(self.mask):
             raise ValueError("area must equal the set-pixel count (>= 1)")
 
     def __eq__(self, other):
@@ -291,6 +290,7 @@ def extract_regions(mask: np.ndarray, source: SaliencyMap, min_area: int) -> lis
     at = at[kept]
     buf = np.zeros(sizes.sum(), dtype=bool)
     buf[ends[at] - sizes[at] + (ys[kept] - y0[at]) * widths[at] + xs[kept] - x0[at]] = True
+    buf.setflags(write=False)  # so the regions hold its views, not copies
     return [
         RegionProposal(
             mask=buf[end - size : end].reshape(size // width, width),

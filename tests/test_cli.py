@@ -1,4 +1,3 @@
-import base64
 import json
 import os
 import subprocess
@@ -236,16 +235,6 @@ def test_rasterize_a_centre_far_off_the_frame_sets_nothing(tmp_path, capsys):
     assert img.shape[:2] == (100, 100) and not img.any()
 
 
-def test_propose_masks(tmp_path, capsys):
-    fsal = tmp_path / "map.fsal"
-    write_bump_field(fsal)
-    rc = main(["propose-masks", str(fsal), "--tau", "0.5", "--dilation-radius", "0"])
-    assert rc == 0
-    regions = json.loads(capsys.readouterr().out)
-    assert len(regions) == 1
-    assert regions[0]["area"] == 4
-
-
 @pytest.mark.parametrize("min_area", ["0", "-5"])
 def test_propose_masks_rejects_min_area_below_one(tmp_path, capsys, min_area):
     # it used to run, with min_area acting as 1
@@ -302,37 +291,6 @@ def test_run_loop_trace_file_matches_the_golden_bytes(tmp_path, capsys, monkeypa
     assert json.loads(capsys.readouterr().out)["iterations"] == 3
     golden = (DATA / "run_loop_multi_bump.trace.json").read_bytes()
     assert Path("trace.json").read_bytes() == golden
-
-
-def test_run_loop_mock_two_iterations(tmp_path, capsys):
-    img = tmp_path / "in.pnm"
-    fsal = tmp_path / "field.fsal"
-    trace_path = tmp_path / "trace.json"
-    out_img = tmp_path / "out.pnm"
-    write_gray_image(img)
-    write_bump_field(fsal, height=0.8)
-    rc = main(
-        [
-            "run-loop",
-            "--image", str(img),
-            "--mock",
-            "--mock-field", str(fsal),
-            "--mock-decay", "0.5",
-            "--tau", "0.5",
-            "--dilation-radius", "0",
-            "--trace", str(trace_path),
-            "-o", str(out_img),
-        ]
-    )
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["iterations"] == 2
-    assert report["actions_total"] == 1
-    assert report["converged"] is True
-    assert report["stop_reason"] == "converged"
-    trace = json.loads(trace_path.read_text())
-    assert len(trace["records"]) == 2
-    assert out_img.exists()
 
 
 @pytest.mark.parametrize(
@@ -408,24 +366,11 @@ def test_a_bad_input_file_is_one_stderr_line_that_names_it(tmp_path, capsys, bui
     assert captured.err == "%s: %s\n" % (bad, message)
 
 
-def test_run_loop_determinism(tmp_path, capsys):
-    img = tmp_path / "in.pnm"
-    fsal = tmp_path / "field.fsal"
-    write_gray_image(img)
-    write_bump_field(fsal)
-    argv = [
-        "run-loop", "--image", str(img), "--mock", "--mock-field", str(fsal),
-        "--dilation-radius", "0",
-    ]
-    main(argv)
-    first = capsys.readouterr().out
-    main(argv)
-    assert capsys.readouterr().out == first
-
-
 def test_run_loop_acts_on_a_text_anomaly(tmp_path, capsys):
-    # this bump is diagnosed as a text anomaly, which wants an
-    # instruction-driven tool; --mock registers one next to the mask-guided one
+    # reasoner seed 7 diagnoses this bump as a text anomaly (seed 0 would not),
+    # which wants an instruction-driven tool; --mock registers one next to
+    # the mask-guided one. Under tau 0.4 the bump's 0.45 after one edit
+    # (decay 0.5) takes a second.
     img = tmp_path / "in.pnm"
     fsal = tmp_path / "field.fsal"
     trace_path = tmp_path / "trace.json"
@@ -433,23 +378,23 @@ def test_run_loop_acts_on_a_text_anomaly(tmp_path, capsys):
     ramp = np.add.outer(np.arange(64) * 3, np.arange(64)) % 251  # so a fill shows
     img.write_bytes(write_pnm(ImageBuffer.from_array(ramp.astype(np.uint8))))
     field = np.zeros((64, 64), dtype=np.float32)
-    field[10:15, 16:21] = 0.9
+    field[10:15, 17:22] = 0.9
     fsal.write_bytes(write_float_grid(FloatGrid.from_array(field)))
     rc = main(
         [
             "run-loop", "--image", str(img), "--mock", "--mock-field", str(fsal),
-            "--trace", str(trace_path), "-o", str(out_img),
+            "--seed", "7", "--tau", "0.4", "--trace", str(trace_path), "-o", str(out_img),
         ]
     )
     assert rc == 0
-    assert json.loads(capsys.readouterr().out)["actions_total"] == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["iterations"], report["actions_total"], report["stop_reason"]) == (3, 2, "converged")
     trace = json.loads(trace_path.read_text())
-    assert trace["stop_reason"] == "converged"
-    first = trace["records"][0]
-    assert first["diagnoses"][0]["category"] == "text_anomaly"
-    (action,) = first["actions"]
-    assert action["tool"] == "mock-instruct"
-    assert action["instruction"]
+    for rec in trace["records"][:2]:
+        assert rec["diagnoses"][0]["category"] == "text_anomaly"
+        (action,) = rec["actions"]
+        assert action["tool"] == "mock-instruct"
+        assert action["instruction"]
     assert out_img.read_bytes() != img.read_bytes()
 
 
@@ -475,19 +420,27 @@ def test_run_loop_http_backends_from_env(tmp_path, capsys, backend, backend_env)
     img = tmp_path / "in.pnm"
     trace_path = tmp_path / "trace.json"
     write_gray_image(img)
-    rc = main(["run-loop", "--image", str(img), "--trace", str(trace_path)])
+    rc = main(["run-loop", "--image", str(img), "--prompt", "fix the hand", "--trace", str(trace_path)])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["converged"], report["actions_total"]) == (True, 1)
     assert json.loads(trace_path.read_text())["stop_reason"] == "converged"
     assert [path for path, _ in backend.requests] == _ONE_EDIT
+    # an inpaint request carries no prompt
+    prompts = [req.get("prompt") for _, req in backend.requests]
+    assert prompts == ["fix the hand", "fix the hand", None, "fix the hand"]
 
 
 # the runtime's one dependency is numpy: in the child an import of scipy or
-# requests raises ImportError, and urllib3 imported on its own fails the run
+# requests raises ImportError, and urllib3 imported on its own fails the run.
+# Every module of the package is imported first, so one that no command
+# imports is held to this too.
 _RUNTIME_ONLY = """
-import sys
+import importlib, pkgutil, sys
 sys.modules["scipy"] = sys.modules["requests"] = None
+import retouchkit
+for module in pkgutil.iter_modules(retouchkit.__path__):
+    importlib.import_module("retouchkit." + module.name)
 from retouchkit.cli import main
 rc = main(sys.argv[1:])
 del sys.modules["scipy"], sys.modules["requests"]
@@ -605,26 +558,17 @@ def test_run_loop_rejects_a_bad_endpoint_before_the_loop(tmp_path, capsys, backe
         )
 
 
-def test_run_loop_malformed_diagnosis_writes_the_trace(tmp_path, capsys, monkeypatch):
+def test_run_loop_malformed_diagnosis_writes_the_trace(tmp_path, capsys, backend, backend_env):
     # one region whose diagnosis has a null severity: a SchemaError, so the
-    # loop stops provider_error instead of a TypeError escaping main
-    field = np.zeros((8, 8), np.float32)
-    field[3:5, 3:5] = 0.9
-    grid = FloatGrid.from_array(field)
+    # loop stops provider_error instead of a TypeError escaping main, and
+    # still writes the trace and the unedited image
     entry = {"id": "r0", "category": "face_distortion", "description": "d", "severity": None}
-    backend = FakeBackend(
-        answers={
-            "/v1/perceive": {"saliency_b64": base64.b64encode(write_float_grid(grid)).decode()},
-            "/v1/diagnose": {"diagnoses": [entry]},
-        }
-    )
+    backend.answers["/v1/diagnose"] = {"diagnoses": [entry]}
     img = tmp_path / "in.pnm"
     trace_path = tmp_path / "trace.json"
+    out_img = tmp_path / "out.pnm"
     write_gray_image(img)
-    with LoopbackServer(backend) as server:
-        for role in ("PERCEPTION", "REASONING", "INPAINT"):
-            monkeypatch.setenv("RETOUCH_BACKEND_%s_URL" % role, server.url)
-        rc = main(["run-loop", "--image", str(img), "--tau", "0.5", "--trace", str(trace_path)])
+    rc = main(["run-loop", "--image", str(img), "--trace", str(trace_path), "-o", str(out_img)])
     assert rc == 1
     trace = json.loads(trace_path.read_text())
     assert trace["stop_reason"] == "provider_error"
@@ -633,60 +577,22 @@ def test_run_loop_malformed_diagnosis_writes_the_trace(tmp_path, capsys, monkeyp
     assert len(rec["regions"]) == 1
     assert rec["actions"] == []
     assert json.loads(capsys.readouterr().out)["iterations"] == 1
+    assert out_img.read_bytes() == img.read_bytes()
 
 
-def test_run_loop_sends_a_text_anomaly_to_an_instruction_driven_endpoint(tmp_path, monkeypatch):
+def test_run_loop_sends_a_text_anomaly_to_an_instruction_driven_endpoint(tmp_path, backend, backend_env):
     # without --mock the inpaint endpoint also serves the instruction-driven
-    # kind, and only its requests carry an instruction
-    field = np.zeros((8, 8), np.float32)
-    field[3:5, 3:5] = 0.9
-    grid = FloatGrid.from_array(field)
+    # kind, and only its requests carry an instruction; --max-iter 1 stops
+    # the loop before the perception that would find it converged
     entry = {"id": "r0", "category": "text_anomaly", "description": "garbled sign", "severity": 0.5}
-    backend = FakeBackend(
-        answers={
-            "/v1/perceive": {"saliency_b64": base64.b64encode(write_float_grid(grid)).decode()},
-            "/v1/diagnose": {"diagnoses": [entry]},
-        }
-    )
+    backend.answers["/v1/diagnose"] = {"diagnoses": [entry]}
     img = tmp_path / "in.pnm"
     write_gray_image(img)
-    with LoopbackServer(backend) as server:
-        for role in ("PERCEPTION", "REASONING", "INPAINT"):
-            monkeypatch.setenv("RETOUCH_BACKEND_%s_URL" % role, server.url)
-        rc = main(["run-loop", "--image", str(img), "--tau", "0.5", "--max-iter", "1"])
+    rc = main(["run-loop", "--image", str(img), "--max-iter", "1"])
     assert rc == 0
+    assert [path for path, _ in backend.requests] == _ONE_EDIT[:3]
     inpaints = [req for path, req in backend.requests if path == "/v1/inpaint"]
     assert [req["instruction"] for req in inpaints] == ["fix text_anomaly: garbled sign"]
-
-
-def test_evaluate_reasoning(tmp_path, capsys):
-    pred = tmp_path / "pred.jsonl"
-    truth = tmp_path / "truth.jsonl"
-    pred.write_text(
-        json.dumps(
-            {
-                "region_id": "r0",
-                "category": "face_distortion",
-                "description": "warped face",
-                "severity": 0.9,
-            }
-        )
-        + "\n"
-    )
-    truth.write_text(
-        json.dumps(
-            {"region_id": "r0", "category": "face_distortion", "description": "warped face"}
-        )
-        + "\n"
-    )
-    rc = main(["evaluate-reasoning", str(pred), str(truth)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "accuracy\trouge_l\tmeteor_lite"
-    acc, rouge, meteor = (float(v) for v in lines[1].split("\t"))
-    assert acc == 1.0
-    assert rouge == 1.0
 
 
 @pytest.mark.parametrize(
@@ -848,23 +754,6 @@ def write_self_evaluation(tmp_path):
     pred_dir.mkdir()
     (pred_dir / "img0.fsal").write_bytes(write_float_grid(truth.grid))
     return ds_path, pred_dir
-
-
-def test_evaluate_saliency(tmp_path, capsys):
-    ds_path, pred_dir = write_self_evaluation(tmp_path)
-    rc = main(["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "image\tauc_judd\tnss\tcc\tsim\tkld"
-    fields = lines[1].split("\t")
-    assert fields[0] == "img0"
-    auc, nss_v, cc_v, sim_v, kld_v = (float(v) for v in fields[1:])
-    # fixations tie with other in-disc pixels, so half-credit keeps AUC < 1
-    assert auc >= 0.99
-    assert cc_v == pytest.approx(1.0, abs=1e-6)
-    assert sim_v == pytest.approx(1.0, abs=1e-6)
-    assert lines[2].startswith("aggregate\t")
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from retouchkit.media_io import (
     write_float_grid,
     write_pnm,
 )
-from retouchkit.saliency import SaliencyMap
+from retouchkit.saliency import SaliencyMap, propose_masks
 
 
 def gray(rows):
@@ -387,6 +387,40 @@ def test_the_constructor_freezes_the_array_it_is_given(shape):
     with pytest.raises(ValueError, match="read-only"):
         arr[0, 0] = 5
     assert img.to_array().max() == 0
+
+
+@pytest.mark.parametrize("read_only", [False, True], ids=["view", "read-only-view"])
+@pytest.mark.parametrize(
+    "cls, shape, bad",
+    [
+        pytest.param(ImageBuffer, (4, 4), 5, id="image-2-D"),
+        pytest.param(ImageBuffer, (4, 4, 3), 5, id="image-3-D"),
+        pytest.param(FloatGrid, (4, 4), np.nan, id="grid"),
+    ],
+)
+def test_a_frame_never_changes_with_the_array_it_views(cls, shape, bad, read_only):
+    # the view used to be frozen and its base left writable, so a grid could
+    # come to hold a NaN its constructor refuses
+    base = np.zeros(shape, cls.dtype)
+    view = base[:2, :2]
+    view.setflags(write=not read_only)
+    frame = cls(view)
+    base[0, 0] = bad
+    assert not frame.to_array().any()
+
+
+def test_decoded_frames_and_region_crops_are_not_copies():
+    # arrays over immutable bytes, and views of the one buffer that
+    # extract_regions freezes, are adopted as they are
+    field = np.zeros((4, 6), np.float32)
+    field[0, 0] = field[2:, 3:] = 0.9
+    arrays = [
+        read_pnm(b"P5\n2 1\n255\n\x01\x02").to_array(),
+        read_float_grid(write_float_grid(FloatGrid.from_array(field))).to_array(),
+        *(r.mask for r in propose_masks(SaliencyMap.from_array(field), 0.5, 0, 1)),
+    ]
+    assert len(arrays) == 4
+    assert not any(arr.flags.owndata for arr in arrays)
 
 
 def test_frames_are_equal_by_type_shape_and_values():

@@ -1,14 +1,9 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import retouchkit
 from retouchkit.dataset import gaussian_blur
 from retouchkit.saliency import (
     RegionProposal,
@@ -640,63 +635,16 @@ def test_region_mask_is_read_only(crop):
         r.mask[0, 0] = False
 
 
-# --- scipy stays out of the runtime ---------------------------------------
-
-_RUNTIME_WITHOUT_SCIPY = """
-import importlib, pkgutil, sys
-import numpy as np
-import retouchkit
-from retouchkit.dataset import parse_dataset, ground_truth_map
-from retouchkit.loop import LoopConfig, LoopProviders, run_loop
-from retouchkit.media_io import ImageBuffer
-from retouchkit.metrics import evaluate_all
-from retouchkit.providers import (
-    MockInpaintTool, MockPerceptionProvider, MockReasoningProvider, SyntheticScene,
-)
-from retouchkit.saliency import SaliencyMap, propose_masks
-
-for module in pkgutil.iter_modules(retouchkit.__path__):
-    importlib.import_module("retouchkit." + module.name)
-
-(rec,) = parse_dataset(open(sys.argv[1], "rb").readline())
-truth, fix = ground_truth_map(rec)
-evaluate_all(truth, truth, fix)
-blurred, _ = ground_truth_map(rec, blur_sigma=2)
-
-field = np.zeros((16, 16), np.float32)
-field[2:5, 2:5] = 0.9
-field[10:12, 9:13] = 0.7
-regions = propose_masks(SaliencyMap.from_array(field), 0.5, 1, 4)
-print([(r.bbox, r.area) for r in regions])
-
-scene = SyntheticScene(ImageBuffer.from_array(np.full((16, 16), 100, np.uint8)), field, decay=0.5)
-providers = LoopProviders(
-    MockPerceptionProvider(scene), MockReasoningProvider(0), [MockInpaintTool(scene)]
-)
-trace = run_loop(scene.image, "p", providers, LoopConfig(max_iterations=2))
-print(trace.stop_reason, len(trace.records), float(blurred.to_array().max()))
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-"""
-
-
-def test_runtime_loads_no_scipy():
-    # importing scipy.ndimage costs ~18 MB of RSS in every process; no
-    # module, region proposal, loop or blurred ground truth needs it
-    src = str(Path(retouchkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    data = Path(__file__).parent / "data" / "synthetic50.jsonl"
-    proc = subprocess.run(
-        [sys.executable, "-c", _RUNTIME_WITHOUT_SCIPY, str(data)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    regions, loop, scipy_modules = proc.stdout.splitlines()
-    assert regions == "[((1, 1, 5, 5), 25), ((8, 9, 13, 12), 24)]"
-    assert loop.split()[1:] == ["2", "1.0"]
-    assert scipy_modules == "[]"
+@pytest.mark.parametrize("read_only", [False, True], ids=["view", "read-only-view"])
+def test_a_region_never_changes_with_the_array_it_views(read_only):
+    # the view used to be frozen and its base left writable, so the area
+    # stayed 3 while the mask lost a pixel
+    frame = diagonal_frame()
+    view = frame[1:4, 2:5]
+    view.setflags(write=not read_only)
+    r = RegionProposal(view, (2, 1, 4, 3), 0.7, 3)
+    frame[1, 2] = False
+    assert np.count_nonzero(r.mask) == r.area == 3
 
 
 # --- every rejecting branch ----------------------------------------------
