@@ -49,20 +49,23 @@ def frozen(arr: np.ndarray) -> np.ndarray:
 class _Frame:
     """One read-only array of the subclass's `dtype` and `ndim`, at least 1 x 1:
     the constructor holds the array it is given as `frozen` returns it, and
-    `from_array` a copy, cast to `cast`. Frames of one type are equal when
-    their arrays are."""
+    `from_array` a copy, cast to `cast`. Every check runs before `frozen`,
+    so an array the constructor refuses is left as it was. Frames of one
+    type are equal when their arrays are."""
 
     array: np.ndarray
 
     def __post_init__(self):
-        arr = self.array
+        self._check(self.array)
+        object.__setattr__(self, "array", frozen(self.array))
+
+    def _check(self, arr: np.ndarray) -> None:
         if arr.dtype != self.dtype:
             raise ValueError("expected a %s array, got %s" % (self.dtype, arr.dtype))
         if arr.ndim != self.ndim:
             raise ValueError("expected a %d-D array" % self.ndim)
         if min(arr.shape[:2]) < 1:
             raise ValueError("%s dimensions must be >= 1" % self.noun)
-        object.__setattr__(self, "array", frozen(arr))
 
     height = property(lambda self: self.array.shape[0])
     width = property(lambda self: self.array.shape[1])
@@ -91,10 +94,16 @@ class ImageBuffer(_Frame):
     channels = property(lambda self: self.array.shape[2])
 
     def __post_init__(self):
-        if self.array.ndim == 2:  # frozen first, so its 3-D view is never copied
+        if self.array.ndim == 2:
+            self._check(self.array[:, :, None])
+            # frozen before its 3-D view is taken, so the view is never copied
             object.__setattr__(self, "array", frozen(self.array)[:, :, None])
-        super().__post_init__()
-        if self.channels not in (1, 3):
+        else:
+            super().__post_init__()
+
+    def _check(self, arr: np.ndarray) -> None:
+        super()._check(arr)
+        if arr.shape[2] not in (1, 3):
             raise ValueError("channels must be 1 or 3")
 
 
@@ -104,9 +113,9 @@ class FloatGrid(_Frame):
 
     dtype, ndim, noun, cast = np.dtype("<f4"), 2, "grid", np.dtype("<f4")
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not np.all(np.isfinite(self.array)):
+    def _check(self, arr: np.ndarray) -> None:
+        super()._check(arr)
+        if not np.all(np.isfinite(arr)):
             raise ValueError("float grid contains NaN/Inf")
 
 

@@ -74,9 +74,9 @@ class RegionProposal:
             if np.count_nonzero(crop) != np.count_nonzero(mask):
                 raise ValueError("mask has set pixels outside the bbox")
             mask = crop.copy()  # a view would keep the whole frame alive
-        object.__setattr__(self, "mask", frozen(mask))
-        if self.area < 1 or self.area != np.count_nonzero(self.mask):
+        if self.area < 1 or self.area != np.count_nonzero(mask):
             raise ValueError("area must equal the set-pixel count (>= 1)")
+        object.__setattr__(self, "mask", frozen(mask))
 
     def __eq__(self, other):
         return (

@@ -7,7 +7,8 @@ in-process: `handle` takes the place of the socket round trip
 JSON, base64, retry and in-flight code runs as it does over a socket.
 `LoopbackServer` serves the same `handle` on 127.0.0.1 for code that builds
 its own providers, such as the `run-loop` command, and for the socket round
-trip itself.
+trip itself. `SceneBackend` answers as the in-process mocks do over one
+scene, so a loop over HTTP can be compared with one over the mocks.
 
 A change to the wire protocol is made here, once, for every test.
 """
@@ -24,7 +25,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from retouchkit.media_io import FloatGrid, read_pnm, write_float_grid
+from retouchkit.media_io import FloatGrid, read_pnm, write_float_grid, write_pnm
+from retouchkit.providers import (
+    MockInpaintTool,
+    MockPerceptionProvider,
+    MockReasoningProvider,
+    SyntheticScene,
+    mask_from_bytes,
+)
+from retouchkit.saliency import RegionProposal
 
 # the endpoint of a mounted provider; `mount` replaces its socket round
 # trip, so this host is never looked up
@@ -42,35 +51,12 @@ def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-def _default_answer(path: str, req: dict, inpainted: bool) -> tuple[int, dict]:
-    """A well-formed answer for the request's image. A map of the image's
-    size holds one salient 2 x 2 block, which a loop's default --min-area 4
-    keeps, until the backend has served an inpaint; then it is all zero. So
-    a loop on the defaults perceives, diagnoses, inpaints once and converges."""
-    if path == "/v1/perceive":
-        image = read_pnm(base64.b64decode(req["image_b64"]))
-        field = np.zeros((image.height, image.width), np.float32)
-        if not inpainted:
-            field[1:3, 1:3] = 0.9
-        return 200, {"saliency_b64": _b64(write_float_grid(FloatGrid.from_array(field)))}
-    if path == "/v1/diagnose":
-        return 200, {
-            "diagnoses": [
-                {"id": r["id"], "category": "face_distortion", "description": "d", "severity": 0.5}
-                for r in req["regions"]
-            ]
-        }
-    if path == "/v1/inpaint":
-        return 200, {"image_b64": req["image_b64"]}
-    return 404, {"error": "unknown path"}
-
-
 def _encode(answer) -> bytes:
     return answer if isinstance(answer, bytes) else json.dumps(answer).encode()
 
 
 class FakeBackend:
-    """Answers each path with `answers[path]`, else with `_default_answer`.
+    """Answers each path with `answers[path]`, else with `default_answer`.
 
     `outcomes` is a queue taken one per request, in arrival order; once it
     is empty every request is answered as usual. An outcome is a status
@@ -115,7 +101,7 @@ class FakeBackend:
             elif path in self.answers:
                 status, answer = 200, self.answers[path]
             else:
-                status, answer = _default_answer(path, req, self.inpainted)
+                status, answer = self.default_answer(path, req)
             data = _encode(answer)
             with self.lock:
                 self.bytes_out += len(data)
@@ -124,6 +110,68 @@ class FakeBackend:
         finally:
             with self.lock:
                 self.in_flight -= 1
+
+    def default_answer(self, path: str, req: dict) -> tuple[int, dict]:
+        """A well-formed answer for the request's image. A map of the image's
+        size holds one salient 2 x 2 block, which a loop's default --min-area 4
+        keeps, until the backend has served an inpaint; then it is all zero. So
+        a loop on the defaults perceives, diagnoses, inpaints once and converges."""
+        if path == "/v1/perceive":
+            image = read_pnm(base64.b64decode(req["image_b64"]))
+            field = np.zeros((image.height, image.width), np.float32)
+            if not self.inpainted:
+                field[1:3, 1:3] = 0.9
+            return 200, {"saliency_b64": _b64(write_float_grid(FloatGrid.from_array(field)))}
+        if path == "/v1/diagnose":
+            return 200, {
+                "diagnoses": [
+                    {"id": r["id"], "category": "face_distortion", "description": "d", "severity": 0.5}
+                    for r in req["regions"]
+                ]
+            }
+        if path == "/v1/inpaint":
+            return 200, {"image_b64": req["image_b64"]}
+        return 404, {"error": "unknown path"}
+
+
+class SceneBackend(FakeBackend):
+    """A FakeBackend whose default answers are those of the in-process mocks
+    over one `SyntheticScene`: `MockPerceptionProvider`,
+    `MockReasoningProvider(seed)` and `MockInpaintTool`, which decays the
+    scene's field. A region's peak is the field's maximum under its decoded
+    mask: the peak that `propose_masks` found in the map this backend sent."""
+
+    def __init__(self, scene: SyntheticScene, seed: int = 0, **kwargs):
+        super().__init__(**kwargs)
+        self.scene, self.reasoning = scene, MockReasoningProvider(seed)
+
+    def default_answer(self, path: str, req: dict) -> tuple[int, dict]:
+        if path not in ("/v1/perceive", "/v1/diagnose", "/v1/inpaint"):
+            return super().default_answer(path, req)
+        image = read_pnm(base64.b64decode(req["image_b64"]))
+        if path == "/v1/perceive":
+            smap = MockPerceptionProvider(self.scene).perceive(image, req["prompt"])
+            return 200, {"saliency_b64": _b64(write_float_grid(smap.grid))}
+        if path == "/v1/inpaint":
+            mask = mask_from_bytes(base64.b64decode(req["mask_b64"]))
+            return 200, {"image_b64": _b64(write_pnm(MockInpaintTool(self.scene).inpaint(image, mask)))}
+        regions = []
+        for r in req["regions"]:
+            mask = mask_from_bytes(base64.b64decode(r["mask_b64"]))
+            peak = float(self.scene.distortion_field[mask].max())
+            regions.append(RegionProposal(mask, tuple(r["bbox"]), peak, int(mask.sum())))
+        diagnoses = self.reasoning.diagnose(image, req["prompt"], regions)
+        return 200, {
+            "diagnoses": [
+                {
+                    "id": d.region_id,
+                    "category": d.category.value,
+                    "description": d.description,
+                    "severity": d.severity,
+                }
+                for d in diagnoses
+            ]
+        }
 
 
 def mount(provider, backend):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from types import SimpleNamespace
@@ -385,25 +386,25 @@ def test_an_in_process_answer_of_another_size_stops_provider_error(field, edited
     assert trace.final_image == scene.image
 
 
-class Categorised:
-    """Reasoner giving region i a text anomaly iff pattern[i % len(pattern)];
-    region i's description is "d<i % kinds>", so with kinds < 2 text
-    regions share one instruction."""
+FACE, HAND, TEXT = (
+    DistortionCategory.FACE_DISTORTION,
+    DistortionCategory.LIMB_HAND_DEFORMITY,
+    DistortionCategory.TEXT_ANOMALY,
+)
 
-    def __init__(self, pattern, kinds=10**6):
-        self.pattern, self.kinds = pattern, kinds
+
+class CategoryReasoner:
+    """Diagnoses region i with categories[i % len(categories)] and the
+    description "d<i % kinds>", so with kinds < 2 the text regions share
+    one instruction; the severity is the region's peak."""
+
+    def __init__(self, categories, kinds=10**6):
+        self.categories, self.kinds = categories, kinds
 
     def diagnose(self, image, prompt, regions):
         return [
-            Diagnosis(
-                "r%d" % i,
-                DistortionCategory.TEXT_ANOMALY
-                if self.pattern[i % len(self.pattern)]
-                else DistortionCategory.FACE_DISTORTION,
-                "d%d" % (i % self.kinds),
-                r.peak_saliency,
-            )
-            for i, r in enumerate(regions)
+            Diagnosis("r%d" % i, category, "d%d" % (i % self.kinds), r.peak_saliency)
+            for i, (r, category) in enumerate(zip(regions, itertools.cycle(self.categories)))
         ]
 
 
@@ -422,11 +423,11 @@ class Recording:
     "pattern, want",
     [
         # n mask-guided regions: one call with their union
-        ([False], [("mock-inpaint", None, [0, 1, 2, 3])]),
+        ([FACE], [("mock-inpaint", None, [0, 1, 2, 3])]),
         # each instruction-driven region gets its own call, and the calls
         # run in the order of each group's first region
         (
-            [True, False],
+            [TEXT, FACE],
             [
                 ("instruct", "fix text_anomaly: d0", [0]),
                 ("mock-inpaint", None, [1, 3]),
@@ -444,7 +445,7 @@ def test_one_inpaint_call_per_tool_and_instruction(pattern, want):
     calls = []
     text_tool = ToolDescriptor(name="instruct", kind=INSTRUCTION_DRIVEN)
     tools = [Recording(MockInpaintTool(scene), calls), Recording(MockInpaintTool(scene, text_tool), calls)]
-    provs = LoopProviders(MockPerceptionProvider(scene), Categorised(pattern), tools)
+    provs = LoopProviders(MockPerceptionProvider(scene), CategoryReasoner(pattern), tools)
     cfg = LoopConfig(tau_s=0.5, max_iterations=1, dilation_radius=0, min_area=1)
     trace = run_loop(image, "p", provs, cfg)
     assert trace.stop_reason == STOP_MAX_ITERATIONS
@@ -456,7 +457,7 @@ def test_one_inpaint_call_per_tool_and_instruction(pattern, want):
     # one action per region, in region order
     assert [a.region_id for a in rec.actions] == ["r0", "r1", "r2", "r3"]
     assert [a.tool for a in rec.actions] == [
-        "instruct" if pattern[i % len(pattern)] else "mock-inpaint" for i in range(4)
+        "instruct" if pattern[i % len(pattern)] is TEXT else "mock-inpaint" for i in range(4)
     ]
 
 
@@ -467,7 +468,9 @@ def test_one_inpaint_call_per_tool_and_instruction(pattern, want):
         min_size=1,
         max_size=7,
     ),
-    pattern=st.lists(st.booleans(), min_size=2, max_size=4).filter(lambda p: any(p) and not all(p)),
+    pattern=st.lists(st.sampled_from([FACE, TEXT]), min_size=2, max_size=4).filter(
+        lambda p: len(set(p)) > 1  # both categories, so both tool kinds
+    ),
     kinds=st.sampled_from([1, 2, 10**6]),
     channels=st.sampled_from([1, 3]),
     decay=st.sampled_from([0.3, 0.6, 0.9]),
@@ -488,7 +491,7 @@ def test_grouped_calls_equal_each_action_replayed_alone(
     text_tool = ToolDescriptor(name="instruct", kind=INSTRUCTION_DRIVEN)
     provs = LoopProviders(
         MockPerceptionProvider(scene),
-        Categorised(pattern, kinds),
+        CategoryReasoner(pattern, kinds),
         [MockInpaintTool(scene), MockInpaintTool(scene, text_tool)],
     )
     cfg = LoopConfig(tau_s=0.5, max_iterations=4, dilation_radius=radius, min_area=1)
@@ -568,7 +571,7 @@ def test_an_edit_of_one_group_of_two_is_progress():
     calls = []
     text_tool = ToolDescriptor(name="instruct", kind=INSTRUCTION_DRIVEN)
     tools = [Recording(Unchanged(), calls), Recording(MockInpaintTool(scene, text_tool), calls)]
-    provs = LoopProviders(MockPerceptionProvider(scene), Categorised([False, True]), tools)
+    provs = LoopProviders(MockPerceptionProvider(scene), CategoryReasoner([FACE, TEXT]), tools)
     cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
     trace = run_loop(image, "p", provs, cfg)
     assert trace.stop_reason == STOP_MAX_ITERATIONS
@@ -679,17 +682,10 @@ def test_no_eligible_tool_stops_with_the_diagnosing_iteration():
 def test_no_eligible_tool_edits_nothing_in_that_iteration():
     # the first region has a tool, the second does not: no edit is made,
     # so the final image is still the one the records describe
-    class Reasoner:
-        def diagnose(self, image, prompt, regions):
-            cats = [DistortionCategory.FACE_DISTORTION, DistortionCategory.TEXT_ANOMALY]
-            return [
-                Diagnosis(region_id="r%d" % i, category=c, description="d", severity=0.5)
-                for i, c in enumerate(cats)
-            ]
-
     scene = bump_scene(0.9, size=16)
     scene.distortion_field[10:12, 10:12] = 0.8
-    provs = LoopProviders(MockPerceptionProvider(scene), Reasoner(), [MockInpaintTool(scene)])
+    reasoner = CategoryReasoner([FACE, TEXT])
+    provs = LoopProviders(MockPerceptionProvider(scene), reasoner, [MockInpaintTool(scene)])
     cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
     trace = run_loop(scene.image, "p", provs, cfg)
     assert trace.stop_reason == STOP_NO_ELIGIBLE_TOOL
@@ -705,26 +701,6 @@ def test_empty_registry_is_a_typed_stop():
 
 
 # --- one tool choice per category -----------------------------------------
-
-FACE, HAND, TEXT = (
-    DistortionCategory.FACE_DISTORTION,
-    DistortionCategory.LIMB_HAND_DEFORMITY,
-    DistortionCategory.TEXT_ANOMALY,
-)
-
-
-class CategoryReasoner:
-    """Diagnoses the i-th region with categories[i]."""
-
-    def __init__(self, categories):
-        self.categories = categories
-
-    def diagnose(self, image, prompt, regions):
-        return [
-            Diagnosis(region_id="r%d" % i, category=c, description="d", severity=0.5)
-            for i, c in enumerate(self.categories[: len(regions)])
-        ]
-
 
 def row_of_bumps(n, decay=0.5):
     # n separate 2x2 bumps of falling height, so region i is bump i

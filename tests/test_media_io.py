@@ -11,7 +11,7 @@ from retouchkit.media_io import (
     write_float_grid,
     write_pnm,
 )
-from retouchkit.saliency import SaliencyMap, propose_masks
+from retouchkit.saliency import RegionProposal, SaliencyMap, propose_masks
 
 
 def gray(rows):
@@ -407,6 +407,24 @@ def test_a_frame_never_changes_with_the_array_it_views(cls, shape, bad, read_onl
     frame = cls(view)
     base[0, 0] = bad
     assert not frame.to_array().any()
+
+
+@pytest.mark.parametrize(
+    "build, arr",
+    [
+        pytest.param(ImageBuffer, np.zeros((2, 2), np.int64), id="image-dtype"),
+        pytest.param(ImageBuffer, np.zeros((2, 2, 2), np.uint8), id="image-channels"),
+        pytest.param(FloatGrid, np.array([[np.nan, 0]], np.float32), id="grid-nan"),
+        pytest.param(
+            lambda mask: RegionProposal(mask, (0, 0, 1, 1), 0.9, 3), np.ones((2, 2), bool), id="region-area"
+        ),
+    ],
+)
+def test_a_refused_array_is_left_writable(build, arr):
+    # every check runs before the array is frozen
+    with pytest.raises(ValueError):
+        build(arr)
+    assert arr.flags.writeable
 
 
 def test_decoded_frames_and_region_crops_are_not_copies():

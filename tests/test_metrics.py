@@ -51,17 +51,6 @@ def test_cc_anticorrelated():
     assert cc(smap([[0.0, 1.0]]), smap([[1.0, 0.0]])) == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_cc_matches_textbook_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(30):
-        p = rng.random((3, 3)).astype(np.float32)
-        g = rng.random((3, 3)).astype(np.float32)
-        want = pearson_oracle(
-            list(p.astype(np.float64).flat), list(g.astype(np.float64).flat)
-        )
-        assert cc(smap(p), smap(g)) == pytest.approx(want, abs=1e-10)
-
-
 def test_cc_constant_map_error():
     with pytest.raises(ValueError):
         cc(smap(np.full((2, 2), 0.5)), smap([[0.1, 0.9], [0.2, 0.3]]))
@@ -151,24 +140,6 @@ def test_auc_constant_map_half():
     assert auc_judd(m, FixationSet([(0, 0), (2, 2)])) == 0.5
 
 
-def test_auc_matches_mann_whitney_random():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        arr = rng.integers(0, 5, (4, 4)) / 4.0
-        pts = set()
-        while len(pts) < 3:
-            pts.add((int(rng.integers(4)), int(rng.integers(4))))
-        fix = FixationSet(pts)
-        pos = [arr[y, x] for x, y in fix.points]
-        mask = np.zeros((4, 4), bool)
-        for x, y in fix.points:
-            mask[y, x] = True
-        neg = list(arr[~mask])
-        assert auc_judd(smap(arr), fix) == pytest.approx(
-            mann_whitney(pos, neg), abs=1e-12
-        )
-
-
 def test_auc_exhaustive_small_maps():
     # all 2x2 maps over a small value alphabet, every fixation subset
     values = [0.0, 0.5, 1.0]
@@ -186,90 +157,6 @@ def test_auc_exhaustive_small_maps():
                 assert auc_judd(SaliencyMap.from_array(arr.astype(np.float32)), fix) == pytest.approx(
                     mann_whitney(pos, neg), abs=0.0
                 )
-
-
-@st.composite
-def tied_maps(draw):
-    """(map, fixations): 1-4 value levels so ties dominate, 0.0 and -0.0
-    side by side, repeated fixations, and often every pixel fixated but
-    one."""
-    h, w = draw(st.integers(1, 6)), draw(st.integers(2, 6))
-    n = h * w
-    levels = draw(st.integers(1, 4))
-    codes = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
-    negzero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    values = [
-        -0.0 if c == 0 and z else c / max(levels - 1, 1) for c, z in zip(codes, negzero)
-    ]
-    if draw(st.booleans()):
-        skip = draw(st.integers(0, n - 1))
-        flat = [i for i in range(n) if i != skip]
-    else:
-        flat = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
-    flat += draw(st.lists(st.sampled_from(flat), max_size=3))  # repeats
-    arr = np.array(values, dtype=np.float32).reshape(h, w)
-    return arr, flat
-
-
-@given(tied_maps())
-@settings(max_examples=300, deadline=None)
-def test_auc_equals_pairwise_count_with_heavy_ties(case):
-    arr, flat = case
-    w = arr.shape[1]
-    fix = FixationSet((i % w, i // w) for i in flat)
-    values = [float(v) for v in arr.flat]
-    fixated = set(flat)
-    pos = [v for i, v in enumerate(values) if i in fixated]
-    neg = [v for i, v in enumerate(values) if i not in fixated]
-    if not neg:
-        with pytest.raises(ValueError):
-            auc_judd(smap(arr), fix)
-        return
-    assert auc_judd(smap(arr), fix) == mann_whitney(pos, neg)
-
-
-def pairwise(arr, flat):
-    """(positives, negatives) as Python floats: fixated pixels, counted once,
-    and all other pixels of arr."""
-    values = arr.ravel().tolist()
-    fixated = set(flat)
-    pos = [v for i, v in enumerate(values) if i in fixated]
-    neg = [v for i, v in enumerate(values) if i not in fixated]
-    return pos, neg
-
-
-@st.composite
-def corpus_like_maps(draw):
-    """(map, flat fixations) shaped like the evaluation corpus: a continuous
-    float32 map of 64^2 to 96^2 pixels and 1-7 fixations, which may repeat."""
-    h, w = draw(st.integers(64, 96)), draw(st.integers(64, 96))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    arr = rng.random((h, w), dtype=np.float32)
-    flat = draw(st.lists(st.integers(0, h * w - 1), min_size=1, max_size=7))
-    flat += draw(st.lists(st.sampled_from(flat), max_size=2))
-    return arr, flat
-
-
-@given(corpus_like_maps())
-@settings(max_examples=60, deadline=None)
-def test_auc_equals_pairwise_count_on_continuous_maps(case):
-    arr, flat = case
-    w = arr.shape[1]
-    fix = FixationSet((i % w, i // w) for i in flat)
-    assert auc_judd(smap(arr), fix) == mann_whitney(*pairwise(arr, flat))
-
-
-@pytest.mark.parametrize("levels", [None, 5])
-@pytest.mark.parametrize("nneg", [1, 2, 7])
-def test_auc_with_almost_every_pixel_fixated(levels, nneg):
-    # P close to N: the binary searches run over a long sorted list
-    rng = np.random.default_rng(nneg)
-    arr = rng.random((24, 24), dtype=np.float32)
-    if levels is not None:
-        arr = np.floor(arr * levels) / levels  # heavy ties
-    flat = [int(i) for i in rng.permutation(arr.size)[nneg:]]
-    fix = FixationSet((i % 24, i // 24) for i in flat + flat[:3])
-    assert auc_judd(smap(arr), fix) == mann_whitney(*pairwise(arr, flat))
 
 
 def reference_auc_judd(pred, fix):
@@ -299,53 +186,6 @@ def outcome(fn, *args):
         return fn(*args)
     except ValueError as exc:
         return ("ValueError", str(exc))
-
-
-@st.composite
-def auc_oracle_cases(draw):
-    """(map, flat fixations): 1xN, Nx1 and 2-D maps, either 1-4 value
-    levels with 0.0 and -0.0 side by side or continuous values; fixations
-    that may repeat, cover every pixel but one, or cover every pixel."""
-    shape = draw(st.sampled_from(["row", "column", "grid"]))
-    n = draw(st.integers(2, 40))
-    if shape == "row":
-        h, w = 1, n
-    elif shape == "column":
-        h, w = n, 1
-    else:
-        h, w = draw(st.integers(2, 9)), draw(st.integers(2, 9))
-    n = h * w
-    if draw(st.booleans()):
-        levels = draw(st.integers(1, 4))
-        codes = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
-        signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        values = [
-            (-0.0 if neg else 0.0) if c == 0 else c / max(levels - 1, 1)
-            for c, neg in zip(codes, signs)
-        ]
-        arr = np.array(values, dtype=np.float32).reshape(h, w)
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        arr = rng.random((h, w), dtype=np.float32)
-    kind = draw(st.sampled_from(["some", "all_but_one", "all"]))
-    if kind == "all_but_one":
-        skip = draw(st.integers(0, n - 1))
-        flat = [i for i in range(n) if i != skip]
-    elif kind == "all":
-        flat = list(range(n))
-    else:
-        flat = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
-    flat += draw(st.lists(st.sampled_from(flat), max_size=4))  # repeats
-    return arr, flat
-
-
-@given(auc_oracle_cases())
-@settings(max_examples=400, deadline=None)
-def test_auc_equals_the_previous_implementation(case):
-    arr, flat = case
-    w = arr.shape[1]
-    m, fix = smap(arr), FixationSet((i % w, i // w) for i in flat)
-    assert outcome(auc_judd, m, fix) == outcome(reference_auc_judd, m, fix)
 
 
 @pytest.mark.parametrize(
@@ -396,32 +236,107 @@ def reference_sim(pred, truth):
     return float(np.minimum(p / p.sum(), g / g.sum()).sum())
 
 
+# --- one strategy of maps and fixations ----------------------------------
+
 @st.composite
-def map_pairs(draw):
-    """Two maps of one shape, from 1x1 to 96x96: continuous, few-level,
-    constant or all-zero."""
-    h, w = draw(st.integers(1, 96)), draw(st.integers(1, 96))
+def maps(draw, shapes=("row", "column", "grid", "corpus"), kinds=("continuous", "levels", "constant", "zero")):
+    """(pred, fixations, truth): two maps of one shape, 1xN or Nx1 up to 40,
+    a grid of 1 to 96 a side (each side at most 24 half the time) or of 64
+    to 96 a side as in the evaluation corpus. Each map is continuous, of
+    1-4 levels with 0.0 and -0.0 side by side, constant or all zero;
+    `shapes` and `kinds` narrow the draw. On a map of at most 24 x 24
+    pixels, half the fixations are every pixel but 0-7; else they are 1-8
+    points, half the time at most 4, since the pairwise count costs P x N.
+    Up to 4 repeats of drawn points follow."""
+    shape = draw(st.sampled_from(shapes))
+    if shape == "row":
+        h, w = 1, draw(st.integers(1, 40))
+    elif shape == "column":
+        h, w = draw(st.integers(1, 40)), 1
+    else:
+        side = st.integers(64, 96) if shape == "corpus" else st.integers(1, 24) | st.integers(1, 96)
+        h, w = draw(side), draw(side)
+    n = h * w
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def one():
-        kind = draw(st.sampled_from(["continuous", "levels", "constant", "zero"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "continuous":
-            return rng.random((h, w), dtype=np.float32)
+            return smap(rng.random((h, w), dtype=np.float32))
         if kind == "levels":
-            return (rng.integers(0, 4, (h, w)) / 3.0).astype(np.float32)
-        return np.full((h, w), 0.3 if kind == "constant" else 0.0, dtype=np.float32)
+            levels = draw(st.integers(1, 4))
+            arr = rng.integers(0, levels, (h, w)) / max(levels - 1, 1)
+            arr[(arr == 0) & rng.integers(0, 2, (h, w), dtype=bool)] = -0.0
+            return smap(arr)
+        return smap(np.full((h, w), 0.3 if kind == "constant" else 0.0))
 
-    flat = draw(st.lists(st.integers(0, h * w - 1), min_size=1, max_size=8))
-    return one(), one(), [(i % w, i // w) for i in flat]
+    pixel = st.integers(0, n - 1)
+    if n <= 24 * 24 and draw(st.booleans()):
+        skip = set(draw(st.lists(pixel, max_size=min(7, n - 1))))
+        flat = [i for i in range(n) if i not in skip]
+    else:
+        flat = draw(st.lists(pixel, min_size=1, max_size=draw(st.sampled_from([4, 8]))))
+    flat += [flat[j] for j in draw(st.lists(st.integers(0, len(flat) - 1), max_size=4))]
+    return one(), FixationSet((i % w, i // w) for i in flat), one()
 
 
-@given(map_pairs())
+def pairwise_count(pred, fix):
+    """mann_whitney over the fixated pixels, each counted once, and the
+    others; or the error auc_judd raises when every pixel is fixated."""
+    fixated = {y * pred.width + x for x, y in fix.points}
+    values = pred.to_array().ravel().tolist()
+    pos = [v for i, v in enumerate(values) if i in fixated]
+    neg = [v for i, v in enumerate(values) if i not in fixated]
+    return mann_whitney(pos, neg) if neg else ("ValueError", "auc_judd needs at least one non-fixated pixel")
+
+
+@given(maps(kinds=("levels", "constant", "zero")))
+@settings(max_examples=300, deadline=None)
+def test_auc_equals_pairwise_count_with_heavy_ties(case):
+    pred, fix, _ = case
+    assert outcome(auc_judd, pred, fix) == pairwise_count(pred, fix)
+
+
+@given(maps(shapes=("corpus",), kinds=("continuous",)))
+@settings(max_examples=60, deadline=None)
+def test_auc_equals_pairwise_count_on_continuous_maps(case):
+    pred, fix, _ = case
+    assert auc_judd(pred, fix) == pairwise_count(pred, fix)
+
+
+@pytest.mark.parametrize("levels", [None, 5])
+@pytest.mark.parametrize("nneg", [1, 2, 7])
+def test_auc_with_almost_every_pixel_fixated(levels, nneg):
+    # P close to N: each fixated value is ranked in a long sorted map
+    rng = np.random.default_rng(nneg)
+    arr = rng.random((24, 24), dtype=np.float32)
+    if levels is not None:
+        arr = np.floor(arr * levels) / levels  # heavy ties
+    flat = [int(i) for i in rng.permutation(arr.size)[nneg:]]
+    pred, fix = smap(arr), FixationSet((i % 24, i // 24) for i in flat + flat[:3])
+    assert auc_judd(pred, fix) == pairwise_count(pred, fix)
+
+
+@given(maps())
+@settings(max_examples=400, deadline=None)
+def test_auc_equals_the_previous_implementation(case):
+    pred, fix, _ = case
+    assert outcome(auc_judd, pred, fix) == outcome(reference_auc_judd, pred, fix)
+
+
+@given(maps(shapes=("row", "column", "grid")))
+@settings(max_examples=300, deadline=None)
+def test_nss_equals_its_per_fixation_reference(case):
+    pred, fix, _ = case
+    assert outcome(nss, pred, fix) == outcome(reference_nss, pred, fix)
+
+
+@given(maps())
 @settings(max_examples=200, deadline=None)
 def test_nss_and_sim_equal_their_reference_forms(case):
-    p_arr, g_arr, points = case
-    p, g, fix = smap(p_arr), smap(g_arr), FixationSet(points)
-    assert outcome(nss, p, fix) == outcome(reference_nss, p, fix)
-    assert outcome(sim, p, g) == outcome(reference_sim, p, g)
+    pred, fix, truth = case
+    assert outcome(nss, pred, fix) == outcome(reference_nss, pred, fix)
+    assert outcome(sim, pred, truth) == outcome(reference_sim, pred, truth)
 
 
 # --- evaluate_all / aggregation -----------------------------------------
@@ -494,29 +409,6 @@ def test_aggregate_equals_a_per_field_mean():
         }
         assert aggregate_reports(reports) == MetricReport(**want)
 
-
-@st.composite
-def maps_with_fixations(draw):
-    """A map of 1 to 39 px a side, continuous or of 1 to 4 levels, and 1 to
-    11 fixations drawn from at most 4 distinct pixels, so repeats are common."""
-    h, w = draw(st.integers(1, 39)), draw(st.integers(1, 39))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    levels = draw(st.sampled_from([0, 1, 2, 3, 4]))  # 0: continuous
-    if levels:
-        arr = (rng.integers(0, levels, (h, w)) / max(levels - 1, 1)).astype(np.float32)
-    else:
-        arr = rng.random((h, w), dtype=np.float32)
-    pool = draw(st.lists(st.integers(0, h * w - 1), min_size=1, max_size=4))
-    flat = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=11))
-    return arr, [(i % w, i // w) for i in flat]
-
-
-@given(maps_with_fixations())
-@settings(max_examples=300, deadline=None)
-def test_nss_equals_its_per_fixation_reference(case):
-    arr, points = case
-    m, fix = smap(arr), FixationSet(points)
-    assert outcome(nss, m, fix) == outcome(reference_nss, m, fix)
 
 # --- fixation coordinates ------------------------------------------------
 

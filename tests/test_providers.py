@@ -20,6 +20,7 @@ from retouchkit.loop import (
     NoEligibleToolError,
     run_loop,
     select_tool,
+    trace_to_json,
 )
 from retouchkit.media_io import FloatGrid, ImageBuffer, read_float_grid, write_float_grid, write_pnm
 from retouchkit.providers import (
@@ -39,7 +40,7 @@ from retouchkit.providers import (
     mask_to_bytes,
 )
 from retouchkit.saliency import RegionProposal
-from fake_backend import URL, FakeBackend, LoopbackServer, mount
+from fake_backend import URL, FakeBackend, LoopbackServer, SceneBackend, mount
 from test_saliency import flood_fill_components
 
 
@@ -286,6 +287,54 @@ def _run_loop_over_http(role, backend, image):
     else:
         tool = _http(role, backend)
     return run_loop(image, "p", LoopProviders(perception, MockReasoningProvider(), [tool]), cfg)
+
+
+@st.composite
+def scenes(draw):
+    """(image, field, decay): a gray or RGB image of 1-24 px a side and a
+    field of sparse, dense or no salient pixels."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    image = ImageBuffer(rng.integers(0, 256, (h, w, draw(st.sampled_from([1, 3]))), dtype=np.uint8))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    field = np.where(rng.random((h, w)) < density, rng.random((h, w)), 0.0)
+    return image, field, draw(st.sampled_from([0.3, 0.5, 0.9]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=scenes(),
+    cfg=st.builds(
+        LoopConfig,
+        tau_s=st.floats(0.0, 1.0),
+        max_iterations=st.integers(1, 4),
+        dilation_radius=st.integers(0, 2),
+        min_area=st.integers(1, 6),
+        prefer=st.sampled_from(["auto", MASK_GUIDED, INSTRUCTION_DRIVEN]),
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_run_loop_over_http_equals_the_in_process_mocks(case, cfg, seed):
+    image, field, decay = case
+    text_tool = ToolDescriptor(name="instruct", kind=INSTRUCTION_DRIVEN)
+    scene = SyntheticScene(image, field, decay)
+    mocks = LoopProviders(
+        MockPerceptionProvider(scene),
+        MockReasoningProvider(seed),
+        [MockInpaintTool(scene), MockInpaintTool(scene, text_tool)],
+    )
+    backend = SceneBackend(SyntheticScene(image, field, decay), seed)
+    wire = LoopProviders(
+        _http("perception", backend),
+        _http("reasoning", backend),
+        [
+            mount(http_provider(URL, "inpaint", descriptor=tool.descriptor), backend)
+            for tool in mocks.tools
+        ],
+    )
+    want, got = run_loop(image, "p", mocks, cfg), run_loop(image, "p", wire, cfg)
+    assert trace_to_json(got) == trace_to_json(want)
+    assert got.final_image == want.final_image
 
 
 def test_http_dim_mismatch_is_schema_error():
