@@ -53,8 +53,7 @@ def _cmd_dataset_stats(args) -> int:
 def _cmd_evaluate_saliency(args) -> int:
     records = _load(args.dataset)
     if not records:
-        print("empty dataset", file=sys.stderr)
-        return 1
+        raise ValueError("empty dataset")
     pred_dir = Path(args.pred_dir)
     # every row is computed before any is printed, so an error leaves no
     # partial table on stdout

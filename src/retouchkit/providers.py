@@ -294,8 +294,8 @@ class _HttpClient:
                     raise SchemaError("response is not a JSON object")
                 return body
             last = HttpStatusError(status)
-            if 400 <= status < 500:
-                break  # client errors are not retried
+            if status < 500:
+                break  # only a server error (5xx) is retried
         assert last is not None
         raise last
 

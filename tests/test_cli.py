@@ -15,6 +15,14 @@ from fake_backend import FakeBackend, LoopbackServer
 DATA = Path(__file__).parent / "data"
 
 
+def error_line(capsys, argv):
+    """The one line `main(argv)` prints on stderr; it must exit 1 and print nothing on stdout."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err.count("\n"), err[-1:]) == ("", 1, "\n"), (out, err)
+    return err[:-1]
+
+
 def write_bump_field(path, size=8, height=0.8):
     field = np.zeros((size, size), dtype=np.float32)
     field[3:5, 3:5] = height
@@ -71,10 +79,7 @@ def test_dataset_stats_json(capsys):
 def test_dataset_stats_empty(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    rc = main(["dataset-stats", str(empty)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "empty dataset" in captured.err
+    assert error_line(capsys, ["dataset-stats", str(empty)]) == "empty dataset"
 
 
 # a JSON integer, number or string stands for itself: a float, a bool, a
@@ -108,11 +113,7 @@ def test_dataset_stats_rejects_a_mistyped_field(tmp_path, capsys, where, field, 
         bad[field] = value
     path = tmp_path / "data.jsonl"
     path.write_text(good + "\n" + json.dumps(bad) + "\n")
-    rc = main(["dataset-stats", str(path)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err == "%s: line 2: %s\n" % (path, message)
+    assert error_line(capsys, ["dataset-stats", str(path)]) == "%s: line 2: %s" % (path, message)
 
 
 # json.loads raises a RecursionError for nesting past the recursion limit,
@@ -136,12 +137,7 @@ def test_dataset_stats_rejects_a_mistyped_field(tmp_path, capsys, where, field, 
 def test_dataset_stats_names_the_line_of_any_malformed_json(tmp_path, capsys, line, message):
     path = tmp_path / "data.jsonl"
     path.write_text(line + "\n")
-    rc = main(["dataset-stats", str(path)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err.startswith("%s: line 1: %s" % (path, message))
-    assert captured.err.count("\n") == 1
+    assert error_line(capsys, ["dataset-stats", str(path)]).startswith("%s: line 1: %s" % (path, message))
 
 
 def test_usage_error_exit_code():
@@ -217,8 +213,7 @@ def test_an_allocation_that_fails_is_one_stderr_line(tmp_path, capsys, monkeypat
     monkeypatch.setattr(cli.ds, "rasterize_region", fail)
     out = tmp_path / "m.pnm"
     argv = ["rasterize", "--width", "200000", "--height", "200000", "--center", "1,1", "-o", str(out)]
-    assert main(argv) == 1
-    assert capsys.readouterr() == ("", line + "\n")
+    assert error_line(capsys, argv) == line
     assert not out.exists()
 
 
@@ -240,10 +235,7 @@ def test_propose_masks_rejects_min_area_below_one(tmp_path, capsys, min_area):
     # it used to run, with min_area acting as 1
     fsal = tmp_path / "map.fsal"
     write_bump_field(fsal)
-    assert main(["propose-masks", str(fsal), "--min-area", min_area]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "min_area must be >= 1\n"
+    assert error_line(capsys, ["propose-masks", str(fsal), "--min-area", min_area]) == "min_area must be >= 1"
 
 
 _ONE_REGION = """[
@@ -304,10 +296,7 @@ def test_run_loop_trace_file_matches_the_golden_bytes(tmp_path, capsys, monkeypa
 def test_run_loop_rejects_an_out_of_range_option(tmp_path, capsys, args, message):
     img = tmp_path / "in.pnm"
     write_gray_image(img)
-    assert main(["run-loop", "--image", str(img), *args]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == message + "\n"
+    assert error_line(capsys, ["run-loop", "--image", str(img), *args]) == message
 
 
 def test_run_loop_rejects_a_mock_field_out_of_range(tmp_path, capsys):
@@ -317,10 +306,8 @@ def test_run_loop_rejects_a_mock_field_out_of_range(tmp_path, capsys):
     fsal = tmp_path / "field.fsal"
     write_gray_image(img)
     write_bump_field(fsal, height=1.5)
-    assert main(["run-loop", "--image", str(img), "--mock", "--mock-field", str(fsal)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "field values must lie in [0, 1]\n"
+    argv = ["run-loop", "--image", str(img), "--mock", "--mock-field", str(fsal)]
+    assert error_line(capsys, argv) == "field values must lie in [0, 1]"
 
 
 def _bad_image(tmp_path):
@@ -360,10 +347,7 @@ def _out_of_range_prediction(tmp_path):
 )
 def test_a_bad_input_file_is_one_stderr_line_that_names_it(tmp_path, capsys, build):
     argv, bad, message = build(tmp_path)
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "%s: %s\n" % (bad, message)
+    assert error_line(capsys, argv) == "%s: %s" % (bad, message)
 
 
 def test_run_loop_acts_on_a_text_anomaly(tmp_path, capsys):
@@ -536,9 +520,9 @@ def test_run_loop_unset_backend_variable(tmp_path, capsys, backend_env):
     img = tmp_path / "in.pnm"
     write_gray_image(img)
     backend_env.delenv("RETOUCH_BACKEND_REASONING_URL")
-    rc = main(["run-loop", "--image", str(img)])
-    assert rc == 1
-    assert "RETOUCH_BACKEND_REASONING_URL" in capsys.readouterr().err
+    assert error_line(capsys, ["run-loop", "--image", str(img)]) == (
+        "environment variable RETOUCH_BACKEND_REASONING_URL is not set"
+    )
 
 
 def test_run_loop_rejects_a_bad_endpoint_before_the_loop(tmp_path, capsys, backend_env):
@@ -548,12 +532,8 @@ def test_run_loop_rejects_a_bad_endpoint_before_the_loop(tmp_path, capsys, backe
     write_gray_image(img)
     for endpoint in ("foo", os.environ["RETOUCH_BACKEND_REASONING_URL"] + "/?q=1"):
         backend_env.setenv("RETOUCH_BACKEND_REASONING_URL", endpoint)
-        rc = main(["run-loop", "--image", str(img)])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err == (
-            "endpoint %r is not an http:// or https:// URL with a host and no credentials, query or fragment\n"
+        assert error_line(capsys, ["run-loop", "--image", str(img)]) == (
+            "endpoint %r is not an http:// or https:// URL with a host and no credentials, query or fragment"
             % endpoint
         )
 
@@ -623,10 +603,8 @@ def test_evaluate_reasoning_malformed_line(tmp_path, capsys, line, message, bad_
     paths = {name: tmp_path / ("%s.jsonl" % name) for name in ("pred", "truth")}
     for name, path in paths.items():
         path.write_bytes(good.encode() + b"\n" + (line + b"\n" if name == bad_input else b""))
-    rc = main(["evaluate-reasoning", str(paths["pred"]), str(paths["truth"])])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err == "%s: line 2: %s\n" % (paths[bad_input], message)
+    argv = ["evaluate-reasoning", str(paths["pred"]), str(paths["truth"])]
+    assert error_line(capsys, argv) == "%s: line 2: %s" % (paths[bad_input], message)
 
 
 def test_evaluate_reasoning_huge_integer_severity(tmp_path, capsys):
@@ -636,11 +614,8 @@ def test_evaluate_reasoning_huge_integer_severity(tmp_path, capsys):
     pred, truth = tmp_path / "pred.jsonl", tmp_path / "truth.jsonl"
     pred.write_text(good + "\n" + huge % ("9" * 400) + "\n")
     truth.write_text(good + "\n")
-    rc = main(["evaluate-reasoning", str(pred), str(truth)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err == "%s: line 2: int too large to convert to float\n" % pred
+    argv = ["evaluate-reasoning", str(pred), str(truth)]
+    assert error_line(capsys, argv) == "%s: line 2: int too large to convert to float" % pred
 
 
 @pytest.mark.parametrize(
@@ -665,11 +640,8 @@ def test_evaluate_reasoning_mistyped_field(tmp_path, capsys, bad_input, field, v
         if name == bad_input:
             lines[1][field] = value
         path.write_text("".join(json.dumps(line) + "\n" for line in lines))
-    rc = main(["evaluate-reasoning", str(paths["pred"]), str(paths["truth"])])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err == "%s: line 2: %s\n" % (paths[bad_input], message)
+    argv = ["evaluate-reasoning", str(paths["pred"]), str(paths["truth"])]
+    assert error_line(capsys, argv) == "%s: line 2: %s" % (paths[bad_input], message)
 
 
 def write_reasoning_files(tmp_path, preds, truths):
@@ -706,22 +678,16 @@ def write_reasoning_files(tmp_path, preds, truths):
     ids=["truth", "prediction"],
 )
 def test_evaluate_reasoning_duplicate_region_id(tmp_path, capsys, preds, truths, message):
-    rc = main(["evaluate-reasoning", *write_reasoning_files(tmp_path, preds, truths)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err == message + "\n"
+    argv = ["evaluate-reasoning", *write_reasoning_files(tmp_path, preds, truths)]
+    assert error_line(capsys, argv) == message
 
 
 def test_evaluate_reasoning_untokenizable_description(tmp_path, capsys):
     preds = [("r0", "warped face"), ("r1", "日本語の説明")]
     truths = [("r0", "warped face"), ("r1", "extra finger")]
-    rc = main(["evaluate-reasoning", *write_reasoning_files(tmp_path, preds, truths)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err == (
-        "region 'r1': prediction description '日本語の説明' has no a-z or 0-9 token\n"
+    argv = ["evaluate-reasoning", *write_reasoning_files(tmp_path, preds, truths)]
+    assert error_line(capsys, argv) == (
+        "region 'r1': prediction description '日本語の説明' has no a-z or 0-9 token"
     )
 
 
@@ -774,10 +740,8 @@ def write_self_evaluation(tmp_path):
 )
 def test_evaluate_saliency_rejects_an_out_of_range_option(tmp_path, capsys, args, message):
     ds_path, pred_dir = write_self_evaluation(tmp_path)
-    assert main(["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir), *args]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == message + "\n"
-    assert captured.out == ""
+    argv = ["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir), *args]
+    assert error_line(capsys, argv) == message
 
 
 def test_evaluate_saliency_has_no_epsilon_option(tmp_path, capsys):
@@ -795,10 +759,9 @@ def test_evaluate_saliency_missing_prediction_prints_no_partial_table(tmp_path, 
     first = json.loads(ds_path.read_text())
     second = dict(first, image_id="img1", image="img1.pnm")
     ds_path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
-    assert main(["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "[Errno 2] No such file or directory: %r\n" % str(pred_dir / "img1.fsal")
+    assert error_line(capsys, ["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir)]) == (
+        "[Errno 2] No such file or directory: %r" % str(pred_dir / "img1.fsal")
+    )
 
 
 @pytest.mark.parametrize(
@@ -850,10 +813,9 @@ def test_evaluate_saliency_checks_sizes_before_it_builds_the_ground_truth(
     ds_path = tmp_path / "ds.jsonl"
     ds_path.write_text(json.dumps(record) + "\n")
     (tmp_path / "big.fsal").write_bytes(write_float_grid(FloatGrid.from_array(np.zeros((4, 4), np.float32))))
-    assert main(["evaluate-saliency", str(ds_path), "--pred-dir", str(tmp_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "big: prediction is 4x4, record is 200000x200000\n"
+    assert error_line(capsys, ["evaluate-saliency", str(ds_path), "--pred-dir", str(tmp_path)]) == (
+        "big: prediction is 4x4, record is 200000x200000"
+    )
 
 
 @pytest.mark.parametrize(
@@ -870,19 +832,15 @@ def test_evaluate_saliency_names_the_image_of_an_undefined_metric(tmp_path, caps
     else:
         constant = FloatGrid.from_array(np.full((40, 40), 0.5, np.float32))
         (pred_dir / "img0.fsal").write_bytes(write_float_grid(constant))
-    assert main(["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "img0: %s\n" % message
+    argv = ["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir)]
+    assert error_line(capsys, argv) == "img0: %s" % message
 
 
 def test_evaluate_saliency_names_the_dataset_file_of_a_bad_line(tmp_path, capsys):
     ds_path, pred_dir = write_self_evaluation(tmp_path)
     ds_path.write_text(ds_path.read_text() + "{bad\n")
-    assert main(["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("%s: line 2: malformed JSON: " % ds_path)
+    argv = ["evaluate-saliency", str(ds_path), "--pred-dir", str(pred_dir)]
+    assert error_line(capsys, argv).startswith("%s: line 2: malformed JSON: " % ds_path)
 
 
 def test_rasterize_help_shows_the_form_for_a_negative_x(capsys):
@@ -895,7 +853,5 @@ def test_rasterize_help_shows_the_form_for_a_negative_x(capsys):
 def test_evaluate_saliency_empty_dataset(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    assert main(["evaluate-saliency", str(empty), "--pred-dir", str(tmp_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "empty dataset\n"
+    argv = ["evaluate-saliency", str(empty), "--pred-dir", str(tmp_path)]
+    assert error_line(capsys, argv) == "empty dataset"

@@ -1,13 +1,15 @@
 import itertools
 import json
 import math
+import re
+import socket
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from retouchkit import loop as loop_module
+from retouchkit import loop as loop_module, providers as providers_module
 from retouchkit.dataset import DistortionCategory
 from retouchkit.loop import (
     STOP_CONVERGED,
@@ -37,11 +39,14 @@ from retouchkit.providers import (
     MockPerceptionProvider,
     MockReasoningProvider,
     ProviderError,
+    RETRIES,
     SyntheticScene,
     ToolDescriptor,
+    http_provider,
 )
 from retouchkit.saliency import RegionProposal, SaliencyMap, propose_masks, union_mask
 from retouchkit.textmetrics import Diagnosis
+from fake_backend import URL, SceneBackend, mount
 
 
 def bump_scene(height=0.8, decay=0.5, size=8, at=(3, 3)):
@@ -168,15 +173,11 @@ def test_stall_stops_no_actionable_regions():
 def test_empty_diagnosis_list_is_a_provider_error():
     # two regions, no diagnoses: the loop stops at once instead of
     # perceiving through its whole budget without acting
-    class Silent:
-        def diagnose(self, image, prompt, regions):
-            return []
-
     scene = bump_scene(0.9, size=16)
     scene.distortion_field[10:12, 10:12] = 0.8
-    provs = LoopProviders(MockPerceptionProvider(scene), Silent(), [MockInpaintTool(scene)])
+    silent = FaultAt(providers_for(scene), 1, change=lambda diagnoses: [])  # call 1 diagnoses
     cfg = LoopConfig(tau_s=0.5, max_iterations=5, dilation_radius=0, min_area=1)
-    trace = run_loop(scene.image, "p", provs, cfg)
+    trace = run_loop(scene.image, "p", silent.providers, cfg)
     assert trace.stop_reason == STOP_PROVIDER_ERROR
     assert trace.error == "reasoning returned 0 diagnoses for 2 regions"
     [rec] = trace.records
@@ -187,8 +188,8 @@ def test_empty_diagnosis_list_is_a_provider_error():
 
 class FaultAt:
     """Counts perceive, diagnose and inpaint calls over the providers it
-    wraps. Call k (0-based; none if k is None) raises `error`
-    (ProviderError by default) or, if `change` is given, answers
+    wraps, in-process or HTTP. Call k (0-based; none if k is None) raises
+    `error` (ProviderError by default) or, if `change` is given, answers
     `change(answer)` in place of its answer. Keeps the role of every call
     and the image of every inpaint call whose answer it did not change."""
 
@@ -277,6 +278,25 @@ def sweep_scene():
     ), image
 
 
+def sweep_over_http(*outcomes):
+    """The sweep scene served over HTTP by one SceneBackend, whose request
+    queue is `outcomes`; each tool carries its mock's descriptor."""
+    mocks, image = sweep_scene()
+    backend = SceneBackend(mocks.perception.scene, seed=16, outcomes=outcomes)
+    return LoopProviders(
+        mount(http_provider(URL, "perception"), backend),
+        mount(http_provider(URL, "reasoning"), backend),
+        [mount(http_provider(URL, "inpaint", descriptor=t.descriptor), backend) for t in mocks.tools],
+    ), image
+
+
+def run_sweep(provs, image, k=None, error=ProviderError, change=None):
+    """FaultAt(provs, k, error, change) and run_loop's trace over it."""
+    faulty = FaultAt(provs, k, error, change)
+    cfg = LoopConfig(tau_s=0.5, max_iterations=5, dilation_radius=0, min_area=1)
+    return faulty, run_loop(image, "p", faulty.providers, cfg)
+
+
 def inpaint_calls(record):
     """The action indices of each inpaint call of a JSON trace record: one
     call per (tool, instruction), in the order of each group's first action."""
@@ -286,28 +306,52 @@ def inpaint_calls(record):
     return list(calls.values())
 
 
-def test_fault_sweep_keeps_every_applied_edit():
-    cfg = LoopConfig(tau_s=0.5, max_iterations=5, dilation_radius=0, min_area=1)
-    provs, image = sweep_scene()
-    clean = FaultAt(provs)
-    clean_trace = run_loop(image, "p", clean.providers, cfg)
-    assert clean_trace.stop_reason == STOP_CONVERGED
-    clean_records = json.loads(trace_to_json(clean_trace))["records"]
-    tools = [[a["tool"] for a in r["actions"]] for r in clean_records]
-    assert tools == [["mock-inpaint", "instruct", "mock-inpaint"], ["mock-inpaint", "instruct"], []]
-    calls = [inpaint_calls(r) for r in clean_records]
-    assert calls == [[[0, 2], [1]], [[0], [1]], []]
-    images = [image] + clean.images  # images[m]: the image after m inpaint calls
-    assert len(images) == 5
+class CleanSweep:
+    """The fault-free run of the sweep scene over `provs`, and the check of
+    what a stopped run of the same scene keeps."""
+
+    def __init__(self, provs, image):
+        self.run, self.trace = run_sweep(provs, image)
+        self.records = json.loads(trace_to_json(self.trace))["records"]
+        self.calls = [inpaint_calls(r) for r in self.records]
+        self.images = [image] + self.run.images  # images[m]: the image after m inpaint calls
+
+    def check_kept(self, trace, faulty, fault):
+        """The records of `trace` are a prefix of the clean run's, but the
+        last, which keeps exactly the actions of its completed calls; its
+        final image is the image after the inpaint calls the loop adopted,
+        as counted by `faulty`."""
+        m = len(faulty.images)
+        records = json.loads(trace_to_json(trace))["records"]
+        assert records or m == 0, fault
+        if records:
+            *done, last = records
+            assert done == self.records[: len(done)], fault
+            want = self.records[len(done)]
+            keys = ("t", "max_saliency", "regions")
+            assert [last[key] for key in keys] == [want[key] for key in keys], fault
+            assert last["diagnoses"] in ([], want["diagnoses"]), fault
+            j = m - sum(len(c) for c in self.calls[: len(done)])
+            assert 0 <= j <= len(self.calls[len(done)]), fault
+            acted = sorted(i for call in self.calls[len(done)][:j] for i in call)
+            assert last["actions"] == [want["actions"][i] for i in acted], fault
+        assert trace.final_image == self.images[m], fault
+
+
+def sweep_fault_at(sweep):
+    """Runs the providers of `sweep()` fault-free, then under each FaultAt
+    fault, and checks each faulty run's stop and what it kept; returns the
+    clean run."""
+    clean = CleanSweep(*sweep())
     # a ProviderError or, as an in-process provider's bug, a ValueError at
     # each call; a short diagnosis list at each diagnose call; a map or an
     # image one column wider, and an RGB image for the gray scene
     faults = (
-        [(k, ProviderError, None) for k in range(len(clean.roles))]
-        + [(k, ValueError, None) for k in range(len(clean.roles))]
-        + [(k, None, short) for k in clean.calls_of("diagnose")]
-        + [(k, None, wider) for k in clean.calls_of("perceive", "inpaint")]
-        + [(k, None, rgb) for k in clean.calls_of("inpaint")]
+        [(k, ProviderError, None) for k in range(len(clean.run.roles))]
+        + [(k, ValueError, None) for k in range(len(clean.run.roles))]
+        + [(k, None, short) for k in clean.run.calls_of("diagnose")]
+        + [(k, None, wider) for k in clean.run.calls_of("perceive", "inpaint")]
+        + [(k, None, rgb) for k in clean.run.calls_of("inpaint")]
     )
     wrong_size = {
         ("perceive", wider): "saliency map is 17x16, image is 16x16",
@@ -315,74 +359,87 @@ def test_fault_sweep_keeps_every_applied_edit():
         ("inpaint", rgb): "edited image is 16x16x3, image is 16x16x1",
     }
     for k, error, change in faults:
-        provs, image = sweep_scene()
-        faulty = FaultAt(provs, k, error, change)
-        trace = run_loop(image, "p", faulty.providers, cfg)
+        faulty, trace = run_sweep(*sweep(), k, error, change)
         if error is ValueError:
-            assert trace.stop_reason == STOP_INTERNAL_ERROR, k
-            assert trace.error == "ValueError: fault at call %d" % k
+            want = STOP_INTERNAL_ERROR, "ValueError: fault at call %d" % k
+        elif change is None:
+            want = STOP_PROVIDER_ERROR, "fault at call %d" % k
+        elif change is short:
+            n = len(clean.records[clean.run.calls_of("diagnose").index(k)]["regions"])
+            want = STOP_PROVIDER_ERROR, "reasoning returned %d diagnoses for %d regions" % (n - 1, n)
         else:
-            assert trace.stop_reason == STOP_PROVIDER_ERROR, k
-            if change is None:
-                assert trace.error == "fault at call %d" % k
-            elif change is short:
-                n = len(clean_records[clean.calls_of("diagnose").index(k)]["regions"])
-                assert trace.error == "reasoning returned %d diagnoses for %d regions" % (n - 1, n)
+            want = STOP_PROVIDER_ERROR, wrong_size[clean.run.roles[k], change]
+        assert (trace.stop_reason, trace.error) == want, k
+        clean.check_kept(trace, faulty, k)
+        if change is short:
+            assert trace.records[-1].diagnoses == trace.records[-1].actions == (), k
+    return clean
+
+
+def test_fault_sweep_keeps_every_applied_edit():
+    clean = sweep_fault_at(sweep_scene)
+    assert clean.trace.stop_reason == STOP_CONVERGED
+    tools = [[a["tool"] for a in r["actions"]] for r in clean.records]
+    assert tools == [["mock-inpaint", "instruct", "mock-inpaint"], ["mock-inpaint", "instruct"], []]
+    assert clean.calls == [[[0, 2], [1]], [[0], [1]], []]
+    assert len(clean.images) == 5
+
+
+def test_fault_sweep_over_http_keeps_every_applied_edit(monkeypatch):
+    # every FaultAt fault over the HTTP providers, and each backend fault
+    # at every request k; the backoff is recorded, not slept
+    slept = []
+    monkeypatch.setattr(providers_module, "time", SimpleNamespace(sleep=slept.append))
+    clean = sweep_fault_at(sweep_over_http)
+    _, mocks = run_sweep(*sweep_scene())
+    assert trace_to_json(clean.trace) == trace_to_json(mocks)
+    assert clean.trace.final_image == mocks.final_image
+    backoff = [0.1, 0.2, 0.4]  # RETRIES = 3
+    backend_faults = [
+        ([503], None, [0.1]),  # absorbed by a retry
+        ([503] * (1 + RETRIES), "backend returned HTTP 503", backoff),
+        ([socket.timeout("timed out")] * (1 + RETRIES), "transport failure: timed out", backoff),
+        ([404], "backend returned HTTP 404", []),
+        ([b"<html>"], "non-JSON response body: .*", []),
+    ]
+    for k in range(len(clean.run.roles)):
+        for outcomes, error, sleeps in backend_faults:
+            slept.clear()
+            faulty, trace = run_sweep(*sweep_over_http(*[None] * k, *outcomes))
+            assert slept == sleeps, (k, outcomes)
+            if error is None:
+                assert trace_to_json(trace) == trace_to_json(clean.trace), k
+                assert trace.final_image == clean.trace.final_image, k
             else:
-                assert trace.error == wrong_size[clean.roles[k], change], k
-        m = len(faulty.images)  # inpaint calls whose answer the loop adopted
-        records = json.loads(trace_to_json(trace))["records"]
-        if records:
-            *done, last = records
-            assert done == clean_records[: len(done)], k
-            want = clean_records[len(done)]
-            assert {key: last[key] for key in ("t", "max_saliency", "regions")} == {
-                key: want[key] for key in ("t", "max_saliency", "regions")
-            }, k
-            assert last["diagnoses"] in ([], want["diagnoses"]), k
-            # the last record keeps exactly the actions of its completed calls
-            j = m - sum(len(c) for c in calls[: len(done)])
-            assert 0 <= j <= len(calls[len(done)]), k
-            acted = sorted(i for call in calls[len(done)][:j] for i in call)
-            assert last["actions"] == [want["actions"][i] for i in acted], k
-            if change is short:
-                assert last["diagnoses"] == last["actions"] == [], k
-        else:
-            assert m == 0, k
-        assert trace.final_image == images[m], k
+                assert trace.stop_reason == STOP_PROVIDER_ERROR, (k, error)
+                assert re.fullmatch(error, trace.error), (k, trace.error)
+                clean.check_kept(trace, faulty, (k, error))
 
 
+# call 0 perceives the one bump and call 2 inpaints it; the answer is
+# replaced by one of the same type holding `arr`
 @pytest.mark.parametrize(
-    "field, edited, error",
+    "k, arr, error",
     [
-        (bump_scene(0.9, size=16).distortion_field, None, "saliency map is 16x16, image is 32x32"),
-        (bump_scene(0.9, size=64).distortion_field, None, "saliency map is 64x64, image is 32x32"),
-        (None, np.zeros((16, 16), np.uint8), "edited image is 16x16x1, image is 32x32x1"),
-        (None, np.zeros((32, 32, 3), np.uint8), "edited image is 32x32x3, image is 32x32x1"),
+        (0, bump_scene(0.9, size=16).distortion_field, "saliency map is 16x16, image is 32x32"),
+        (0, bump_scene(0.9, size=64).distortion_field, "saliency map is 64x64, image is 32x32"),
+        (2, np.zeros((16, 16), np.uint8), "edited image is 16x16x1, image is 32x32x1"),
+        (2, np.zeros((32, 32, 3), np.uint8), "edited image is 32x32x3, image is 32x32x1"),
     ],
     ids=["map-16", "map-64", "image-16", "image-rgb"],
 )
-def test_an_in_process_answer_of_another_size_stops_provider_error(field, edited, error):
+def test_an_in_process_answer_of_another_size_stops_provider_error(k, arr, error):
     # a map of another size used to place the regions in its own frame, and
     # an edited image of another size or channel count became the final image
     scene = bump_scene(0.9, size=32, at=(10, 10))
-    provs = providers_for(scene)
-    if field is not None:
-        perception = SimpleNamespace(perceive=lambda image, prompt: SaliencyMap.from_array(field))
-        provs = LoopProviders(perception, provs.reasoning, provs.tools)
-    if edited is not None:
-        tool = SimpleNamespace(
-            descriptor=ToolDescriptor(name="fixed", kind=MASK_GUIDED),
-            inpaint=lambda image, mask, instruction=None: ImageBuffer.from_array(edited),
-        )
-        provs = LoopProviders(provs.perception, provs.reasoning, [tool])
+    faulty = FaultAt(providers_for(scene), k, change=lambda answer: type(answer).from_array(arr))
     cfg = LoopConfig(dilation_radius=0, min_area=1, prefer=MASK_GUIDED)
-    trace = run_loop(scene.image, "p", provs, cfg)
+    trace = run_loop(scene.image, "p", faulty.providers, cfg)
     assert trace.stop_reason == STOP_PROVIDER_ERROR
     assert trace.error == error
     assert sum(len(rec.actions) for rec in trace.records) == 0
     # a map is rejected before it is read, an image before it is adopted
-    assert len(trace.records) == (field is None)
+    assert len(trace.records) == (k == 2)
     assert trace.final_image == scene.image
 
 
@@ -506,9 +563,10 @@ def test_grouped_calls_equal_each_action_replayed_alone(
 # --- no progress ---------------------------------------------------------
 
 class Unchanged:
-    """A mask-guided tool whose edit returns its input."""
+    """A tool whose edit returns its input."""
 
-    descriptor = ToolDescriptor(name="unchanged", kind=MASK_GUIDED)
+    def __init__(self, name="unchanged", kind=MASK_GUIDED):
+        self.descriptor = ToolDescriptor(name=name, kind=kind)
 
     def inpaint(self, image, mask, instruction=None):
         return image
@@ -610,24 +668,15 @@ def test_batch_zero_fields_all_converge():
 def test_batch_isolates_failures():
     cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
 
-    class Broken:
-        def perceive(self, image, prompt):
-            raise RuntimeError("boom")
-
-    class Down:
-        def perceive(self, image, prompt):
-            raise ProviderError("backend down")
-
-    def failing(perception):
+    def failing(error):  # at the first perception
         scene = bump_scene(0.8)
-        provs = LoopProviders(perception, MockReasoningProvider(), [MockInpaintTool(scene)])
-        return scene.image, "p", provs
+        return scene.image, "p", FaultAt(providers_for(scene), 0, error).providers
 
-    traces = run_batch([failing(Broken()), failing(Down())] + make_items(1), cfg, parallelism=2)
+    traces = run_batch([failing(RuntimeError), failing(ProviderError)] + make_items(1), cfg, parallelism=2)
     assert traces[0].stop_reason == STOP_INTERNAL_ERROR
-    assert traces[0].error == "RuntimeError: boom"
+    assert traces[0].error == "RuntimeError: fault at call 0"
     assert traces[1].stop_reason == STOP_PROVIDER_ERROR
-    assert traces[1].error == "backend down"
+    assert traces[1].error == "fault at call 0"
     assert traces[2].stop_reason == STOP_CONVERGED
 
 
@@ -636,19 +685,12 @@ def test_batch_keeps_the_records_before_an_internal_error():
     # ValueError: the first iteration's record and edit are kept
     image = ImageBuffer.from_array(np.arange(64, dtype=np.uint8).reshape(8, 8))
     scene = SyntheticScene(image, bump_scene(0.9).distortion_field, decay=0.9)
-
-    class NaNOnSecondCall:
-        calls = 0
-
-        def perceive(self, image, prompt):
-            self.calls += 1
-            if self.calls == 2:
-                return SaliencyMap.from_array(np.full((8, 8), np.nan, np.float32))
-            return MockPerceptionProvider(scene).perceive(image, prompt)
-
-    provs = LoopProviders(NaNOnSecondCall(), MockReasoningProvider(), [MockInpaintTool(scene)])
+    # calls 0-3: perceive, diagnose, inpaint, perceive
+    faulty = FaultAt(
+        providers_for(scene), 3, change=lambda _: SaliencyMap.from_array(np.full((8, 8), np.nan, np.float32))
+    )
     cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
-    [trace] = run_batch([(scene.image, "p", provs)], cfg)
+    [trace] = run_batch([(scene.image, "p", faulty.providers)], cfg)
     assert trace.stop_reason == STOP_INTERNAL_ERROR
     assert trace.error == "ValueError: float grid contains NaN/Inf"
     [rec] = trace.records

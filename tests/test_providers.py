@@ -41,6 +41,7 @@ from retouchkit.providers import (
 )
 from retouchkit.saliency import RegionProposal
 from fake_backend import URL, FakeBackend, LoopbackServer, SceneBackend, mount
+from test_loop import Unchanged
 from test_saliency import flood_fill_components
 
 
@@ -183,29 +184,17 @@ def test_mock_inpaint_rejects_a_mask_of_other_dims(mask):
 
 # --- select_tool ---------------------------------------------------------
 
-class _FakeTool:
-    def __init__(self, name, kind):
-        self.descriptor = ToolDescriptor(name=name, kind=kind)
-
-    def inpaint(self, image, mask, instruction=None):
-        return image
-
-
 FACE = DistortionCategory.FACE_DISTORTION
 
 
 def test_select_takes_the_first_registered_tool_of_kind():
-    tools = [
-        _FakeTool("i1", INSTRUCTION_DRIVEN),
-        _FakeTool("m1", MASK_GUIDED),
-        _FakeTool("m2", MASK_GUIDED),
-    ]
+    tools = [Unchanged("i1", INSTRUCTION_DRIVEN), Unchanged("m1", MASK_GUIDED), Unchanged("m2", MASK_GUIDED)]
     got = select_tool(tools, FACE, MASK_GUIDED)
     assert got.descriptor.name == "m1"
 
 
 def test_select_auto_text_anomaly_instruction():
-    tools = [_FakeTool("m", MASK_GUIDED), _FakeTool("i", INSTRUCTION_DRIVEN)]
+    tools = [Unchanged("m", MASK_GUIDED), Unchanged("i", INSTRUCTION_DRIVEN)]
     got = select_tool(tools, DistortionCategory.TEXT_ANOMALY, "auto")
     assert got.descriptor.kind == INSTRUCTION_DRIVEN
     got = select_tool(tools, FACE, "auto")
@@ -213,7 +202,7 @@ def test_select_auto_text_anomaly_instruction():
 
 
 def test_select_without_a_tool_of_the_wanted_kind():
-    tools = [_FakeTool("i", INSTRUCTION_DRIVEN)]
+    tools = [Unchanged("i", INSTRUCTION_DRIVEN)]
     with pytest.raises(NoEligibleToolError, match=r"^no tool satisfies policy \(kind=mask-guided\)$"):
         select_tool(tools, FACE, MASK_GUIDED)
 
@@ -524,6 +513,17 @@ def test_http_4xx_status_is_not_retried():
     with pytest.raises(HttpStatusError) as err:
         _call("perception", backend)
     assert err.value.status == 404
+    assert backend.calls == 1
+
+
+@pytest.mark.parametrize("status", [204, 301])
+def test_http_2xx_and_3xx_status_is_not_retried(status):
+    # only a 5xx is retried: a repeat changes neither a 2xx other than 200
+    # nor a 3xx, since no redirect is followed
+    backend = FakeBackend(outcomes=[status])
+    with pytest.raises(HttpStatusError) as err:
+        _call("perception", backend)
+    assert err.value.status == status
     assert backend.calls == 1
 
 
