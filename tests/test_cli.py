@@ -555,7 +555,7 @@ def test_run_loop_malformed_diagnosis_writes_the_trace(tmp_path, capsys, backend
     assert "r0" in trace["error"]
     [rec] = trace["records"]
     assert len(rec["regions"]) == 1
-    assert rec["actions"] == []
+    assert rec["diagnoses"] == rec["actions"] == []
     assert json.loads(capsys.readouterr().out)["iterations"] == 1
     assert out_img.read_bytes() == img.read_bytes()
 

@@ -3,13 +3,12 @@ import json
 import math
 import re
 import socket
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from retouchkit import loop as loop_module, providers as providers_module
+from retouchkit import loop as loop_module
 from retouchkit.dataset import DistortionCategory
 from retouchkit.loop import (
     STOP_CONVERGED,
@@ -316,9 +315,10 @@ class CleanSweep:
         self.calls = [inpaint_calls(r) for r in self.records]
         self.images = [image] + self.run.images  # images[m]: the image after m inpaint calls
 
-    def check_kept(self, trace, faulty, fault):
+    def check_kept(self, trace, faulty, fault, role):
         """The records of `trace` are a prefix of the clean run's, but the
-        last, which keeps exactly the actions of its completed calls; its
+        last, which keeps exactly the actions of its completed calls, and its
+        diagnoses unless `role`, that of the faulted call, is diagnose; its
         final image is the image after the inpaint calls the loop adopted,
         as counted by `faulty`."""
         m = len(faulty.images)
@@ -330,7 +330,7 @@ class CleanSweep:
             want = self.records[len(done)]
             keys = ("t", "max_saliency", "regions")
             assert [last[key] for key in keys] == [want[key] for key in keys], fault
-            assert last["diagnoses"] in ([], want["diagnoses"]), fault
+            assert last["diagnoses"] == ([] if role == "diagnose" else want["diagnoses"]), fault
             j = m - sum(len(c) for c in self.calls[: len(done)])
             assert 0 <= j <= len(self.calls[len(done)]), fault
             acted = sorted(i for call in self.calls[len(done)][:j] for i in call)
@@ -370,9 +370,7 @@ def sweep_fault_at(sweep):
         else:
             want = STOP_PROVIDER_ERROR, wrong_size[clean.run.roles[k], change]
         assert (trace.stop_reason, trace.error) == want, k
-        clean.check_kept(trace, faulty, k)
-        if change is short:
-            assert trace.records[-1].diagnoses == trace.records[-1].actions == (), k
+        clean.check_kept(trace, faulty, k, clean.run.roles[k])
     return clean
 
 
@@ -385,35 +383,43 @@ def test_fault_sweep_keeps_every_applied_edit():
     assert len(clean.images) == 5
 
 
-def test_fault_sweep_over_http_keeps_every_applied_edit(monkeypatch):
+def test_fault_sweep_over_http_keeps_every_applied_edit(sleeps):
     # every FaultAt fault over the HTTP providers, and each backend fault
-    # at every request k; the backoff is recorded, not slept
-    slept = []
-    monkeypatch.setattr(providers_module, "time", SimpleNamespace(sleep=slept.append))
+    # at every request k; the backoff is recorded, not slept. The backend
+    # faults are the one check of each retry rule.
     clean = sweep_fault_at(sweep_over_http)
     _, mocks = run_sweep(*sweep_scene())
     assert trace_to_json(clean.trace) == trace_to_json(mocks)
     assert clean.trace.final_image == mocks.final_image
-    backoff = [0.1, 0.2, 0.4]  # RETRIES = 3
+    backoff = [0.1, 0.2, 0.4]  # RETRIES = 3, the delay doubling before each retry
+    timeout, refused = socket.timeout("timed out"), ConnectionRefusedError("connection refused")
     backend_faults = [
-        ([503], None, [0.1]),  # absorbed by a retry
+        # absorbed: a 5xx or a transport fault is retried, up to the last retry
+        ([503], None, [0.1]),
+        ([500] * RETRIES, None, backoff),
+        ([timeout], None, [0.1]),
+        ([refused], None, [0.1]),
+        # past the retries
         ([503] * (1 + RETRIES), "backend returned HTTP 503", backoff),
-        ([socket.timeout("timed out")] * (1 + RETRIES), "transport failure: timed out", backoff),
+        ([timeout] * (1 + RETRIES), "transport failure: timed out", backoff),
+        ([refused] * (1 + RETRIES), "transport failure: connection refused", backoff),
+        # not retried: a 4xx, and a bad body, also after a retry
         ([404], "backend returned HTTP 404", []),
         ([b"<html>"], "non-JSON response body: .*", []),
+        ([503, b"<html>"], "non-JSON response body: .*", [0.1]),
     ]
-    for k in range(len(clean.run.roles)):
-        for outcomes, error, sleeps in backend_faults:
-            slept.clear()
+    for k, role in enumerate(clean.run.roles):
+        for outcomes, error, slept in backend_faults:
+            sleeps.clear()
             faulty, trace = run_sweep(*sweep_over_http(*[None] * k, *outcomes))
-            assert slept == sleeps, (k, outcomes)
+            assert sleeps == slept, (k, outcomes)
             if error is None:
                 assert trace_to_json(trace) == trace_to_json(clean.trace), k
                 assert trace.final_image == clean.trace.final_image, k
             else:
                 assert trace.stop_reason == STOP_PROVIDER_ERROR, (k, error)
                 assert re.fullmatch(error, trace.error), (k, trace.error)
-                clean.check_kept(trace, faulty, (k, error))
+                clean.check_kept(trace, faulty, (k, error), role)
 
 
 # call 0 perceives the one bump and call 2 inpaints it; the answer is

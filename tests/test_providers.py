@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from retouchkit import providers as providers_module
 from retouchkit.dataset import DistortionCategory
 from retouchkit.loop import (
     STOP_CONVERGED,
@@ -26,7 +25,6 @@ from retouchkit.media_io import FloatGrid, ImageBuffer, read_float_grid, write_f
 from retouchkit.providers import (
     INSTRUCTION_DRIVEN,
     MASK_GUIDED,
-    RETRIES,
     HttpStatusError,
     MockInpaintTool,
     MockPerceptionProvider,
@@ -43,6 +41,9 @@ from retouchkit.saliency import RegionProposal
 from fake_backend import URL, FakeBackend, LoopbackServer, SceneBackend, mount
 from test_loop import Unchanged
 from test_saliency import flood_fill_components
+
+# every HTTP client of this module records its backoff and does not sleep
+pytestmark = pytest.mark.usefixtures("sleeps")
 
 
 def gray_image(w=4, h=4, value=128):
@@ -213,16 +214,6 @@ def _b64(data):
     return base64.b64encode(data).decode()
 
 
-@pytest.fixture(autouse=True)
-def sleeps(monkeypatch):
-    """The backoff sleeps of this module's HTTP clients, recorded and not
-    slept. Only `providers` sees the stub: a fake backend's Delay still
-    sleeps for real."""
-    slept = []
-    monkeypatch.setattr(providers_module, "time", SimpleNamespace(sleep=slept.append))
-    return slept
-
-
 def _http(role, backend):
     """An HTTP provider of `role` served in-process by `backend`."""
     return mount(http_provider(URL, role), backend)
@@ -240,29 +231,6 @@ def test_http_config_rejects(keyword, value, message):
     # timeout_s=0 would put every attempt's socket in non-blocking mode
     with pytest.raises(ValueError, match=message):
         http_provider(URL, "perception", **{keyword: value})
-
-
-def test_http_retry_then_success():
-    backend = FakeBackend(outcomes=[500] * RETRIES)
-    provider = _http("perception", backend)
-    out = provider.perceive(gray_image(), "p")
-    assert out.width == 4
-    assert backend.calls == 1 + RETRIES
-
-
-def test_http_retry_budget_exhausted():
-    backend = FakeBackend(outcomes=[500] * 100)
-    provider = _http("perception", backend)
-    with pytest.raises(HttpStatusError):
-        provider.perceive(gray_image(), "p")
-    assert backend.calls == 1 + RETRIES  # initial try + RETRIES retries
-
-
-def test_http_backoff_doubles_before_each_retry(sleeps):
-    backend = FakeBackend(outcomes=[500] * 100)
-    with pytest.raises(HttpStatusError):
-        _http("perception", backend).perceive(gray_image(), "p")
-    assert sleeps == [0.1, 0.2, 0.4]  # RETRIES = 3
 
 
 def _run_loop_over_http(role, backend, image):
@@ -508,14 +476,6 @@ def test_http_wrong_size_answer_stops_the_loop(role, answer, error):
     assert backend.calls == 1  # a bad answer is not retried
 
 
-def test_http_4xx_status_is_not_retried():
-    backend = FakeBackend(outcomes=[404])
-    with pytest.raises(HttpStatusError) as err:
-        _call("perception", backend)
-    assert err.value.status == 404
-    assert backend.calls == 1
-
-
 @pytest.mark.parametrize("status", [204, 301])
 def test_http_2xx_and_3xx_status_is_not_retried(status):
     # only a 5xx is retried: a repeat changes neither a 2xx other than 200
@@ -525,89 +485,6 @@ def test_http_2xx_and_3xx_status_is_not_retried(status):
         _call("perception", backend)
     assert err.value.status == status
     assert backend.calls == 1
-
-
-def test_http_malformed_answer_after_a_retry_is_not_retried():
-    backend = FakeBackend(outcomes=[503, b"<html>busy</html>"])
-    with pytest.raises(SchemaError, match="non-JSON response body"):
-        _call("inpaint", backend)
-    assert backend.calls == 2
-
-
-# --- HTTP fault injection: transport failures are retried ------------------
-
-_FAULTS = [
-    pytest.param(socket.timeout("timed out"), id="timeout"),
-    pytest.param(ConnectionRefusedError("connection refused"), id="connection-error"),
-]
-
-
-@pytest.mark.parametrize("fault", _FAULTS)
-@pytest.mark.parametrize("role", list(_PATHS))
-def test_http_transport_fault_recovered_by_a_retry(role, fault):
-    backend = FakeBackend(outcomes=[fault])
-    out = _call(role, backend)
-    if role == "perception":
-        assert (out.width, out.height) == (4, 4)
-    elif role == "reasoning":
-        assert [d.region_id for d in out] == ["r0", "r1"]
-    else:
-        assert out == gray_image()
-    assert backend.calls == 2
-
-
-@pytest.mark.parametrize("fault", _FAULTS)
-@pytest.mark.parametrize("role", list(_PATHS))
-def test_http_transport_fault_exhausts_the_retries(role, fault):
-    backend = FakeBackend(outcomes=[fault] * (1 + RETRIES))
-    with pytest.raises(TransportError, match="^transport failure: %s$" % fault.args[0]):
-        _call(role, backend)
-    assert backend.calls == 1 + RETRIES  # initial try + RETRIES retries
-    assert [path for path, _ in backend.requests] == [_PATHS[role]] * (1 + RETRIES)
-
-
-def test_run_loop_stops_provider_error_on_a_null_severity():
-    # the bare TypeError of float(None) used to escape run_loop
-    scene = scene_with_bump(0.8)
-    backend = FakeBackend(answers={"/v1/diagnose": _answer(_entry(0, severity=None))})
-    provs = LoopProviders(
-        perception=MockPerceptionProvider(scene),
-        reasoning=_http("reasoning", backend),
-        tools=[MockInpaintTool(scene)],
-    )
-    cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
-    trace = run_loop(scene.image, "p", provs, cfg)
-    assert trace.stop_reason == STOP_PROVIDER_ERROR
-    assert "r0" in trace.error
-    [rec] = trace.records
-    assert len(rec.regions) == 1
-    assert rec.diagnoses == rec.actions == ()
-    assert trace.final_image == scene.image
-
-
-def test_run_loop_stops_provider_error_on_a_transport_failure():
-    # perception and diagnosis answer; every inpaint attempt loses its
-    # connection, so the record keeps its regions and diagnoses, no action
-    # and no edit
-    scene = scene_with_bump(0.8)
-    perceived = {"saliency_b64": _b64(write_float_grid(FloatGrid.from_array(scene.distortion_field)))}
-    fault = ConnectionResetError("connection reset by peer")
-    backends = [
-        FakeBackend(answers={"/v1/perceive": perceived}),
-        FakeBackend(),
-        FakeBackend(outcomes=[fault] * (1 + RETRIES)),
-    ]
-    perception, reasoning, tool = (_http(role, backend) for role, backend in zip(_PATHS, backends))
-    provs = LoopProviders(perception=perception, reasoning=reasoning, tools=[tool])
-    cfg = LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
-    trace = run_loop(scene.image, "p", provs, cfg)
-    assert trace.stop_reason == STOP_PROVIDER_ERROR
-    assert trace.error == "transport failure: connection reset by peer"
-    [rec] = trace.records
-    assert len(rec.regions) == len(rec.diagnoses) == 1
-    assert rec.actions == ()
-    assert trace.final_image == scene.image
-    assert [b.calls for b in backends] == [1, 1, 1 + RETRIES]
 
 
 # --- the socket round trip, which `mount` replaces: over loopback ----------
