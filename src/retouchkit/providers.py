@@ -129,16 +129,16 @@ class MockReasoningProvider:
         self, image: ImageBuffer, prompt: str, regions: Sequence[RegionProposal]
     ) -> list[Diagnosis]:
         cats = list(DistortionCategory)
+        names = [cat.value for cat in cats]
         out = []
         for idx, region in enumerate(regions):
-            key = ("%d:%d,%d,%d,%d" % ((self.seed,) + region.bbox)).encode()
-            cat = cats[zlib.crc32(key) % len(cats)]
-            x0, y0, x1, y1 = region.bbox
+            bbox = region.bbox
+            k = zlib.crc32(b"%d:%d,%d,%d,%d" % ((self.seed,) + bbox)) % len(cats)
             out.append(
                 Diagnosis(
                     region_id="r%d" % idx,
-                    category=cat,
-                    description="%s at (%d,%d)-(%d,%d)" % (cat.value, x0, y0, x1, y1),
+                    category=cats[k],
+                    description="%s at (%d,%d)-(%d,%d)" % ((names[k],) + bbox),
                     severity=region.peak_saliency,
                 )
             )
@@ -167,7 +167,8 @@ class MockInpaintTool:
         # all work stays inside the mask's bounding box
         box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
         hole = mask[box]
-        self.scene.distortion_field[box][hole] *= self.scene.decay
+        field = self.scene.distortion_field[box]
+        np.multiply(field, self.scene.decay, out=field, where=hole)
         lbl, n = label_set_pixels(hole)
         px = image.to_array().copy()
         window = px[box]

@@ -78,6 +78,15 @@ class RegionProposal:
             raise ValueError("area must equal the set-pixel count (>= 1)")
         object.__setattr__(self, "mask", frozen(mask))
 
+    @classmethod
+    def _checked(cls, mask, bbox, peak_saliency, area) -> "RegionProposal":
+        """A region built without `__post_init__`, for a caller that has made
+        its checks: `mask` is the read-only bool crop of the bbox (x0, y0 >=
+        0) and holds `area` >= 1 set pixels."""
+        region = object.__new__(cls)
+        region.__dict__.update(mask=mask, bbox=bbox, peak_saliency=peak_saliency, area=area)
+        return region
+
     def __eq__(self, other):
         return (
             type(other) is type(self)
@@ -189,29 +198,30 @@ def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-def label_set_pixels(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """8-connected components of a 2-D bool mask: the 1-based int32 label of
-    each set pixel in raster order (the order of `np.flatnonzero(mask)`), and
-    the number of components. Components are numbered by the raster position
-    of their first pixel, as `scipy.ndimage.label` numbers them.
+def _label_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The row runs of a 2-D bool mask in raster order and their 8-connected
+    components: each run's start and stop key, where pixel (y, x) has key
+    y * (w + 1) + x and a run covers keys [start, stop); each run's 1-based
+    int32 label; and the number of components. Components are numbered by
+    the raster position of their first pixel, as `scipy.ndimage.label`
+    numbers them.
 
     Row runs (He, Chao & Suzuki, IEEE TIP 17(5), 2008) are joined by hooking
     and pointer jumping (Shiloach & Vishkin, J. Algorithms 3, 1982); the
     cost is O(pixels) for the run scan plus O(r log r) per hooking round for
     r runs, and a round beyond the first is needed only where a run touches
     two or more runs above."""
-    mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
-    # each row ends in one unset column, so no run crosses a row; a run's key
-    # is y * (w + 1) + x, and one bool scan finds the starts and stops, which
-    # alternate (buf[0] is the unset pixel before the first)
+    # each row ends in one unset column, so no run crosses a row, and one
+    # bool scan finds the starts and stops, which alternate (buf[0] is the
+    # unset pixel before the first)
     buf = np.zeros(h * (w + 1) + 1, dtype=bool)
     buf[1:].reshape(h, w + 1)[:, :w] = mask
     edges = np.flatnonzero(buf[1:] != buf[:-1])
     starts, stops = edges[0::2], edges[1::2]
     r = starts.size
     if not r:
-        return np.zeros(0, dtype=np.int32), 0
+        return starts, stops, np.zeros(0, dtype=np.int32), 0
     # run [s, e) touches the runs [s', e') of the row above with x(s') <= x(e)
     # and x(e') >= x(s), that is s' < e - w and e' > s - w - 2 in keys: one
     # range lo:hi of the sorted runs, which the padding column keeps clear of
@@ -249,7 +259,24 @@ def label_set_pixels(mask: np.ndarray) -> tuple[np.ndarray, int]:
             parent = jump(parent)
     # every root is its component's first run in raster order
     count = np.cumsum(parent == np.arange(r), dtype=np.int32)
-    return np.repeat(count[parent], stops - starts), int(count[-1])
+    return starts, stops, count[parent], int(count[-1])
+
+
+def label_set_pixels(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """8-connected components of a 2-D bool mask: the 1-based int32 label of
+    each set pixel in raster order (the order of `np.flatnonzero(mask)`), and
+    the number of components, numbered as `scipy.ndimage.label` numbers
+    them. The cost is O(pixels) plus O(r log r) for r row runs."""
+    starts, stops, labels, n = _label_runs(np.asarray(mask, dtype=bool))
+    return np.repeat(labels, stops - starts), n
+
+
+def _run_pixels(firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices first, first + 1, ..., first + length - 1 of each run,
+    concatenated: a running count over all pixels, plus one offset per run."""
+    index = np.repeat(firsts - (np.cumsum(lengths) - lengths), lengths)
+    index += np.arange(index.size)
+    return index
 
 
 def extract_regions(mask: np.ndarray, source: SaliencyMap, min_area: int) -> list[RegionProposal]:
@@ -258,50 +285,60 @@ def extract_regions(mask: np.ndarray, source: SaliencyMap, min_area: int) -> lis
     if operator.index(min_area) < 1:  # a float, NaN too, is a TypeError
         raise ValueError("min_area must be >= 1")
     mask = np.asarray(mask, dtype=bool)
-    src = source.to_array()
+    values = source.to_array().ravel()
     check_size("mask", mask.shape[::-1], "saliency map", (source.width, source.height))
-    # every statistic is taken from the set pixels alone: one stable sort
-    # groups them by label, each group in raster order
-    lab, _ = label_set_pixels(mask)
-    flat = np.flatnonzero(mask)[np.argsort(lab, kind="stable")]
-    areas = np.bincount(lab)[1:]  # labels run 1..n, none empty
-    lasts = np.cumsum(areas) - 1
-    starts = lasts - areas + 1
-    vals = src.ravel()[flat]
-    peaks = np.maximum.reduceat(vals, starts)
+    starts, stops, lab, n = _label_runs(mask)
+    # the runs stand for the set pixels: one stable sort of the runs groups
+    # them by label, each group in raster order
+    ys, xs = np.divmod(starts, mask.shape[1] + 1)
+    lengths = stops - starts
+    order = np.argsort(lab, kind="stable")
+    runs = np.bincount(lab)[1:]  # labels run 1..n, none empty
+    group = np.cumsum(runs) - runs
+    areas = np.add.reduceat(lengths[order], group)
+    x0 = np.minimum.reduceat(xs[order], group)
+    y0 = ys[order[group]]
+    x1 = np.maximum.reduceat((xs + lengths - 1)[order], group)
+    y1 = ys[order[group + runs - 1]]
+    # a run's first pixel has map index key - y; the values of every
+    # component's pixels, gathered in raster order, give its peak
+    vals = values[_run_pixels((starts - ys)[order], lengths[order])]
+    first = np.cumsum(areas) - areas  # each component's first value in vals
+    peaks = np.maximum.reduceat(vals, first)
     # saliency is never negative, so a zero peak means a component of +-0
     # values; it peaks at the last one in raster order, as a pixel-by-pixel
     # maximum does, where reduceat's vector loop may return either zero
-    peaks = np.where(peaks == 0, vals[lasts], peaks)
-    ys, xs = np.divmod(flat, mask.shape[1])
-    boxes = np.c_[np.minimum.reduceat(xs, starts), ys[starts], np.maximum.reduceat(xs, starts), ys[lasts]]
+    peaks = np.where(peaks == 0, vals[first + areas - 1], peaks)
     keep = np.flatnonzero(areas >= min_area)
-    keep = keep[np.lexsort((boxes[keep, 0], boxes[keep, 1], -peaks[keep]))]
+    keep = keep[np.lexsort((x0[keep], y0[keep], -peaks[keep]))]
+    if not keep.size:
+        return []
+    x0, y0, x1, y1, peaks, areas = (a[keep] for a in (x0, y0, x1, y1, peaks, areas))
     # the crops of the kept components are drawn into one buffer, each at
-    # the size of its bounding box, and handed out as views of it
-    x0, y0, x1, y1 = boxes[keep].T
+    # the size of its bounding box, by one scatter of their runs' pixels
     widths = x1 - x0 + 1
     sizes = (y1 - y0 + 1) * widths
     ends = np.cumsum(sizes)
-    crop_at = np.full(areas.size, -1)
+    crop_at = np.full(n, -1)
     crop_at[keep] = np.arange(keep.size)
-    at = np.repeat(crop_at, areas)  # the crop of each grouped pixel, or -1
-    kept = at >= 0
+    at = crop_at[lab - 1]  # the crop of each run, or -1
+    kept = np.flatnonzero(at >= 0)
     at = at[kept]
-    buf = np.zeros(sizes.sum(), dtype=bool)
-    buf[ends[at] - sizes[at] + (ys[kept] - y0[at]) * widths[at] + xs[kept] - x0[at]] = True
+    offsets = ends[at] - sizes[at] + (ys[kept] - y0[at]) * widths[at] + xs[kept] - x0[at]
+    buf = np.zeros(ends[-1], dtype=bool)
+    buf[_run_pixels(offsets, lengths[kept])] = True
+    # the constructor's checks, made once for the batch: each crop's shape
+    # follows from its bbox, whose origin is >= 0, so it must hold its area
+    # (>= 1) of set pixels
+    if not np.array_equal(np.add.reduceat(buf, ends - sizes), areas):
+        raise ValueError("area must equal the set-pixel count (>= 1)")
     buf.setflags(write=False)  # so the regions hold its views, not copies
     return [
-        RegionProposal(
-            mask=buf[end - size : end].reshape(size // width, width),
-            bbox=bbox,
-            peak_saliency=peak,
-            area=area,
-        )
+        RegionProposal._checked(buf[end - size : end].reshape(size // width, width), bbox, peak, area)
         for bbox, peak, area, end, size, width in zip(
-            map(tuple, boxes[keep].tolist()),
-            peaks[keep].tolist(),
-            areas[keep].tolist(),
+            zip(x0.tolist(), y0.tolist(), x1.tolist(), y1.tolist()),
+            peaks.tolist(),
+            areas.tolist(),
             ends.tolist(),
             sizes.tolist(),
             widths.tolist(),

@@ -386,14 +386,30 @@ def test_extract_matches_flood_fill_and_the_full_frame_reference(case):
     assert got == region_fields(full_frame_extract_regions(mask, smap(values), min_area))
 
 
+@given(region_cases())
+@settings(max_examples=300, deadline=None)
+def test_extracted_regions_pass_the_constructors_checks(case):
+    # extract_regions builds its regions in one batch, without __post_init__;
+    # each must be a region the constructor would build from its fields
+    mask, values, min_area = case
+    for r in extract_regions(mask, smap(values), min_area):
+        assert r.mask.dtype == bool and not r.mask.flags.writeable
+        assert r == RegionProposal(r.mask.copy(), r.bbox, r.peak_saliency, r.area)
+
+
 def test_zero_peak_takes_the_sign_of_the_last_zero():
-    # runs of zeros of both signs: numpy's vectorised maximum returns either
-    # zero, depending on the pattern; a pixel-by-pixel maximum returns the last
+    # components of zeros of both signs: numpy's vectorised maximum returns
+    # either zero, depending on the pattern; a pixel-by-pixel maximum returns
+    # the last in raster order. Single rows, and one component over several
+    # rows whose every row holds several runs of two, joined diagonally
     rng = np.random.default_rng(3)
-    for n in range(1, 130):
-        values = rng.choice(np.array([0.0, -0.0], np.float32), (1, n))
-        (r,) = extract_regions(np.ones((1, n), bool), smap(values), 1)
-        assert repr(r.peak_saliency) == repr(float(values[0, -1])), n
+    masks = [np.ones((1, n), bool) for n in range(1, 130)]
+    for h, w in [(2, 5), (3, 8), (6, 40), (9, 130)]:
+        masks.append(np.add.outer(np.arange(h), np.arange(w)) % 3 != 0)
+    for mask in masks:
+        values = rng.choice(np.array([0.0, -0.0], np.float32), mask.shape)
+        (r,) = extract_regions(mask, smap(values), 1)
+        assert repr(r.peak_saliency) == repr(float(values[mask][-1])), mask.shape
 
 
 def test_extract_matches_the_full_frame_reference_on_large_maps():
