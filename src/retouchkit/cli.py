@@ -264,7 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "mock_field", None) is not None and not args.mock:
+        # the HTTP loop would never read the field
+        parser.error("argument --mock-field: not allowed without --mock")
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:  # a bare MemoryError() has no text

@@ -1,16 +1,20 @@
 """One scriptable fake of the three HTTP backend roles, for tests.
 
 `FakeBackend.handle(path, body) -> (status, answer)` answers one POST. An
-answer is a JSON value, or bytes sent as they are. `mount` serves a backend
+answer is a JSON value, or bytes sent as they are. Unless a test scripts
+it, the answer is that of the in-process mocks over one scene, so a loop
+over HTTP can be compared with one over the mocks. `mount` serves a backend
 in-process: `handle` takes the place of the socket round trip
 (`_exchange`) of a provider that `http_provider` built, so the providers'
 JSON, base64, retry and in-flight code runs as it does over a socket.
 `LoopbackServer` serves the same `handle` on 127.0.0.1 for code that builds
 its own providers, such as the `run-loop` command, and for the socket round
-trip itself. `SceneBackend` answers as the in-process mocks do over one
-scene, so a loop over HTTP can be compared with one over the mocks.
+trip itself.
 
-A change to the wire protocol is made here, once, for every test.
+A change to the wire protocol is made here, once, for every test. The
+runtime-only CI step loads this file through `tests/test_cli.py` with numpy
+and pytest alone, so it imports only the standard library, numpy and
+retouchkit.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-import numpy as np
-
-from retouchkit.media_io import FloatGrid, read_pnm, write_float_grid, write_pnm
+from retouchkit.media_io import read_pnm, write_float_grid, write_pnm
 from retouchkit.providers import (
     MockInpaintTool,
     MockPerceptionProvider,
@@ -56,7 +58,10 @@ def _encode(answer) -> bytes:
 
 
 class FakeBackend:
-    """Answers each path with `answers[path]`, else with `default_answer`.
+    """Answers each path with `answers[path]`, else as the in-process mocks
+    answer over `scene`: `MockPerceptionProvider`, `MockReasoningProvider(seed)`
+    and `MockInpaintTool`, which decays the scene's field. Without a scene,
+    such a request gets a 404.
 
     `outcomes` is a queue taken one per request, in arrival order; once it
     is empty every request is answered as usual. An outcome is a status
@@ -66,26 +71,25 @@ class FakeBackend:
     only through `mount`.
     """
 
-    def __init__(self, answers: dict | None = None, outcomes=()):
+    def __init__(
+        self, scene: SyntheticScene | None = None, seed: int = 0, answers: dict | None = None, outcomes=()
+    ):
+        self.scene, self.reasoning = scene, MockReasoningProvider(seed)
         self.answers = dict(answers or {})
         self.outcomes = collections.deque(outcomes)
         self.requests: list[tuple[str, dict]] = []  # (path, JSON request), in arrival order
-        self.bytes_in = 0
-        self.bytes_out = 0
         self.in_flight = 0
         self.max_in_flight = 0
-        self.inpainted = False  # whether a 200 answer to /v1/inpaint was sent
         self.lock = threading.Lock()
 
     @property
     def calls(self) -> int:
         return len(self.requests)
 
-    def handle(self, path: str, body: bytes) -> tuple[int, bytes]:
+    def handle(self, path: str, body: bytes) -> tuple[int, object]:
         req = json.loads(body)
         with self.lock:
             self.requests.append((path, req))
-            self.bytes_in += len(body)
             self.in_flight += 1
             self.max_in_flight = max(self.max_in_flight, self.in_flight)
             outcome = self.outcomes.popleft() if self.outcomes else None
@@ -95,59 +99,22 @@ class FakeBackend:
             elif isinstance(outcome, (BaseException, type)):
                 raise outcome
             if isinstance(outcome, int):
-                status, answer = outcome, {"error": "scripted status %d" % outcome}
-            elif isinstance(outcome, bytes):
-                status, answer = 200, outcome
-            elif path in self.answers:
-                status, answer = 200, self.answers[path]
-            else:
-                status, answer = self.default_answer(path, req)
-            data = _encode(answer)
-            with self.lock:
-                self.bytes_out += len(data)
-                self.inpainted |= path == "/v1/inpaint" and status == 200
-            return status, data
+                return outcome, {"error": "scripted status %d" % outcome}
+            if isinstance(outcome, bytes):
+                return 200, outcome
+            if path in self.answers:
+                return 200, self.answers[path]
+            return self._mock_answer(path, req)
         finally:
             with self.lock:
                 self.in_flight -= 1
 
-    def default_answer(self, path: str, req: dict) -> tuple[int, dict]:
-        """A well-formed answer for the request's image. A map of the image's
-        size holds one salient 2 x 2 block, which a loop's default --min-area 4
-        keeps, until the backend has served an inpaint; then it is all zero. So
-        a loop on the defaults perceives, diagnoses, inpaints once and converges."""
-        if path == "/v1/perceive":
-            image = read_pnm(base64.b64decode(req["image_b64"]))
-            field = np.zeros((image.height, image.width), np.float32)
-            if not self.inpainted:
-                field[1:3, 1:3] = 0.9
-            return 200, {"saliency_b64": _b64(write_float_grid(FloatGrid.from_array(field)))}
-        if path == "/v1/diagnose":
-            return 200, {
-                "diagnoses": [
-                    {"id": r["id"], "category": "face_distortion", "description": "d", "severity": 0.5}
-                    for r in req["regions"]
-                ]
-            }
-        if path == "/v1/inpaint":
-            return 200, {"image_b64": req["image_b64"]}
-        return 404, {"error": "unknown path"}
-
-
-class SceneBackend(FakeBackend):
-    """A FakeBackend whose default answers are those of the in-process mocks
-    over one `SyntheticScene`: `MockPerceptionProvider`,
-    `MockReasoningProvider(seed)` and `MockInpaintTool`, which decays the
-    scene's field. A region's peak is the field's maximum under its decoded
-    mask: the peak that `propose_masks` found in the map this backend sent."""
-
-    def __init__(self, scene: SyntheticScene, seed: int = 0, **kwargs):
-        super().__init__(**kwargs)
-        self.scene, self.reasoning = scene, MockReasoningProvider(seed)
-
-    def default_answer(self, path: str, req: dict) -> tuple[int, dict]:
-        if path not in ("/v1/perceive", "/v1/diagnose", "/v1/inpaint"):
-            return super().default_answer(path, req)
+    def _mock_answer(self, path: str, req: dict) -> tuple[int, dict]:
+        """The mocks' answer over the scene. A region's peak is the field's
+        maximum under its decoded mask: the peak that `propose_masks` found
+        in the map this backend sent."""
+        if self.scene is None or path not in ("/v1/perceive", "/v1/diagnose", "/v1/inpaint"):
+            return 404, {"error": "no answer for %s" % path}
         image = read_pnm(base64.b64decode(req["image_b64"]))
         if path == "/v1/perceive":
             smap = MockPerceptionProvider(self.scene).perceive(image, req["prompt"])

@@ -271,10 +271,11 @@ def test_criterion_09_determinism_and_concurrency():
     ok = serial == parallel
 
     threads_n = 2 * MAX_IN_FLIGHT
-    backend = FakeBackend(outcomes=[Delay(0.1)] * threads_n)
+    scene = bump_scene(size=4, at=(1, 1))
+    backend = FakeBackend(scene, outcomes=[Delay(0.1)] * threads_n)
     with LoopbackServer(backend) as server:
         provider = http_provider(server.url, "perception")
-        image = ImageBuffer.from_array(np.full((4, 4), 100, dtype=np.uint8))
+        image = scene.image
         threads = [
             threading.Thread(target=provider.perceive, args=(image, "p")) for _ in range(threads_n)
         ]

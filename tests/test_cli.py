@@ -9,7 +9,8 @@ import pytest
 
 from retouchkit import cli
 from retouchkit.cli import main
-from retouchkit.media_io import FloatGrid, ImageBuffer, write_float_grid, write_pnm
+from retouchkit.media_io import FloatGrid, ImageBuffer, read_float_grid, read_pnm, write_float_grid, write_pnm
+from retouchkit.providers import SyntheticScene
 from fake_backend import FakeBackend, LoopbackServer
 
 DATA = Path(__file__).parent / "data"
@@ -383,8 +384,13 @@ def test_run_loop_acts_on_a_text_anomaly(tmp_path, capsys):
 
 
 @pytest.fixture
-def backend():
-    return FakeBackend()
+def backend(tmp_path):
+    """A FakeBackend of the run-loop golden's scene (seed 0, decay 0.7),
+    which it writes to tmp_path as in.pnm and field.fsal."""
+    image, field = tmp_path / "in.pnm", tmp_path / "field.fsal"
+    write_multi_bump_scene(image, field)
+    scene = SyntheticScene(read_pnm(image.read_bytes()), read_float_grid(field.read_bytes()).to_array(), 0.7)
+    return FakeBackend(scene)
 
 
 @pytest.fixture
@@ -395,24 +401,36 @@ def backend_env(monkeypatch, backend):
         yield monkeypatch
 
 
-# what a run-loop on the defaults sends the default FakeBackend: its one
-# salient block is diagnosed and inpainted, and the next map is all zero
-_ONE_EDIT = ["/v1/perceive", "/v1/diagnose", "/v1/inpaint", "/v1/perceive"]
+# what run-loop on the defaults sends the backend of the golden scene: one
+# inpaint call for each of the golden trace's first two records, whose
+# regions all take the mask-guided tool, then the perception that converges
+_GOLDEN_REQUESTS = ["/v1/perceive", "/v1/diagnose", "/v1/inpaint"] * 2 + ["/v1/perceive"]
 
 
-def test_run_loop_http_backends_from_env(tmp_path, capsys, backend, backend_env):
-    img = tmp_path / "in.pnm"
-    trace_path = tmp_path / "trace.json"
-    write_gray_image(img)
-    rc = main(["run-loop", "--image", str(img), "--prompt", "fix the hand", "--trace", str(trace_path)])
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out)
-    assert (report["converged"], report["actions_total"]) == (True, 1)
-    assert json.loads(trace_path.read_text())["stop_reason"] == "converged"
-    assert [path for path, _ in backend.requests] == _ONE_EDIT
-    # an inpaint request carries no prompt
+def scripted_diagnoses(category, description):
+    """A /v1/diagnose answer of one diagnosis for each of the golden scene's
+    three first regions."""
+    entry = {"category": category, "description": description, "severity": 0.5}
+    return {"diagnoses": [dict(entry, id="r%d" % i) for i in range(3)]}
+
+
+def test_run_loop_http_backends_from_env(tmp_path, capsys, monkeypatch, backend, backend_env):
+    # the backend answers as the mocks do, so run-loop over HTTP prints,
+    # writes and traces what run-loop --mock does, with http- tool names
+    monkeypatch.chdir(tmp_path)  # the trace names the -o path as given
+    argv = ["run-loop", "--image", "in.pnm", "--prompt", "fix the hand"]
+    argv += ["--trace", "trace.json", "-o", "out.pnm"]
+    runs = []
+    for mock in (["--mock", "--mock-field", "field.fsal", "--seed", "0", "--mock-decay", "0.7"], []):
+        assert main(argv + mock) == 0
+        runs.append((capsys.readouterr().out, Path("out.pnm").read_bytes()))
+    assert runs[1] == runs[0]
+    golden = (DATA / "run_loop_multi_bump.trace.json").read_text()
+    assert Path("trace.json").read_text() == golden.replace('"mock-', '"http-')
+    assert [path for path, _ in backend.requests] == _GOLDEN_REQUESTS
+    # the prompt reaches every perception and diagnosis; an inpaint request carries none
     prompts = [req.get("prompt") for _, req in backend.requests]
-    assert prompts == ["fix the hand", "fix the hand", None, "fix the hand"]
+    assert prompts == ["fix the hand"] * 2 + [None] + ["fix the hand"] * 2 + [None] + ["fix the hand"]
 
 
 # the runtime's one dependency is numpy: in the child an import of scipy or
@@ -440,6 +458,16 @@ resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024,) * 2)
 """
 
 
+def run_child(code, cwd, argv=()):
+    """`python -c code argv` in `cwd`, with the retouchkit this process
+    imported first on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, cwd=cwd, env=env, timeout=60
+    )
+
+
 def run_runtime_only(tmp_path, argv, prelude=""):
     """`retouchkit argv` in a child interpreter, after `prelude`, with scipy
     and requests unimportable; it runs in `tmp_path`, which holds every input
@@ -447,16 +475,19 @@ def run_runtime_only(tmp_path, argv, prelude=""):
     write_bump_field(tmp_path / "map.fsal")
     write_seeded_predictions(tmp_path)
     write_multi_bump_scene(tmp_path / "in.pnm", tmp_path / "field.fsal")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, "-c", prelude + _RUNTIME_ONLY, *argv],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env=env,
-        timeout=60,
+    return run_child(prelude + _RUNTIME_ONLY, tmp_path, argv)
+
+
+def test_the_cli_tests_import_neither_hypothesis_nor_scipy():
+    # the runtime-only CI step runs this module with numpy and pytest alone,
+    # where hypothesis is not installed; here it is, so the child hides it
+    code = (
+        'import sys\n'
+        'sys.modules["hypothesis"] = sys.modules["scipy"] = sys.modules["requests"] = None\n'
+        "import conftest, fake_backend, test_cli\n"
     )
+    proc = run_child(code, Path(__file__).parent)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -485,10 +516,10 @@ def test_the_runtime_path_imports_neither_scipy_nor_requests(tmp_path, backend, 
     # the outputs are checked in-process above, against the golden files
     proc = run_runtime_only(tmp_path, argv)
     assert proc.returncode == 0, proc.stderr
-    # only run-loop without --mock sends requests, and it edits once
+    # only run-loop without --mock sends requests, those of the golden run
     sent = [path for path, _ in backend.requests]
     if argv[0] == "run-loop" and "--mock" not in argv:
-        assert (sent, json.loads(proc.stdout)["actions_total"]) == (_ONE_EDIT, 1)
+        assert (sent, json.loads(proc.stdout)["actions_total"]) == (_GOLDEN_REQUESTS, 5)
     else:
         assert sent == []
 
@@ -516,11 +547,18 @@ def test_a_real_allocation_past_the_address_space_is_one_stderr_line(tmp_path, a
     assert not (tmp_path / "big.pnm").exists()
 
 
+def test_run_loop_rejects_a_mock_field_without_mock(capsys):
+    # it used to be ignored, and the loop ran over HTTP; it is refused before
+    # any file or variable is read, so neither file need exist
+    with pytest.raises(SystemExit) as exc:
+        main(["run-loop", "--image", "no-such.pnm", "--mock-field", "no-such.fsal"])
+    assert exc.value.code == 2
+    assert "argument --mock-field: not allowed without --mock" in capsys.readouterr().err
+
+
 def test_run_loop_unset_backend_variable(tmp_path, capsys, backend_env):
-    img = tmp_path / "in.pnm"
-    write_gray_image(img)
     backend_env.delenv("RETOUCH_BACKEND_REASONING_URL")
-    assert error_line(capsys, ["run-loop", "--image", str(img)]) == (
+    assert error_line(capsys, ["run-loop", "--image", str(tmp_path / "in.pnm")]) == (
         "environment variable RETOUCH_BACKEND_REASONING_URL is not set"
     )
 
@@ -529,7 +567,6 @@ def test_run_loop_rejects_a_bad_endpoint_before_the_loop(tmp_path, capsys, backe
     # not retried with backoff and reported as a provider_error stop; the
     # backend's own URL with a query, which would never be sent, would run
     img = tmp_path / "in.pnm"
-    write_gray_image(img)
     for endpoint in ("foo", os.environ["RETOUCH_BACKEND_REASONING_URL"] + "/?q=1"):
         backend_env.setenv("RETOUCH_BACKEND_REASONING_URL", endpoint)
         assert error_line(capsys, ["run-loop", "--image", str(img)]) == (
@@ -539,22 +576,21 @@ def test_run_loop_rejects_a_bad_endpoint_before_the_loop(tmp_path, capsys, backe
 
 
 def test_run_loop_malformed_diagnosis_writes_the_trace(tmp_path, capsys, backend, backend_env):
-    # one region whose diagnosis has a null severity: a SchemaError, so the
-    # loop stops provider_error instead of a TypeError escaping main, and
-    # still writes the trace and the unedited image
-    entry = {"id": "r0", "category": "face_distortion", "description": "d", "severity": None}
-    backend.answers["/v1/diagnose"] = {"diagnoses": [entry]}
+    # of the three regions, r0's diagnosis has a null severity: a
+    # SchemaError, so the loop stops provider_error instead of a TypeError
+    # escaping main, and still writes the trace and the unedited image
+    answer = backend.answers["/v1/diagnose"] = scripted_diagnoses("face_distortion", "d")
+    answer["diagnoses"][0]["severity"] = None
     img = tmp_path / "in.pnm"
     trace_path = tmp_path / "trace.json"
     out_img = tmp_path / "out.pnm"
-    write_gray_image(img)
     rc = main(["run-loop", "--image", str(img), "--trace", str(trace_path), "-o", str(out_img)])
     assert rc == 1
     trace = json.loads(trace_path.read_text())
     assert trace["stop_reason"] == "provider_error"
     assert "r0" in trace["error"]
     [rec] = trace["records"]
-    assert len(rec["regions"]) == 1
+    assert len(rec["regions"]) == 3
     assert rec["diagnoses"] == rec["actions"] == []
     assert json.loads(capsys.readouterr().out)["iterations"] == 1
     assert out_img.read_bytes() == img.read_bytes()
@@ -563,14 +599,12 @@ def test_run_loop_malformed_diagnosis_writes_the_trace(tmp_path, capsys, backend
 def test_run_loop_sends_a_text_anomaly_to_an_instruction_driven_endpoint(tmp_path, backend, backend_env):
     # without --mock the inpaint endpoint also serves the instruction-driven
     # kind, and only its requests carry an instruction; --max-iter 1 stops
-    # the loop before the perception that would find it converged
-    entry = {"id": "r0", "category": "text_anomaly", "description": "garbled sign", "severity": 0.5}
-    backend.answers["/v1/diagnose"] = {"diagnoses": [entry]}
-    img = tmp_path / "in.pnm"
-    write_gray_image(img)
-    rc = main(["run-loop", "--image", str(img), "--max-iter", "1"])
+    # the loop before the next perception; the three regions share one
+    # instruction, so one call edits them all
+    backend.answers["/v1/diagnose"] = scripted_diagnoses("text_anomaly", "garbled sign")
+    rc = main(["run-loop", "--image", str(tmp_path / "in.pnm"), "--max-iter", "1"])
     assert rc == 0
-    assert [path for path, _ in backend.requests] == _ONE_EDIT[:3]
+    assert [path for path, _ in backend.requests] == _GOLDEN_REQUESTS[:3]
     inpaints = [req for path, req in backend.requests if path == "/v1/inpaint"]
     assert [req["instruction"] for req in inpaints] == ["fix text_anomaly: garbled sign"]
 

@@ -45,7 +45,7 @@ from retouchkit.providers import (
 )
 from retouchkit.saliency import RegionProposal, SaliencyMap, propose_masks, union_mask
 from retouchkit.textmetrics import Diagnosis
-from fake_backend import URL, SceneBackend, mount
+from fake_backend import URL, FakeBackend, mount
 
 
 def bump_scene(height=0.8, decay=0.5, size=8, at=(3, 3)):
@@ -67,20 +67,6 @@ def providers_for(scene, seed=0):
 def run_on(scene, cfg=None):
     cfg = cfg or LoopConfig(tau_s=0.5, max_iterations=3, dilation_radius=0, min_area=1)
     return run_loop(scene.image, "prompt", providers_for(scene), cfg)
-
-
-def test_config_rejects_a_negative_dilation_radius():
-    # it used to be accepted, and every run stopped internal_error after its
-    # first perception
-    with pytest.raises(ValueError, match="dilation_radius must be >= 0"):
-        LoopConfig(dilation_radius=-1)
-
-
-@pytest.mark.parametrize("min_area", [0, -5])
-def test_config_rejects_min_area_below_one(min_area):
-    # it used to be accepted, and acted as 1
-    with pytest.raises(ValueError, match="min_area must be >= 1"):
-        LoopConfig(min_area=min_area)
 
 
 def test_zero_field_converges_immediately():
@@ -278,10 +264,10 @@ def sweep_scene():
 
 
 def sweep_over_http(*outcomes):
-    """The sweep scene served over HTTP by one SceneBackend, whose request
+    """The sweep scene served over HTTP by one FakeBackend, whose request
     queue is `outcomes`; each tool carries its mock's descriptor."""
     mocks, image = sweep_scene()
-    backend = SceneBackend(mocks.perception.scene, seed=16, outcomes=outcomes)
+    backend = FakeBackend(mocks.perception.scene, seed=16, outcomes=outcomes)
     return LoopProviders(
         mount(http_provider(URL, "perception"), backend),
         mount(http_provider(URL, "reasoning"), backend),
@@ -978,35 +964,48 @@ def test_trace_to_json_equals_json_dumps(trace, image_ref):
 # --- every rejecting branch ----------------------------------------------
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call, error, message",
     [
-        pytest.param(lambda: LoopConfig(tau_s=1.5), r"tau_s must lie in \[0, 1\]", id="tau"),
+        pytest.param(lambda: LoopConfig(tau_s=1.5), ValueError, r"tau_s must lie in \[0, 1\]", id="tau"),
         pytest.param(
             lambda: LoopConfig(max_iterations=0),
+            ValueError,
             "max_iterations must be >= 1",
             id="max-iterations",
         ),
+        # it used to be accepted, and every run stopped internal_error after
+        # its first perception
+        pytest.param(
+            lambda: LoopConfig(dilation_radius=-1),
+            ValueError,
+            "dilation_radius must be >= 0",
+            id="dilation-radius",
+        ),
+        # it used to be accepted, and acted as 1
+        pytest.param(lambda: LoopConfig(min_area=0), ValueError, "min_area must be >= 1", id="min-area-0"),
+        pytest.param(lambda: LoopConfig(min_area=-5), ValueError, "min_area must be >= 1", id="min-area--5"),
+        pytest.param(lambda: LoopConfig(prefer="cheap"), ValueError, "bad prefer value", id="prefer"),
+        # a fractional count would reach run_loop, where range() raises out
+        # of a loop that must never raise, or dilate stops the first iteration
+        *(
+            pytest.param(lambda f=f: LoopConfig(**{f: 2.5}), TypeError, "float", id="fractional-%s" % f)
+            for f in ("max_iterations", "dilation_radius", "min_area")
+        ),
         pytest.param(
             lambda: run_batch([], LoopConfig(), parallelism=0),
+            ValueError,
             "parallelism must be >= 1",
             id="parallelism",
         ),
+        # a thread pool sized 1.5 runs on 2 threads
+        pytest.param(
+            lambda: run_batch([], LoopConfig(), parallelism=1.5),
+            TypeError,
+            "float",
+            id="fractional-parallelism",
+        ),
     ],
 )
-def test_rejecting_branches(call, message):
-    with pytest.raises(ValueError, match=message):
+def test_rejecting_branches(call, error, message):
+    with pytest.raises(error, match=message):
         call()
-
-
-# a fractional count would reach run_loop, where range() raises out of a
-# loop that must never raise, or dilate stops the first iteration
-@pytest.mark.parametrize("field", ["max_iterations", "dilation_radius", "min_area"])
-def test_loop_config_rejects_a_fractional_count(field):
-    with pytest.raises(TypeError, match="float"):
-        LoopConfig(**{field: 2.5})
-
-
-def test_run_batch_rejects_a_fractional_parallelism():
-    # a thread pool sized 1.5 runs on 2 threads
-    with pytest.raises(TypeError, match="float"):
-        run_batch([], LoopConfig(), parallelism=1.5)

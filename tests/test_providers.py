@@ -38,7 +38,7 @@ from retouchkit.providers import (
     mask_to_bytes,
 )
 from retouchkit.saliency import RegionProposal
-from fake_backend import URL, FakeBackend, LoopbackServer, SceneBackend, mount
+from fake_backend import URL, FakeBackend, LoopbackServer, mount
 from test_loop import Unchanged
 from test_saliency import flood_fill_components
 
@@ -219,20 +219,6 @@ def _http(role, backend):
     return mount(http_provider(URL, role), backend)
 
 
-@pytest.mark.parametrize(
-    "keyword, value, message",
-    [
-        ("timeout_s", 0.0, "timeout_s must be > 0"),
-        ("timeout_s", -1.0, "timeout_s must be > 0"),
-        ("timeout_s", float("nan"), "timeout_s must be > 0"),
-    ],
-)
-def test_http_config_rejects(keyword, value, message):
-    # timeout_s=0 would put every attempt's socket in non-blocking mode
-    with pytest.raises(ValueError, match=message):
-        http_provider(URL, "perception", **{keyword: value})
-
-
 def _run_loop_over_http(role, backend, image):
     """run_loop on `image` with `role` served by `backend` and the other
     roles by the mocks."""
@@ -280,7 +266,7 @@ def test_run_loop_over_http_equals_the_in_process_mocks(case, cfg, seed):
         MockReasoningProvider(seed),
         [MockInpaintTool(scene), MockInpaintTool(scene, text_tool)],
     )
-    backend = SceneBackend(SyntheticScene(image, field, decay), seed)
+    backend = FakeBackend(SyntheticScene(image, field, decay), seed)
     wire = LoopProviders(
         _http("perception", backend),
         _http("reasoning", backend),
@@ -493,7 +479,7 @@ def test_http_2xx_and_3xx_status_is_not_retried(status):
 def test_http_request_over_a_socket():
     # the endpoint's path prefix is kept, percent-encoded, and the body is the
     # payload's JSON with NaN refused
-    backend, sent = FakeBackend(), []
+    backend, sent = FakeBackend(scene_with_bump()), []
 
     def handle(path, body):
         sent.append((path, body))
@@ -535,12 +521,6 @@ _INSTRUCTED = ToolDescriptor(name="i", kind=INSTRUCTION_DRIVEN)
     "call, error, message",
     [
         pytest.param(lambda: ToolDescriptor("t", "paint"), ValueError, "kind must be", id="kind"),
-        pytest.param(
-            lambda: LoopConfig(prefer="cheap"),
-            ValueError,
-            "bad prefer value",
-            id="prefer",
-        ),
         pytest.param(
             lambda: SyntheticScene(gray_image(), np.zeros((3, 4), np.float32)),
             ValueError,
@@ -594,6 +574,23 @@ _INSTRUCTED = ToolDescriptor(name="i", kind=INSTRUCTION_DRIVEN)
         ),
         *(
             pytest.param(
+                lambda timeout_s=timeout_s: http_provider(URL, "perception", timeout_s=timeout_s),
+                ValueError,
+                message,
+                id="timeout-%g" % timeout_s,
+            )
+            # 0 would put every attempt's socket in non-blocking mode, and an
+            # infinite or huge timeout overflows the socket's deadline
+            for timeout_s, message in (
+                (0.0, "timeout_s must be > 0"),
+                (-1.0, "timeout_s must be > 0"),
+                (float("nan"), "timeout_s must be > 0"),
+                (float("inf"), "timeout_s must be <="),
+                (1e12, "timeout_s must be <="),
+            )
+        ),
+        *(
+            pytest.param(
                 lambda endpoint=endpoint: http_provider(endpoint, "perception"),
                 ValueError,
                 "^endpoint %s is not an http:// or https:// URL with a host and no credentials, query or fragment$"
@@ -622,25 +619,3 @@ def test_rejecting_branches(call, error, message):
     with pytest.raises(error, match=message):
         call()
 
-
-# an infinite or huge timeout overflows the socket's deadline
-@pytest.mark.parametrize(
-    "build, error, message",
-    [
-        pytest.param(
-            lambda: http_provider(URL, "perception", timeout_s=float("inf")),
-            ValueError,
-            "timeout_s must be <=",
-            id="timeout-inf",
-        ),
-        pytest.param(
-            lambda: http_provider(URL, "perception", timeout_s=1e12),
-            ValueError,
-            "timeout_s must be <=",
-            id="timeout-huge",
-        ),
-    ],
-)
-def test_configs_reject_nan_overflowing_and_fractional_values(build, error, message):
-    with pytest.raises(error, match=message):
-        build()
